@@ -4,8 +4,14 @@ A configuration of N distinct points in R^d carries the block Gram
 matrix K_q with blocks k(q_i, q_j) * I_d.  The induced metric is the
 cometric G(h, h') = h^T K_q^{-1} h'; the minimal-norm vector field
 inducing a tangent h is the kernel expansion with momenta p = K_q^{-1} h.
-Gram solves use a Cholesky factorization with no regularization: a
-degenerate configuration fails loudly.
+
+Since K_q = K ⊗ I_d for the N x N scalar Gram K, every solve factors K
+alone (Cholesky, no regularization) and solves the momenta (N, d) with d
+right-hand sides.  The landmark oracle does this for a whole stack of
+configurations (..., N*d) at once.  A degenerate configuration fails
+loudly: non-finite positions raise ValueError, and two landmarks closer
+than MIN_SEPARATION or a Gram that is not positive definite raise
+DegenerateConfig.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve
+from scipy.linalg import solve
 
 from .errors import DegenerateConfig
 from .path_geodesics import MetricOracle
@@ -92,17 +98,7 @@ class LandmarkConfig:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("landmark positions must be finite")
-        n = pts.shape[0]
-        if n > 1:
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.linalg.norm(diff, axis=-1)
-            np.fill_diagonal(dist, np.inf)
-            if np.min(dist) <= MIN_SEPARATION:
-                raise DegenerateConfig(
-                    f"minimum landmark separation {np.min(dist):.3e} <= {MIN_SEPARATION:.0e}"
-                )
+        _pairwise(pts)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -112,6 +108,67 @@ class LandmarkConfig:
     @property
     def dim(self):
         return self.points.shape[1]
+
+
+def _pairwise(pts):
+    """Differences q_a - q_b (..., N, N, d) and distances (..., N, N) of checked points.
+
+    ``pts`` holds configurations of shape (..., N, d).  Non-finite positions
+    raise ValueError; two points of one configuration no further apart
+    than MIN_SEPARATION raise DegenerateConfig.
+    """
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("landmark positions must be finite")
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    off_diagonal = dist[..., ~np.eye(pts.shape[-2], dtype=bool)]
+    if off_diagonal.size and np.min(off_diagonal) <= MIN_SEPARATION:
+        raise DegenerateConfig(
+            f"minimum landmark separation {np.min(off_diagonal):.3e} <= {MIN_SEPARATION:.0e}"
+        )
+    return diff, dist
+
+
+def _factor(kernel, pts):
+    """Checked geometry and Cholesky factor of the scalar Gram of configurations (..., N, d).
+
+    Returns (diff, dist, chol) with chol (..., N, N) lower triangular.  A
+    Gram that is not positive definite in any configuration raises
+    DegenerateConfig.
+    """
+    diff, dist = _pairwise(pts)
+    try:
+        chol = np.linalg.cholesky(kernel.profile(dist))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConfig(f"Gram matrix not positive definite: {exc}") from exc
+    return diff, dist, chol
+
+
+def _cho_solve(chol, rhs):
+    """K^{-1} rhs from the factor chol of K, for chol (..., N, N) and rhs (..., N, c).
+
+    Leading axes broadcast.  Axes that rhs has in front of chol's are folded
+    into the right-hand-side columns, so each factor is used once however
+    many right-hand sides share it.
+    """
+    extra = rhs.ndim - chol.ndim
+    if extra > 0:
+        n, c = rhs.shape[-2:]
+        front, batch = rhs.shape[:extra], rhs.shape[extra:-2]
+        moved = tuple(range(extra)), tuple(range(-extra, 0))
+        cols = np.moveaxis(rhs, *moved).reshape(batch + (n, -1))
+        sol = _cho_solve(chol, cols).reshape(batch + (n, c) + front)
+        return np.moveaxis(sol, *moved[::-1])
+    return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs))
+
+
+def _kernel_gradient(kernel, diff, dist):
+    """Gradient of k(|q_a - q_b|) in q_a, shape (..., N, N, d); zero for a == b."""
+    if kernel.kind == "gaussian":
+        return -kernel.profile(dist)[..., None] * diff / kernel.scale**2
+    # diff vanishes on the diagonal, where the Sobolev profile has a kink
+    r_safe = np.where(dist == 0.0, 1.0, dist)[..., None]
+    return _profile_derivative(kernel, r_safe) * diff / r_safe
 
 
 def _scalar_gram(kernel, points_a, points_b=None):
@@ -125,19 +182,10 @@ def gram_assemble(kernel, config):
     return np.kron(scal, np.eye(config.dim))
 
 
-def _cho(kernel, config):
-    gram = gram_assemble(kernel, config)
-    try:
-        return cho_factor(gram, lower=True), gram
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateConfig(f"Gram matrix not positive definite: {exc}") from exc
-
-
 def horizontal_lift(kernel, config, h):
     """Momenta p = K_q^{-1} h and the interpolating field X = sum k(., q_i) p_i."""
     h = np.asarray(h, dtype=float).reshape(config.n_points, config.dim)
-    factor, _ = _cho(kernel, config)
-    p = cho_solve(factor, h.reshape(-1)).reshape(config.n_points, config.dim)
+    p = _cho_solve(_factor(kernel, config.points)[2], h)
 
     def field(x):
         x = np.asarray(x, dtype=float)
@@ -149,10 +197,10 @@ def horizontal_lift(kernel, config, h):
 
 def induced_metric(kernel, config, h, h2=None):
     """Cometric value h^T K_q^{-1} h2 (h2 defaults to h)."""
-    h = np.asarray(h, dtype=float).reshape(-1)
-    h2 = h if h2 is None else np.asarray(h2, dtype=float).reshape(-1)
-    factor, _ = _cho(kernel, config)
-    return float(h @ cho_solve(factor, h2))
+    shape = (config.n_points, config.dim)
+    h = np.asarray(h, dtype=float).reshape(shape)
+    h2 = h if h2 is None else np.asarray(h2, dtype=float).reshape(shape)
+    return float(np.sum(h * _cho_solve(_factor(kernel, config.points)[2], h2)))
 
 
 def rkhs_inner(kernel, points_a, momenta_a, points_b, momenta_b):
@@ -214,109 +262,57 @@ def constrained_infimum(kernel, config, h, extra_points):
 def landmark_metric_oracle(kernel, config_dim, n_points):
     """Metric oracle for flattened landmark configurations in R^(N*d).
 
-    The metric is the kernel cometric h^T K(x)^{-1} k; its directional
-    variation uses the analytic kernel gradient (Gaussian) or central
-    finite differences of the Gram entries otherwise.
+    The metric is the kernel cometric h^T K(x)^{-1} k.  Each call factors
+    the N x N scalar Gram of every configuration in x's leading axes with
+    one batched Cholesky and solves the momenta (N, d) with d right-hand
+    sides; h, k and l broadcast against x without refactoring.  The
+    variation and its rows contract one analytic kernel-gradient tensor.
+    Non-finite positions raise ValueError; landmarks closer than
+    MIN_SEPARATION or a Gram that is not positive definite, in any row,
+    raise DegenerateConfig.  All-1-D arguments give a float from
+    ``metric`` and ``variation``.
     """
     d = config_dim
     n = n_points
     m = n * d
 
-    def _pts(x):
-        return np.asarray(x, dtype=float).reshape(n, d)
+    def _split(v):
+        v = np.asarray(v, dtype=float)
+        return v.reshape(v.shape[:-1] + (n, d))
 
-    def _solve(x, vecs):
-        gram = gram_assemble(kernel, LandmarkConfig(_pts(x)))
-        try:
-            factor = cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateConfig(str(exc)) from exc
-        return cho_solve(factor, vecs)
+    def _value(out):
+        return float(out) if out.ndim == 0 else out
 
     def metric(x, h, k):
-        x, h, k = np.broadcast_arrays(x, h, k)
-        if x.ndim == 1:
-            return float(h @ _solve(x, k))
-        flat = x.reshape(-1, m)
-        hf = h.reshape(-1, m)
-        kf = k.reshape(-1, m)
-        out = np.empty(flat.shape[0])
-        for i in range(flat.shape[0]):
-            out[i] = hf[i] @ _solve(flat[i], kf[i])
-        return out.reshape(x.shape[:-1])
-
-    def _dgram_dir(x, l):
-        """Directional derivative of the scalar Gram in config direction l."""
-        pts = _pts(x)
-        lv = np.asarray(l, dtype=float).reshape(n, d)
-        diff = pts[:, None, :] - pts[None, :, :]  # (N, N, d)
-        r = np.linalg.norm(diff, axis=-1)
-        ldiff = np.sum((lv[:, None, :] - lv[None, :, :]) * diff, axis=-1)
-        if kernel.kind == "gaussian":
-            return -kernel.profile(r) * ldiff / kernel.scale**2
-        r_safe = np.where(r == 0.0, 1.0, r)
-        dscal = _profile_derivative(kernel, r_safe) * ldiff / r_safe
-        return np.where(r == 0.0, 0.0, dscal)
-
-    def variation(x, l, h, k):
-        x, l, h, k = np.broadcast_arrays(x, l, h, k)
-        if x.ndim == 1:
-            sols = _solve(x, np.stack([h, k], axis=1))
-            p, p2 = sols[:, 0].reshape(n, d), sols[:, 1].reshape(n, d)
-            dscal = _dgram_dir(x, l)
-            return -float(np.einsum("ad,ab,bd->", p, dscal, p2))
-        flat_shape = x.shape[:-1]
-        xf = x.reshape(-1, m)
-        lf = l.reshape(-1, m)
-        hf = h.reshape(-1, m)
-        kf = k.reshape(-1, m)
-        out = np.empty(xf.shape[0])
-        for i in range(xf.shape[0]):
-            out[i] = variation(xf[i], lf[i], hf[i], kf[i])
-        return out.reshape(flat_shape)
+        chol = _factor(kernel, _split(x))[2]
+        return _value(np.einsum("...ad,...ad->...", _split(h), _cho_solve(chol, _split(k))))
 
     def metric_rows(x, h):
-        x, h = np.broadcast_arrays(x, h)
-        if x.ndim == 1:
-            return _solve(x, h)
-        xf = x.reshape(-1, m)
-        hf = h.reshape(-1, m)
-        out = np.empty_like(hf)
-        for i in range(xf.shape[0]):
-            out[i] = _solve(xf[i], hf[i])
-        return out.reshape(x.shape)
+        chol = _factor(kernel, _split(x))[2]
+        rows = _cho_solve(chol, _split(h))
+        return rows.reshape(rows.shape[:-2] + (m,))
+
+    def _variation_rows(x, h, k):
+        """DG(x, e_j, h, k) as (..., N, d): -sum_ab p_a.p2_b dk_ab/dx_j."""
+        diff, dist, chol = _factor(kernel, _split(x))
+        hk = np.concatenate(np.broadcast_arrays(_split(h), _split(k)), axis=-1)
+        p, p2 = np.split(_cho_solve(chol, hk), 2, axis=-1)
+        pp = np.einsum("...ad,...bd->...ab", p, p2)
+        sym = pp + np.swapaxes(pp, -1, -2)
+        return -np.einsum("...ab,...abd->...ad", sym, _kernel_gradient(kernel, diff, dist))
+
+    def variation(x, l, h, k):
+        return _value(np.einsum("...ad,...ad->...", _split(l), _variation_rows(x, h, k)))
 
     def variation_rows(x, h, k):
         """Vector (DG(x, e_j, h, k))_j via the kernel gradient."""
-        x, h, k = np.broadcast_arrays(x, h, k)
-        if x.ndim == 1:
-            sols = _solve(x, np.stack([h, k], axis=1))
-            p, p2 = sols[:, 0].reshape(n, d), sols[:, 1].reshape(n, d)
-            pts = _pts(x)
-            diff = pts[:, None, :] - pts[None, :, :]
-            r = np.linalg.norm(diff, axis=-1)
-            pp = np.einsum("ad,bd->ab", p, p2)
-            sym = pp + pp.T
-            if kernel.kind == "gaussian":
-                grad_scal = -kernel.profile(r)[..., None] * diff / kernel.scale**2
-            else:
-                np.fill_diagonal(r, 1.0)
-                dprofile = _profile_derivative(kernel, r)
-                np.fill_diagonal(dprofile, 0.0)
-                grad_scal = dprofile[..., None] * diff / r[..., None]
-            rows = -np.einsum("ab,abd->ad", sym, grad_scal)
-            return rows.reshape(m)
-        xf = x.reshape(-1, m)
-        hf = h.reshape(-1, m)
-        kf = k.reshape(-1, m)
-        out = np.empty_like(xf)
-        for i in range(xf.shape[0]):
-            out[i] = variation_rows(xf[i], hf[i], kf[i])
-        return out.reshape(x.shape)
+        rows = _variation_rows(x, h, k)
+        return rows.reshape(rows.shape[:-2] + (m,))
 
     def gram(x):
-        kq = gram_assemble(kernel, LandmarkConfig(_pts(x)))
-        return np.linalg.inv(kq)
+        """Metric Gram K(x)^{-1} = inv(K_scalar) ⊗ I_d of one configuration."""
+        chol = _factor(kernel, _split(x))[2]
+        return np.kron(_cho_solve(chol, np.eye(n)), np.eye(d))
 
     return MetricOracle(
         dim=m,

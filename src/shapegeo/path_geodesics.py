@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonConvergence, NotImmersed, SingularGram
+from .errors import NonConvergence, NotImmersed, ShapeGeoError, SingularGram
 
 __all__ = [
     "MetricOracle",
@@ -261,7 +261,8 @@ def bvp_minimize(x_start, x_end, oracle, init=None, opts=None):
             trial_path = Path(trial)
             try:
                 trial_energy = path_energy(trial_path, oracle)
-            except Exception:
+            except ShapeGeoError:
+                # the trial left the space (e.g. a non-immersed curve): backtrack
                 trial_energy = np.inf
             if trial_energy <= energy - opts.armijo_c1 * step * grad_norm**2:
                 path, energy = trial_path, trial_energy

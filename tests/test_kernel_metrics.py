@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapegeo import kernel_metrics as km
 from shapegeo import path_geodesics as pg
 from shapegeo.errors import DegenerateConfig
+
+KERNELS = {
+    "gaussian": km.gaussian_kernel(1.0),
+    "sobolev1": km.sobolev_kernel(1),
+    "sobolev2": km.sobolev_kernel(2),
+}
 
 
 def random_config(rng, n, d, spread=3.0):
@@ -15,6 +24,18 @@ def random_config(rng, n, d, spread=3.0):
             return km.LandmarkConfig(pts)
         except DegenerateConfig:
             continue
+
+
+@st.composite
+def spaced_oracle_inputs(draw):
+    """Kernel, flattened configuration with separation >= 0.9, and l, h, k."""
+    kernel = draw(st.sampled_from(sorted(KERNELS)))
+    n, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    sites = draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=n, max_size=n, unique=True))
+    jitter = draw(arrays(float, (n, d), elements=st.floats(-0.3, 0.3)))
+    x = (1.5 * np.array(sites, dtype=float) + jitter).reshape(-1)
+    l, h, k = (draw(arrays(float, n * d, elements=st.floats(-2.0, 2.0))) for _ in range(3))
+    return km.landmark_metric_oracle(KERNELS[kernel], d, n), x, l, h, k
 
 
 class TestKernels:
@@ -153,9 +174,9 @@ class TestLandmarkOracle:
             fd = (oracle.G(x + eps * l, h, k) - oracle.G(x - eps * l, h, k)) / (2 * eps)
             assert abs(oracle.DG(x, l, h, k) - fd) < 1e-6 * max(1.0, abs(fd))
 
-    def test_rows_consistent(self):
+    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+    def test_rows_consistent(self, kernel):
         rng = np.random.default_rng(8)
-        kernel = km.gaussian_kernel(1.0)
         oracle = km.landmark_metric_oracle(kernel, 2, 3)
         x = random_config(rng, 3, 2).points.reshape(-1)
         h, k = rng.normal(size=6), rng.normal(size=6)
@@ -164,6 +185,63 @@ class TestLandmarkOracle:
         assert np.max(np.abs(rows - [oracle.G(x, h, e) for e in eye])) < 1e-12
         vrows = oracle.rows_DG(x, h, k)
         assert np.max(np.abs(vrows - [oracle.DG(x, e, h, k) for e in eye])) < 1e-11
+
+    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+    @pytest.mark.parametrize("stacked_x", [True, False], ids=["stacked-x", "one-x"])
+    def test_batched_calls_match_single_rows(self, kernel, stacked_x):
+        """(T, m) calls, with T configurations or one shared by all rows."""
+        rng = np.random.default_rng(9)
+        oracle = km.landmark_metric_oracle(kernel, 2, 4)
+        xs = np.stack([random_config(rng, 4, 2).points.reshape(-1) for _ in range(5)])
+        l, h, k = (rng.normal(size=xs.shape) for _ in range(3))
+        if not stacked_x:
+            xs = np.broadcast_to(xs[0], xs.shape)
+        x = xs if stacked_x else xs[0]
+        batched = {
+            "metric": oracle.metric(x, h, k),
+            "variation": oracle.variation(x, l, h, k),
+            "metric_rows": oracle.metric_rows(x, h),
+            "variation_rows": oracle.variation_rows(x, h, k),
+        }
+        for i, xi in enumerate(xs):
+            single = {
+                "metric": oracle.metric(xi, h[i], k[i]),
+                "variation": oracle.variation(xi, l[i], h[i], k[i]),
+                "metric_rows": oracle.metric_rows(xi, h[i]),
+                "variation_rows": oracle.variation_rows(xi, h[i], k[i]),
+            }
+            assert isinstance(single["metric"], float)
+            assert isinstance(single["variation"], float)
+            for name, value in single.items():
+                scale = max(1.0, np.max(np.abs(value)))
+                assert np.max(np.abs(batched[name][i] - value)) < 1e-12 * scale, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(spaced_oracle_inputs())
+    def test_metric_and_variation_contract_their_rows(self, inputs):
+        oracle, x, l, h, k = inputs
+        rows = oracle.metric_rows(x, k)
+        g = oracle.G(x, h, k)
+        assert abs(g - h @ rows) <= 1e-12 * max(1.0, np.abs(h) @ np.abs(rows))
+        vrows = oracle.variation_rows(x, h, k)
+        dg = oracle.DG(x, l, h, k)
+        assert abs(dg - l @ vrows) <= 1e-12 * max(1.0, np.abs(l) @ np.abs(vrows))
+
+    def test_degenerate_row_in_batch_rejected(self):
+        rng = np.random.default_rng(10)
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 2, 3)
+        x = np.stack([random_config(rng, 3, 2).points.reshape(-1) for _ in range(4)])
+        x[2, 2:4] = x[2, 0:2]  # row 2: landmark 1 on top of landmark 0
+        h = rng.normal(size=x.shape)
+        calls = [
+            lambda: oracle.metric(x, h, h),
+            lambda: oracle.variation(x, h, h, h),
+            lambda: oracle.metric_rows(x, h),
+            lambda: oracle.variation_rows(x, h, h),
+        ]
+        for call in calls:
+            with pytest.raises(DegenerateConfig):
+                call()
 
     def test_two_landmark_geodesic_and_permutation(self):
         kernel = km.gaussian_kernel(1.0)

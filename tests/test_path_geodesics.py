@@ -1,10 +1,12 @@
 """Generic geodesic machinery: energy, gradients, BVP/IVP solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from shapegeo import hilbert_geometry, path_geodesics as pg
-from shapegeo.errors import NonConvergence, SingularGram
+from shapegeo.errors import DegenerateConfig, NonConvergence, SingularGram
 
 
 def sphere_point(rng, m):
@@ -176,6 +178,42 @@ class TestBVP:
         assert excinfo.value.path is not None
         assert excinfo.value.report is not None
         assert not excinfo.value.report.converged
+
+
+class TestLineSearchErrors:
+    """The first Armijo trial energy of a flat solve fails."""
+
+    @staticmethod
+    def _solve(failure):
+        """Solve with the first trial raising ``failure``, or, for a number, returning it."""
+        flat = pg.euclidean_oracle(2)
+        calls = []
+
+        def metric(x, h, k):
+            calls.append(None)
+            if len(calls) == 2:  # call 1 is the initial energy
+                if isinstance(failure, Exception):
+                    raise failure
+                return np.full(np.shape(x)[:-1], failure)
+            return flat.metric(x, h, k)
+
+        oracle = dataclasses.replace(flat, metric=metric)
+        a, b = np.zeros(2), np.ones(2)
+        pts = pg.Path.linear(a, b, 8).points
+        pts[1:-1, 1] += 0.3 * np.sin(np.pi * np.linspace(0, 1, 9)[1:-1])
+        opts = pg.SolverOptions(tol=1e-8, max_iter=2000)
+        return pg.bvp_minimize(a, b, oracle, init=pg.Path(pts), opts=opts)
+
+    def test_shapegeo_error_counts_as_backtrack(self):
+        path, report = self._solve(DegenerateConfig("coincident landmarks"))
+        ref_path, ref_report = self._solve(np.inf)
+        assert report.converged
+        assert report.iterations == ref_report.iterations
+        assert np.array_equal(path.points, ref_path.points)
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(RuntimeError, match="oracle bug"):
+            self._solve(RuntimeError("oracle bug"))
 
 
 class TestIVP:
