@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import StepCollapse, VanishingField
+from .errors import NonConvergence, StepCollapse, VanishingField
 from .periodic_core import (
     PeriodicFunction,
     PeriodicGrid,
@@ -165,7 +165,11 @@ def _rk4_step(f, x, dt):
 
 
 def _integrate_autonomous(evaluate, x, t, base_step=1.0 / 256.0, tol=1e-8, max_halvings=8):
-    """Fixed-step RK4 with a Richardson accuracy check on the whole run."""
+    """Fixed-step RK4 with a Richardson accuracy check on the whole run.
+
+    Raises NonConvergence when ``max_halvings`` halvings of the step leave
+    the Richardson error above ``tol``.
+    """
     n_steps = max(1, int(np.ceil(abs(t) / base_step)))
     for _ in range(max_halvings + 1):
         dt = t / n_steps
@@ -175,10 +179,11 @@ def _integrate_autonomous(evaluate, x, t, base_step=1.0 / 256.0, tol=1e-8, max_h
         fine = x.copy()
         for _ in range(2 * n_steps):
             fine = _rk4_step(evaluate, fine, 0.5 * dt)
-        if np.max(np.abs(fine - coarse)) <= tol:
+        err = np.max(np.abs(fine - coarse))
+        if err <= tol:
             return fine
         n_steps *= 2
-    return fine
+    raise NonConvergence(f"Richardson error {err:.3e} > tol {tol:.0e} after {max_halvings} halvings")
 
 
 def flow_autonomous(u, t):
@@ -260,6 +265,8 @@ class FlowResult:
 
 
 MAX_SUBSTEPS = 2**20
+# smallest substep tried before the step-doubling error check gives up
+MIN_STEP = 1e-12
 
 
 def flow_time_dependent(u, grid=None, x0=None, base_step=1.0 / 256.0, tol=1e-8):
@@ -267,6 +274,9 @@ def flow_time_dependent(u, grid=None, x0=None, base_step=1.0 / 256.0, tol=1e-8):
 
     On real-line grids a trajectory leaving the working window marks the
     result as blown up and the window-exit time is refined by bisection.
+    A step whose doubling error stays above tol down to MIN_STEP, or more
+    than MAX_SUBSTEPS substeps, raise NonConvergence: an exhausted budget
+    is not a blow-up.
     """
     grid = grid if grid is not None else u.grid
     periodic = isinstance(grid, PeriodicGrid)
@@ -284,8 +294,14 @@ def flow_time_dependent(u, grid=None, x0=None, base_step=1.0 / 256.0, tol=1e-8):
             while True:
                 x_new = _rk4_step(evaluate, x, dt)
                 half = _rk4_step(evaluate, _rk4_step(evaluate, x, 0.5 * dt), 0.5 * dt)
-                if np.max(np.abs(half - x_new)) <= tol * scale or dt <= 1e-12:
+                err = np.max(np.abs(half - x_new))
+                if err <= tol * scale:
                     break
+                if dt <= MIN_STEP:
+                    raise NonConvergence(
+                        f"step-doubling error {err:.3e} > {tol * scale:.3e} "
+                        f"at step {dt:.1e} <= MIN_STEP, t = {t:.6f}"
+                    )
                 dt *= 0.5
             x = half
             t += dt
@@ -295,7 +311,10 @@ def flow_time_dependent(u, grid=None, x0=None, base_step=1.0 / 256.0, tol=1e-8):
                 t_exit = _refine_exit_time(evaluate, x, idx, t, dt, window)
                 return FlowResult(final_map=None, blow_up=True, blow_up_time=t_exit)
             if n_sub > MAX_SUBSTEPS:
-                return FlowResult(final_map=None, blow_up=True, blow_up_time=t)
+                raise NonConvergence(
+                    f"{n_sub} substeps exceed MAX_SUBSTEPS at t = {t:.6f} of "
+                    f"{u.knots[-1]:.6f}; last step-doubling error {err:.3e}"
+                )
     return FlowResult(final_map=x, blow_up=False)
 
 

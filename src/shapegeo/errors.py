@@ -18,10 +18,10 @@ class SingularGram(ShapeGeoError):
 
 
 class NonConvergence(ShapeGeoError):
-    """Optimizer did not reach the requested tolerance.
+    """A solver did not reach the requested tolerance within its budget.
 
-    Carries the best path found so far in ``self.path`` and the final
-    report in ``self.report``.
+    Geodesic solvers carry the best path found so far in ``self.path`` and
+    the final report in ``self.report``; both are None otherwise.
     """
 
     def __init__(self, message, path=None, report=None):

@@ -97,36 +97,12 @@ def sphere_oracle(m):
     circles at r = 1 are geodesics.
     """
 
-    def metric(x, h, k):
-        x, h, k = np.broadcast_arrays(x, h, k)
-        r2 = np.sum(x * x, axis=-1)
-        hk = np.sum(h * k, axis=-1)
-        hx = np.sum(h * x, axis=-1)
-        kx = np.sum(k * x, axis=-1)
-        return hk / r2 + hx * kx * (r2 - 1.0) / r2**2
-
-    def variation(x, l, h, k):
-        x, l, h, k = np.broadcast_arrays(x, l, h, k)
-        r2 = np.sum(x * x, axis=-1)
-        xl = np.sum(x * l, axis=-1)
-        hk = np.sum(h * k, axis=-1)
-        hx = np.sum(h * x, axis=-1)
-        kx = np.sum(k * x, axis=-1)
-        hl = np.sum(h * l, axis=-1)
-        kl = np.sum(k * l, axis=-1)
-        t = 1.0 / r2 - 1.0 / r2**2
-        ds = -2.0 * xl / r2**2
-        dt = -2.0 * xl / r2**2 + 4.0 * xl / r2**3
-        return hk * ds + (hl * kx + hx * kl) * t + hx * kx * dt
-
     def metric_rows(x, h):
-        x, h = np.broadcast_arrays(x, h)
         r2 = np.sum(x * x, axis=-1)[..., None]
         hx = np.sum(h * x, axis=-1)[..., None]
         return h / r2 + hx * x * (r2 - 1.0) / r2**2
 
     def variation_rows(x, h, k):
-        x, h, k = np.broadcast_arrays(x, h, k)
         r2 = np.sum(x * x, axis=-1)[..., None]
         hk = np.sum(h * k, axis=-1)[..., None]
         hx = np.sum(h * x, axis=-1)[..., None]
@@ -138,20 +114,7 @@ def sphere_oracle(m):
         rows = rows + hx * kx * (-2.0 / r2**2 + 4.0 / r2**3) * x
         return rows
 
-    def gram(x):
-        x = np.asarray(x, dtype=float)
-        r2 = float(np.dot(x, x))
-        return np.eye(m) / r2 + np.outer(x, x) * (r2 - 1.0) / r2**2
-
-    return MetricOracle(
-        dim=m,
-        metric=metric,
-        variation=variation,
-        metric_rows=metric_rows,
-        variation_rows=variation_rows,
-        gram=gram,
-        name=f"sphere(m={m})",
-    )
+    return MetricOracle.from_rows(m, metric_rows, variation_rows, name=f"sphere(m={m})")
 
 
 def ellipsoid_map(spec, x):

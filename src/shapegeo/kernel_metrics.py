@@ -262,15 +262,16 @@ def constrained_infimum(kernel, config, h, extra_points):
 def landmark_metric_oracle(kernel, config_dim, n_points):
     """Metric oracle for flattened landmark configurations in R^(N*d).
 
-    The metric is the kernel cometric h^T K(x)^{-1} k.  Each call factors
-    the N x N scalar Gram of every configuration in x's leading axes with
-    one batched Cholesky and solves the momenta (N, d) with d right-hand
-    sides; h, k and l broadcast against x without refactoring.  The
-    variation and its rows contract one analytic kernel-gradient tensor.
+    The metric is the kernel cometric h^T K(x)^{-1} k.  The oracle writes
+    its flat map h -> K(x)^{-1} h and that map's x-gradient, which
+    contracts one analytic kernel-gradient tensor; ``MetricOracle.from_rows``
+    derives G, DG and the Gram inv(K_scalar) ⊗ I_d from them.  Each call
+    factors the N x N scalar Gram of every configuration in x's leading
+    axes with one batched Cholesky and solves the momenta (N, d) with d
+    right-hand sides; h and k broadcast against x without refactoring.
     Non-finite positions raise ValueError; landmarks closer than
     MIN_SEPARATION or a Gram that is not positive definite, in any row,
-    raise DegenerateConfig.  All-1-D arguments give a float from
-    ``metric`` and ``variation``.
+    raise DegenerateConfig.
     """
     d = config_dim
     n = n_points
@@ -280,48 +281,23 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
         v = np.asarray(v, dtype=float)
         return v.reshape(v.shape[:-1] + (n, d))
 
-    def _value(out):
-        return float(out) if out.ndim == 0 else out
-
-    def metric(x, h, k):
-        chol = _factor(kernel, _split(x))[2]
-        return _value(np.einsum("...ad,...ad->...", _split(h), _cho_solve(chol, _split(k))))
-
     def metric_rows(x, h):
         chol = _factor(kernel, _split(x))[2]
         rows = _cho_solve(chol, _split(h))
         return rows.reshape(rows.shape[:-2] + (m,))
 
-    def _variation_rows(x, h, k):
-        """DG(x, e_j, h, k) as (..., N, d): -sum_ab p_a.p2_b dk_ab/dx_j."""
+    def variation_rows(x, h, k):
+        """-sum_ab p_a.p2_b dk_ab/dx_j for the momenta p = K^{-1} h, p2 = K^{-1} k."""
         diff, dist, chol = _factor(kernel, _split(x))
         hk = np.concatenate(np.broadcast_arrays(_split(h), _split(k)), axis=-1)
         p, p2 = np.split(_cho_solve(chol, hk), 2, axis=-1)
         pp = np.einsum("...ad,...bd->...ab", p, p2)
         sym = pp + np.swapaxes(pp, -1, -2)
-        return -np.einsum("...ab,...abd->...ad", sym, _kernel_gradient(kernel, diff, dist))
-
-    def variation(x, l, h, k):
-        return _value(np.einsum("...ad,...ad->...", _split(l), _variation_rows(x, h, k)))
-
-    def variation_rows(x, h, k):
-        """Vector (DG(x, e_j, h, k))_j via the kernel gradient."""
-        rows = _variation_rows(x, h, k)
+        rows = -np.einsum("...ab,...abd->...ad", sym, _kernel_gradient(kernel, diff, dist))
         return rows.reshape(rows.shape[:-2] + (m,))
 
-    def gram(x):
-        """Metric Gram K(x)^{-1} = inv(K_scalar) ⊗ I_d of one configuration."""
-        chol = _factor(kernel, _split(x))[2]
-        return np.kron(_cho_solve(chol, np.eye(n)), np.eye(d))
-
-    return MetricOracle(
-        dim=m,
-        metric=metric,
-        variation=variation,
-        metric_rows=metric_rows,
-        variation_rows=variation_rows,
-        gram=gram,
-        name=f"landmarks(N={n},d={d},{kernel.kind})",
+    return MetricOracle.from_rows(
+        m, metric_rows, variation_rows, name=f"landmarks(N={n},d={d},{kernel.kind})"
     )
 
 

@@ -7,17 +7,19 @@ uses midpoint quadrature,
 
 length the square-rooted integrand.  The boundary-value solver is
 gradient descent with Armijo backtracking; the initial-value solver
-time-steps the geodesic equation by assembling the Gram matrix of the
-metric and solving for the Christoffel term at each step.
+time-steps the geodesic equation, solving for the Christoffel term at
+each step against the metric's Gram matrix, which the oracle derives
+from its flat map ``metric_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
+from .curves import IMMERSION_TOL
 from .errors import NonConvergence, NotImmersed, ShapeGeoError, SingularGram
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "Path",
     "GeodesicReport",
     "euclidean_oracle",
-    "finite_difference_variation",
     "path_energy",
     "path_length",
     "energy_gradient",
@@ -39,88 +40,67 @@ __all__ = [
 
 @dataclass
 class MetricOracle:
-    """Inner product G(x, h, k) plus optional extras used by the solvers.
+    """A weak Riemannian metric on R^dim: its flat map and that map's x-derivative.
 
-    All callables must broadcast over leading axes of their (..., m)
-    array arguments.  ``variation`` is the directional metric derivative
-    DG(x, l, h, k) = d/de G(x + e*l, h, k) at e = 0.
+    An oracle writes two callables; both broadcast over leading axes of
+    their (..., dim) arguments:
 
-    ``metric_rows(x, h)`` and ``variation_rows(x, h, k)``, when supplied,
-    return the vectors (G(x, h, e_j))_j and (DG(x, e_j, h, k))_j without
-    looping over the basis; the solvers fall back to batched calls of
-    ``metric`` / ``variation`` otherwise.
+    - ``metric_rows(x, h)``, the flat map h -> G_x(h, .), as the vector
+      (G(x, h, e_j))_j;
+    - ``variation_rows(x, h, k)``, its x-gradient (DG(x, e_j, h, k))_j,
+      where DG(x, l, h, k) = d/de G(x + e*l, h, k) at e = 0.
+
+    ``from_rows`` derives the rest by contraction: ``metric`` is
+    G(x, h, k) = h . metric_rows(x, k), ``variation`` is
+    DG(x, l, h, k) = l . variation_rows(x, h, k), and ``gram(x)`` is the
+    (dim, dim) matrix metric_rows(x, I).  All five stay fields rather than
+    methods so that ``dataclasses.replace`` can wrap or substitute each one
+    on a copy (a per-call tracer does, and so do tests that fail one metric
+    call).  The derived fields call the rows they were built from, not the
+    fields, so wrapping one field never reroutes another.
     """
 
     dim: int
     metric: Callable
-    variation: Optional[Callable] = None
-    metric_rows: Optional[Callable] = None
-    variation_rows: Optional[Callable] = None
-    gram: Optional[Callable] = None
+    variation: Callable
+    metric_rows: Callable
+    variation_rows: Callable
+    gram: Callable
     name: str = "oracle"
+
+    @classmethod
+    def from_rows(cls, dim, metric_rows, variation_rows, name):
+        def metric(x, h, k):
+            return (h * metric_rows(x, k)).sum(axis=-1)
+
+        def variation(x, l, h, k):
+            return (l * variation_rows(x, h, k)).sum(axis=-1)
+
+        def gram(x):
+            return metric_rows(x, np.eye(dim))
+
+        return cls(dim, metric, variation, metric_rows, variation_rows, gram, name)
 
     def G(self, x, h, k):
         return self.metric(x, h, k)
 
     def DG(self, x, l, h, k):
-        if self.variation is None:
-            raise ValueError(f"oracle '{self.name}' provides no metric variation")
         return self.variation(x, l, h, k)
 
-    def rows_G(self, x, h):
-        if self.metric_rows is not None:
-            return self.metric_rows(x, h)
-        eye = np.eye(self.dim)
-        return self.metric(x[..., None, :], h[..., None, :], eye)
 
-    def rows_DG(self, x, h, k):
-        if self.variation_rows is not None:
-            return self.variation_rows(x, h, k)
-        eye = np.eye(self.dim)
-        return self.DG(x[..., None, :], eye, h[..., None, :], k[..., None, :])
+def euclidean_oracle(m, weight=1.0):
+    """Flat oracle G(x, h, k) = sum_j weight_j h_j k_j on R^m.
 
-    def gram_matrix(self, x):
-        if self.gram is not None:
-            return self.gram(x)
-        eye = np.eye(self.dim)
-        return self.metric(x, eye[:, None, :], eye[None, :, :])
-
-
-def euclidean_oracle(m):
-    """Flat oracle G = dot product on R^m."""
-
-    def metric(x, h, k):
-        h, k = np.broadcast_arrays(h, k)
-        return np.sum(h * k, axis=-1)
-
-    def variation(x, l, h, k):
-        shape = np.broadcast_shapes(x.shape, l.shape, h.shape, k.shape)
-        return np.zeros(shape[:-1])
+    ``weight`` is a scalar or an (m,) array of positive weights.
+    """
 
     def metric_rows(x, h):
-        return np.broadcast_to(h, np.broadcast_shapes(x.shape, h.shape)).copy()
+        return weight * np.broadcast_to(h, np.broadcast_shapes(np.shape(x), np.shape(h)))
 
     def variation_rows(x, h, k):
-        return np.zeros(np.broadcast_shapes(x.shape, h.shape, k.shape))
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(h), np.shape(k)))
 
-    return MetricOracle(
-        dim=m,
-        metric=metric,
-        variation=variation,
-        metric_rows=metric_rows,
-        variation_rows=variation_rows,
-        gram=lambda x: np.eye(m),
-        name="euclidean",
-    )
-
-
-def finite_difference_variation(metric, eps=1e-6):
-    """Central finite-difference fallback for the metric variation."""
-
-    def variation(x, l, h, k):
-        return (metric(x + eps * l, h, k) - metric(x - eps * l, h, k)) / (2 * eps)
-
-    return variation
+    return MetricOracle.from_rows(m, metric_rows, variation_rows, name=f"euclidean(m={m})")
 
 
 @dataclass(frozen=True)
@@ -195,25 +175,14 @@ def path_length(path, oracle):
     return float(np.sum(np.sqrt(np.maximum(vals, 0.0))) * dt)
 
 
-def energy_gradient(path, oracle, allow_fd=True, fd_eps=1e-6):
+def energy_gradient(path, oracle):
     """Gradient of path_energy with respect to the interior points.
 
     Returns an array of shape (T-1, m); endpoints are held fixed.
     """
-    if oracle.variation is None and oracle.variation_rows is None:
-        if not allow_fd:
-            raise ValueError("oracle has no metric variation and fallback is disabled")
-        oracle = MetricOracle(
-            dim=oracle.dim,
-            metric=oracle.metric,
-            variation=finite_difference_variation(oracle.metric, fd_eps),
-            metric_rows=oracle.metric_rows,
-            gram=oracle.gram,
-            name=oracle.name + "+fd",
-        )
     mids, vels, dt = _midpoints_velocities(path)
-    g_rows = oracle.rows_G(mids, vels)          # (T, m): G(m_i, v_i, e_j)
-    dg_rows = oracle.rows_DG(mids, vels, vels)  # (T, m): DG(m_i, e_j, v_i, v_i)
+    g_rows = oracle.metric_rows(mids, vels)             # (T, m): G(m_i, v_i, e_j)
+    dg_rows = oracle.variation_rows(mids, vels, vels)   # (T, m): DG(m_i, e_j, v_i, v_i)
     grad = g_rows[:-1] - g_rows[1:]
     grad = grad + 0.25 * dt * (dg_rows[:-1] + dg_rows[1:])
     return grad
@@ -297,18 +266,12 @@ def geodesic_acceleration(x, v, oracle):
 
     Returns the acceleration -Gamma(x)(v, v).
     """
-    if oracle.variation is None:
-        raise ValueError("oracle provides no metric variation; cannot shoot")
-    gram = np.asarray(oracle.gram_matrix(x), dtype=float)
+    gram = np.asarray(oracle.gram(x), dtype=float)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularGram(f"metric Gram condition number {cond:.3e} > {COND_LIMIT:.0e}")
-    eye = np.eye(oracle.dim)
-    if oracle.variation_rows is not None:
-        dg_e = oracle.variation_rows(x, v, v)  # DG(x, e_j, v, v)
-    else:
-        dg_e = oracle.DG(x, eye, v, v)
-    dg_last = oracle.DG(x, v, v, eye)  # DG(x, v, v, e_j)
+    dg_e = oracle.variation_rows(x, v, v)  # DG(x, e_j, v, v)
+    dg_last = oracle.DG(x, v, v, np.eye(oracle.dim))  # DG(x, v, v, e_j)
     rhs = 0.5 * (2.0 * dg_last - dg_e)
     gamma = np.linalg.solve(gram, rhs)
     return -gamma
@@ -352,7 +315,8 @@ def curve_space_oracle(n_samples, dim=2):
     """Oracle for flattened curves under the L^2 metric G = int <h,k> |c'|.
 
     Points are curves flattened to vectors of length dim * n_samples
-    (component-major).  All callables broadcast over leading axes.
+    (component-major).  Each call differentiates the curves of x once, on
+    x's own leading shape, and broadcasts c' and |c'| against h and k.
     """
     m = dim * n_samples
     k = np.arange(n_samples)
@@ -362,95 +326,38 @@ def curve_space_oracle(n_samples, dim=2):
     w = 2.0 * np.pi / n_samples
 
     def _curve(x):
-        return np.asarray(x).reshape(x.shape[:-1] + (dim, n_samples))
+        x = np.asarray(x)
+        return x.reshape(x.shape[:-1] + (dim, n_samples))
+
+    def _flat(c):
+        return c.reshape(c.shape[:-2] + (m,))
 
     def _dtheta(c):
         return np.fft.ifft(np.fft.fft(c, axis=-1) * ik, axis=-1).real
 
-    def _speed(x):
-        sp = np.linalg.norm(_dtheta(_curve(x)), axis=-2)
-        # the L^2 metric rewards degenerating curves; keep iterates immersed
-        if np.min(sp) <= 1e-10:
-            raise NotImmersed(f"curve speed collapsed to {np.min(sp):.3e}")
-        return sp
-
-    def metric(x, h, k_):
-        x, h, k_ = np.broadcast_arrays(x, h, k_)
-        sp = _speed(x)
-        hk = np.sum(_curve(h) * _curve(k_), axis=-2)
-        return w * np.sum(hk * sp, axis=-1)
-
-    def variation(x, l, h, k_):
-        x, l, h, k_ = np.broadcast_arrays(x, l, h, k_)
+    def _tangent(x):
+        """c' (..., dim, n) and |c'| (..., n) of the curves x (..., m)."""
         cp = _dtheta(_curve(x))
-        sp = _speed(x)
-        lp = _dtheta(_curve(l))
-        hk = np.sum(_curve(h) * _curve(k_), axis=-2)
-        lpcp = np.sum(lp * cp, axis=-2)
-        return w * np.sum(hk * lpcp / sp, axis=-1)
+        sp = np.linalg.norm(cp, axis=-2)
+        # the L^2 metric rewards degenerating curves; keep iterates immersed
+        if np.min(sp) <= IMMERSION_TOL:
+            raise NotImmersed(f"curve speed collapsed to {np.min(sp):.3e}")
+        return cp, sp
 
     def metric_rows(x, h):
-        x, h = np.broadcast_arrays(x, h)
-        sp = _speed(x)
-        rows = w * _curve(h) * sp[..., None, :]
-        return rows.reshape(x.shape)
+        sp = _tangent(x)[1]
+        return _flat(w * _curve(h) * sp[..., None, :])
 
     def variation_rows(x, h, k_):
         # DG is linear in l': functional l -> sum_j <l'_j, r_j> with
         # r = w <h,k> c'/|c'|; the adjoint of d/dtheta is -d/dtheta.
-        x, h, k_ = np.broadcast_arrays(x, h, k_)
-        cp = _dtheta(_curve(x))
-        sp = _speed(x)
+        cp, sp = _tangent(x)
         hk = np.sum(_curve(h) * _curve(k_), axis=-2)
         r = w * hk[..., None, :] * cp / sp[..., None, :]
-        rows = -_dtheta(r)
-        return rows.reshape(x.shape)
+        return _flat(-_dtheta(r))
 
-    def gram(x):
-        sp = _speed(x)
-        diag = w * np.tile(sp, dim)
-        return np.diag(diag)
-
-    return MetricOracle(
-        dim=m,
-        metric=metric,
-        variation=variation,
-        metric_rows=metric_rows,
-        variation_rows=variation_rows,
-        gram=gram,
-        name=f"l2-curves(n={n_samples},d={dim})",
-    )
-
-
-def flat_curve_oracle(n_samples, dim=2):
-    """Control oracle: same flattened-curve points, flat metric w * <h, k>."""
-    m = dim * n_samples
-    w = 2.0 * np.pi / n_samples
-
-    def metric(x, h, k_):
-        x, h, k_ = np.broadcast_arrays(x, h, k_)
-        return w * np.sum(h * k_, axis=-1)
-
-    def variation(x, l, h, k_):
-        shape = np.broadcast_shapes(x.shape, l.shape, h.shape, k_.shape)
-        return np.zeros(shape[:-1])
-
-    def metric_rows(x, h):
-        x, h = np.broadcast_arrays(x, h)
-        return w * h
-
-    def variation_rows(x, h, k_):
-        shape = np.broadcast_shapes(x.shape, h.shape, k_.shape)
-        return np.zeros(shape)
-
-    return MetricOracle(
-        dim=m,
-        metric=metric,
-        variation=variation,
-        metric_rows=metric_rows,
-        variation_rows=variation_rows,
-        gram=lambda x: w * np.eye(m),
-        name=f"flat-curves(n={n_samples},d={dim})",
+    return MetricOracle.from_rows(
+        m, metric_rows, variation_rows, name=f"l2-curves(n={n_samples},d={dim})"
     )
 
 
@@ -498,8 +405,9 @@ def vanishing_distance_experiment(
     keeps the shorter result, so the reported sequence is non-increasing
     by construction; the phenomenon shows as a strict decrease.
 
-    With ``control=True`` the flat coordinate metric is used instead and
-    the length is pinned at the flat distance between the endpoint curves.
+    With ``control=True`` the flat metric (2 pi / n) <h, k> is used instead
+    and the length is pinned at the flat distance between the endpoint
+    curves.
     """
     if levels < 3:
         raise ValueError("levels must be >= 3")
@@ -511,9 +419,7 @@ def vanishing_distance_experiment(
         scale = 2 ** min(i, 2)
         n = base_samples * scale
         steps = base_steps * scale
-        oracle = (
-            flat_curve_oracle(n) if control else curve_space_oracle(n)
-        )
+        oracle = euclidean_oracle(2 * n, weight=2.0 * np.pi / n) if control else curve_space_oracle(n)
         amplitude = 0.25 / teeth
         init = _sawtooth_homotopy(n, steps, teeth, translation, amplitude)
         x_start = init.points[0]

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from shapegeo import diffeo_flows as df
 from shapegeo import periodic_core as pc
-from shapegeo.errors import StepCollapse, VanishingField
+from shapegeo.errors import NonConvergence, StepCollapse, VanishingField
 
 
 def wrap(x):
@@ -178,6 +178,31 @@ class TestTimeDependentFlow:
             df.TimeDependentField([0.0, 0.0, 1.0], [grid.nodes, grid.nodes], grid)
         with pytest.raises(ValueError):
             df.TimeDependentField([0.0, 1.0], [grid.nodes, grid.nodes], grid)
+
+
+class TestIntegratorBudgets:
+    """An exhausted step budget raises NonConvergence instead of returning a result."""
+
+    def test_autonomous_halvings_exhausted(self):
+        # x' = x^2 from x = 1: two RK4 steps over [0, 0.5] miss the Richardson tol
+        with pytest.raises(NonConvergence, match="Richardson error"):
+            df._integrate_autonomous(lambda x: x * x, np.array([1.0]), 0.5,
+                                     base_step=0.25, max_halvings=0)
+
+    def test_time_dependent_step_floor(self, monkeypatch):
+        monkeypatch.setattr(df, "MIN_STEP", 1e-3)
+        grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
+        tf = df.TimeDependentField.uniform([grid.nodes**2], grid, 0.0, 1.0)
+        with pytest.raises(NonConvergence, match="MIN_STEP"):
+            df.flow_time_dependent(tf, x0=np.array([2.0]), tol=0.0)
+
+    def test_time_dependent_substep_budget(self, monkeypatch):
+        monkeypatch.setattr(df, "MAX_SUBSTEPS", 3)
+        grid = df.RealGrid()
+        field = np.sin(grid.nodes) * np.exp(-0.5 * grid.nodes**2)
+        tf = df.TimeDependentField.uniform([field], grid, 0.0, 1.0)
+        with pytest.raises(NonConvergence, match="MAX_SUBSTEPS"):
+            df.flow_time_dependent(tf, x0=np.array([0.0, 1.0]))
 
 
 class TestMembership:

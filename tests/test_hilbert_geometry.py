@@ -73,16 +73,16 @@ class TestSphereOracle:
         x = rng.normal(size=5)
         h, k = rng.normal(size=5), rng.normal(size=5)
         eye = np.eye(5)
-        rows = oracle.rows_G(x, h)
+        rows = oracle.metric_rows(x, h)
         assert np.max(np.abs(rows - [oracle.G(x, h, e) for e in eye])) < 1e-12
-        vrows = oracle.rows_DG(x, h, k)
+        vrows = oracle.variation_rows(x, h, k)
         assert np.max(np.abs(vrows - [oracle.DG(x, e, h, k) for e in eye])) < 1e-12
 
     def test_gram_matches_metric(self):
         rng = np.random.default_rng(4)
         oracle = hg.sphere_oracle(4)
         x = rng.normal(size=4)
-        gram = oracle.gram_matrix(x)
+        gram = oracle.gram(x)
         eye = np.eye(4)
         direct = np.array([[oracle.G(x, a, b) for b in eye] for a in eye])
         assert np.max(np.abs(gram - direct)) < 1e-12

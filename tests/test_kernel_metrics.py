@@ -181,40 +181,10 @@ class TestLandmarkOracle:
         x = random_config(rng, 3, 2).points.reshape(-1)
         h, k = rng.normal(size=6), rng.normal(size=6)
         eye = np.eye(6)
-        rows = oracle.rows_G(x, h)
+        rows = oracle.metric_rows(x, h)
         assert np.max(np.abs(rows - [oracle.G(x, h, e) for e in eye])) < 1e-12
-        vrows = oracle.rows_DG(x, h, k)
+        vrows = oracle.variation_rows(x, h, k)
         assert np.max(np.abs(vrows - [oracle.DG(x, e, h, k) for e in eye])) < 1e-11
-
-    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
-    @pytest.mark.parametrize("stacked_x", [True, False], ids=["stacked-x", "one-x"])
-    def test_batched_calls_match_single_rows(self, kernel, stacked_x):
-        """(T, m) calls, with T configurations or one shared by all rows."""
-        rng = np.random.default_rng(9)
-        oracle = km.landmark_metric_oracle(kernel, 2, 4)
-        xs = np.stack([random_config(rng, 4, 2).points.reshape(-1) for _ in range(5)])
-        l, h, k = (rng.normal(size=xs.shape) for _ in range(3))
-        if not stacked_x:
-            xs = np.broadcast_to(xs[0], xs.shape)
-        x = xs if stacked_x else xs[0]
-        batched = {
-            "metric": oracle.metric(x, h, k),
-            "variation": oracle.variation(x, l, h, k),
-            "metric_rows": oracle.metric_rows(x, h),
-            "variation_rows": oracle.variation_rows(x, h, k),
-        }
-        for i, xi in enumerate(xs):
-            single = {
-                "metric": oracle.metric(xi, h[i], k[i]),
-                "variation": oracle.variation(xi, l[i], h[i], k[i]),
-                "metric_rows": oracle.metric_rows(xi, h[i]),
-                "variation_rows": oracle.variation_rows(xi, h[i], k[i]),
-            }
-            assert isinstance(single["metric"], float)
-            assert isinstance(single["variation"], float)
-            for name, value in single.items():
-                scale = max(1.0, np.max(np.abs(value)))
-                assert np.max(np.abs(batched[name][i] - value)) < 1e-12 * scale, name
 
     @settings(max_examples=60, deadline=None)
     @given(spaced_oracle_inputs())

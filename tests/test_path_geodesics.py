@@ -5,13 +5,92 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shapegeo import hilbert_geometry, path_geodesics as pg
+from shapegeo import hilbert_geometry, kernel_metrics as km, path_geodesics as pg
 from shapegeo.errors import DegenerateConfig, NonConvergence, SingularGram
 
 
 def sphere_point(rng, m):
     x = rng.normal(size=m)
     return x / np.linalg.norm(x)
+
+
+def curve_point(rng, n=16):
+    """Unit circle on n nodes, flattened, with a small random perturbation."""
+    nodes = 2 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(nodes), np.sin(nodes)]).reshape(-1) + 0.02 * rng.normal(size=2 * n)
+
+
+def landmark_point(rng):
+    """Four planar landmarks on a jittered 2 x 2 grid of spacing 1.5, flattened."""
+    sites = 1.5 * np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    return (sites + rng.uniform(-0.3, 0.3, size=sites.shape)).reshape(-1)
+
+
+# every oracle family, with a sampler of points in its domain
+ORACLES = {
+    "euclidean": (pg.euclidean_oracle(3), lambda rng: rng.normal(size=3)),
+    "weighted": (pg.euclidean_oracle(16, weight=2 * np.pi / 8), lambda rng: rng.normal(size=16)),
+    "sphere": (hilbert_geometry.sphere_oracle(5), lambda rng: rng.normal(size=5)),
+    "curves": (pg.curve_space_oracle(16), curve_point),
+    "gaussian": (km.landmark_metric_oracle(km.gaussian_kernel(1.0), 2, 4), landmark_point),
+    "sobolev1": (km.landmark_metric_oracle(km.sobolev_kernel(1), 2, 4), landmark_point),
+    "sobolev2": (km.landmark_metric_oracle(km.sobolev_kernel(2), 2, 4), landmark_point),
+}
+
+
+@pytest.mark.parametrize("case", ORACLES.values(), ids=ORACLES.keys())
+class TestOracleContract:
+    """G, DG and the Gram that MetricOracle.from_rows derives from an oracle's rows."""
+
+    def test_dg_matches_fd(self, case):
+        oracle, point = case
+        rng = np.random.default_rng(11)
+        eps = 1e-6
+        for _ in range(5):
+            x = point(rng)
+            l, h, k = (rng.normal(size=x.shape) for _ in range(3))
+            fd = (oracle.G(x + eps * l, h, k) - oracle.G(x - eps * l, h, k)) / (2 * eps)
+            assert abs(oracle.DG(x, l, h, k) - fd) < 1e-6 * max(1.0, abs(fd))
+
+    def test_gram(self, case):
+        oracle, point = case
+        x = point(np.random.default_rng(12))
+        gram = oracle.gram(x)
+        eye = np.eye(oracle.dim)
+        direct = np.array([[oracle.G(x, a, b) for b in eye] for a in eye])
+        scale = max(1.0, np.max(np.abs(direct)))
+        assert gram.shape == (oracle.dim, oracle.dim)
+        assert np.max(np.abs(gram - gram.T)) < 1e-12 * scale
+        assert np.max(np.abs(gram - direct)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("stacked_x", [True, False], ids=["stacked-x", "one-x"])
+    def test_batched_calls(self, case, stacked_x):
+        """(T, m) calls, with T points or one shared by all rows, match 1-D calls row by row."""
+        oracle, point = case
+        rng = np.random.default_rng(9)
+        xs = np.stack([point(rng) for _ in range(5)])
+        l, h, k = (rng.normal(size=xs.shape) for _ in range(3))
+        if not stacked_x:
+            xs = np.broadcast_to(xs[0], xs.shape)
+        x = xs if stacked_x else xs[0]
+        batched = {
+            "metric": oracle.metric(x, h, k),
+            "variation": oracle.variation(x, l, h, k),
+            "metric_rows": oracle.metric_rows(x, h),
+            "variation_rows": oracle.variation_rows(x, h, k),
+        }
+        for i, xi in enumerate(xs):
+            single = {
+                "metric": oracle.metric(xi, h[i], k[i]),
+                "variation": oracle.variation(xi, l[i], h[i], k[i]),
+                "metric_rows": oracle.metric_rows(xi, h[i]),
+                "variation_rows": oracle.variation_rows(xi, h[i], k[i]),
+            }
+            assert isinstance(single["metric"], float)
+            assert isinstance(single["variation"], float)
+            for name, value in single.items():
+                scale = max(1.0, np.max(np.abs(value)))
+                assert np.max(np.abs(batched[name][i] - value)) < 1e-12 * scale, name
 
 
 class TestEnergyAndLength:
@@ -113,15 +192,6 @@ class TestEnergyGradient:
                 - pg.path_energy(pg.Path(minus), oracle)
             ) / (2 * eps)
             assert abs(grad[i - 1, j] - fd) / max(1.0, abs(fd)) < 1e-6
-
-    def test_fd_fallback_when_variation_missing(self):
-        base = pg.euclidean_oracle(3)
-        no_var = pg.MetricOracle(dim=3, metric=base.metric, name="no-var")
-        path = pg.Path.linear(np.zeros(3), np.ones(3), 8)
-        grad = pg.energy_gradient(path, no_var)
-        assert np.max(np.abs(grad)) < 1e-8
-        with pytest.raises(ValueError):
-            pg.energy_gradient(path, no_var, allow_fd=False)
 
 
 class TestBVP:
@@ -258,16 +328,7 @@ class TestIVP:
         assert np.linalg.norm(shot.points[-1] - y) < 1e-3
 
     def test_singular_gram(self):
-        def metric(x, h, k):
-            h, k = np.broadcast_arrays(h, k)
-            w = np.array([1.0, 1e-14])
-            return np.sum(w * h * k, axis=-1)
-
-        def variation(x, l, h, k):
-            shape = np.broadcast_shapes(x.shape, l.shape, h.shape, k.shape)
-            return np.zeros(shape[:-1])
-
-        oracle = pg.MetricOracle(dim=2, metric=metric, variation=variation)
+        oracle = pg.euclidean_oracle(2, weight=np.array([1.0, 1e-14]))
         with pytest.raises(SingularGram):
             pg.ivp_shoot(np.zeros(2), np.ones(2), oracle, 4)
 
@@ -329,7 +390,7 @@ class TestVanishingDistanceSetup:
 
     def test_flat_oracle_distance_is_resolution_independent(self):
         for n in (16, 32, 64):
-            oracle = pg.flat_curve_oracle(n)
+            oracle = pg.euclidean_oracle(2 * n, weight=2 * np.pi / n)
             nodes = 2 * np.pi * np.arange(n) / n
             a = np.stack([np.cos(nodes), np.sin(nodes)]).reshape(-1)
             b = a.copy()
