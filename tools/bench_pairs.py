@@ -1,23 +1,25 @@
 """Alternating parent/change pairs of the benchmark, summarized into one BENCH_<n>.json record.
 
-    python3 tools/bench_pairs.py --parent REV --out BENCH_3.json [--pairs 10]
-        [--workloads NAME ...] [--seconds S] [--trace-seed 42] [--first-seed 1]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_3.json [--first-seed 1]
 
 The parent side is a ``git archive`` of REV unpacked into a temporary
 directory; the change side is this working tree.  Both run their own
-unchanged ``perfbench/run.py``, one run at a time.  Pair i uses seed
-first_seed + i on both sides, and the side that runs first alternates from
-pair to pair, so slow drift of the machine's speed hits both sides alike.
-After the pairs, each side runs one traced pass with ``--trace-seed`` for
-the exact work counts.
+unchanged ``perfbench/run.py``, one run at a time, for every workload of
+BENCHMARK.json and with its ``run_seconds``.  Pair i of ten uses seed
+first_seed + i on both sides (``--first-seed`` moves the seeds to held-out
+ones), and the side that runs first alternates from pair to pair, so slow
+drift of the machine's speed hits both sides alike.  After the pairs, each
+side runs one traced pass with seed 42 for the exact work counts.
 
 For every end-to-end metric of BENCHMARK.json the record holds both sides'
 values, medians and quartiles (the exclusive method of
 ``statistics.quantiles``), how many pairs the change won, the median
-difference, the parent's interquartile range and whether the change stays
-inside the metric's relative bound.  A gain counts only when the change
-wins at least 9 of 10 pairs and its median beats the parent's by more than
-the parent's interquartile range.
+difference and the parent's interquartile range.  A metric is resolved
+when the parent's interquartile range over its median is within the
+metric's relative bound, or when every change run reads better than every
+parent run; only a resolved metric can be within its bound.  A gain counts
+only when the change wins at least 9 of 10 pairs and its median beats the
+parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
+PAIRS = 10
+TRACE_SEED = 42
 SIDES = ("parent", "change")
 
 
@@ -78,6 +82,8 @@ def compare(parent, change, better, bound):
     diff = statistics.median(change) - statistics.median(parent)
     relative = diff / statistics.median(parent)
     iqr = p_stats["q3"] - p_stats["q1"]
+    resolved = (iqr / p_stats["median"] <= bound
+                or max(sign * c for c in change) < min(sign * p for p in parent))
     return {
         "parent": p_stats,
         "change": c_stats,
@@ -88,7 +94,8 @@ def compare(parent, change, better, bound):
         "relative_change": round(relative, 4),
         "parent_iqr": round(iqr, 4),
         "bound": bound,
-        "within_bound": sign * relative <= bound,
+        "resolved": resolved,
+        "within_bound": resolved and sign * relative <= bound,
         "gain_rule_met": wins >= 0.9 * len(parent) and sign * diff < 0 and abs(diff) > iqr,
     }
 
@@ -97,16 +104,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--out", required=True, help="record to write, e.g. BENCH_3.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="+")
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--trace-seed", type=int, default=42)
+    parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -117,7 +120,7 @@ def main(argv=None):
         provenance = {}
         traced = {}
         for workload in workloads:
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
@@ -136,7 +139,7 @@ def main(argv=None):
                           f"({time.perf_counter() - start:.0f} s)", file=sys.stderr, flush=True)
             traced[workload] = {}
             for side in SIDES:
-                result, _ = run_bench(checkouts[side], workload, args.trace_seed, seconds, trace=True)
+                result, _ = run_bench(checkouts[side], workload, TRACE_SEED, seconds, trace=True)
                 traced[workload][side] = {
                     "correct": result["correct"], "failed": result["failed"],
                     "metrics": {k: m["value"] for k, m in result["metrics"].items()},
@@ -144,14 +147,16 @@ def main(argv=None):
 
     record = {
         "description": (
-            f"Parent {commit[:7]} against the working tree. Each end-to-end entry is {args.pairs} "
+            f"Parent {commit[:7]} against the working tree. Each end-to-end entry is {PAIRS} "
             f"alternating parent/change pairs of `python3 perfbench/run.py --workload W --seed S "
-            f"--trace 0 --seconds {seconds:g}`, seeds {args.first_seed}-{args.first_seed + args.pairs - 1} "
+            f"--trace 0 --seconds {seconds:g}`, seeds {args.first_seed}-{args.first_seed + PAIRS - 1} "
             "(one pair per seed, the side that runs first alternating), one run at a time, each side "
             "from its own copy of the sources. wall_s and setup_s are at reference speed. Quartiles "
-            "are the exclusive method of statistics.quantiles. A gain counts when the change wins at "
-            "least 9 of 10 pairs and its median beats the parent's by more than the parent's IQR. "
-            f"Per-layer figures are one --trace 1 run per side with seed {args.trace_seed}. Written "
+            "are the exclusive method of statistics.quantiles. A metric is resolved when the "
+            "parent's IQR over its median is within the bound or every change run beats every "
+            "parent run; only a resolved metric is within_bound. A gain counts when the change wins "
+            "at least 9 of 10 pairs and its median beats the parent's by more than the parent's IQR. "
+            f"Per-layer figures are one --trace 1 run per side with seed {TRACE_SEED}. Written "
             "by tools/bench_pairs.py."
         ),
         "end_to_end": {
@@ -161,7 +166,7 @@ def main(argv=None):
             for w in workloads
         },
         "runs_correct": runs,
-        f"per_layer_seed{args.trace_seed}": traced,
+        f"per_layer_seed{TRACE_SEED}": traced,
         "provenance": {
             **{k: v for k, v in provenance["change"].items() if k not in ("commit", "source_sha256", "seed")},
             "parent": {"commit": commit, "source_sha256": provenance["parent"]["source_sha256"]},
