@@ -9,7 +9,8 @@ its directional variation in direction l is
 
     D_{c,l}G(h, k) = integral <h, k> <l', c'> / |c'| dtheta,
 
-both evaluated by the trapezoid rule with spectral derivatives.
+both evaluated by the trapezoid rule with spectral derivatives; the
+variation in adjoint form, as <l, -d/dtheta(<h, k> c' / |c'|)>.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotImmersed
-from .periodic_core import PeriodicFunction, derivative, evaluate_spectral, transform
+from .periodic_core import PeriodicFunction, differentiate, evaluate_spectral, transform
 
 __all__ = [
     "IMMERSION_TOL",
     "Curve",
     "CurveTangent",
     "immersion_check",
+    "tangent",
+    "l2_rows",
+    "l2_variation_rows",
     "l2_metric",
     "l2_metric_variation",
     "reparametrize",
@@ -35,6 +39,26 @@ __all__ = [
 
 # Absolute tolerance on the speed below which a curve is rejected.
 IMMERSION_TOL = 1e-10
+
+
+def tangent(values):
+    """c' and |c'| of curves (..., d, n); raises NotImmersed at |c'| <= IMMERSION_TOL."""
+    cp = differentiate(values)
+    speed = np.linalg.norm(cp, axis=-2)
+    if np.min(speed) <= IMMERSION_TOL:
+        raise NotImmersed(f"speed minimum {np.min(speed):.3e} <= {IMMERSION_TOL:.0e}")
+    return cp, speed
+
+
+def l2_rows(speed, h):
+    """Flat map of the L^2 metric, (2 pi / n) h |c'|, on (..., d, n) tangents."""
+    return 2.0 * np.pi / speed.shape[-1] * h * speed[..., None, :]
+
+
+def l2_variation_rows(cp, speed, h, k):
+    """x-gradient of the flat map paired with k, -(2 pi / n) d/dtheta(<h, k> c' / |c'|)."""
+    hk = np.sum(h * k, axis=-2)
+    return -differentiate(2.0 * np.pi / speed.shape[-1] * (hk / speed)[..., None, :] * cp)
 
 
 @dataclass(frozen=True)
@@ -48,13 +72,8 @@ class Curve:
     def __post_init__(self):
         if self.pos.dim < 2:
             raise ValueError("curves must have codomain dimension >= 2")
-        d = derivative(self.pos, 1)
-        speed = np.linalg.norm(d.values, axis=0)
-        if np.min(speed) <= IMMERSION_TOL:
-            raise NotImmersed(
-                f"speed minimum {np.min(speed):.3e} <= {IMMERSION_TOL:.0e}"
-            )
-        object.__setattr__(self, "deriv", d)
+        cp, speed = tangent(self.pos.values)
+        object.__setattr__(self, "deriv", PeriodicFunction(self.grid, cp))
         object.__setattr__(self, "speed", speed)
 
     @property
@@ -102,19 +121,14 @@ def _check_same_base(*tangents):
 def l2_metric(c, h, k):
     """Trapezoid quadrature of <h, k> |c'| dtheta."""
     _check_same_base(h, k)
-    n = c.grid.n_samples
-    integrand = np.sum(h.h.values * k.h.values, axis=0) * c.speed
-    return float(2.0 * np.pi / n * np.sum(integrand))
+    return float(np.sum(k.h.values * l2_rows(c.speed, h.h.values)))
 
 
 def l2_metric_variation(c, l, h, k):
     """Directional derivative of the L^2 metric in curve direction l."""
     _check_same_base(l, h, k)
-    n = c.grid.n_samples
-    lprime = derivative(l.h, 1).values
-    hk = np.sum(h.h.values * k.h.values, axis=0)
-    lpcp = np.sum(lprime * c.deriv.values, axis=0)
-    return float(2.0 * np.pi / n * np.sum(hk * lpcp / c.speed))
+    rows = l2_variation_rows(c.deriv.values, c.speed, h.h.values, k.h.values)
+    return float(np.sum(l.h.values * rows))
 
 
 def reparametrize(c, phi):

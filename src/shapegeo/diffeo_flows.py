@@ -20,11 +20,10 @@ from .errors import NonConvergence, StepCollapse, VanishingField
 from .periodic_core import (
     PeriodicFunction,
     PeriodicGrid,
-    SpectralCoeffs,
     compress,
     derivative,
+    differentiate,
     evaluate_spectral,
-    inverse_transform,
     transform,
 )
 
@@ -355,20 +354,10 @@ def conjugate_to_rotation(u):
             f"min |u| = {np.min(np.abs(vals)):.3e} <= {VANISHING_TOL:.0e}"
         )
     g = 1.0 / vals
-    mean = float(np.mean(g))
-    c = 1.0 / mean
-    # periodic antiderivative of (g - mean) via division by ik
-    grid = u.grid
-    n = grid.n_samples
-    coeffs = np.fft.fft(g) / n
-    k = grid.wavenumbers.astype(float)
-    anti = np.zeros_like(coeffs)
-    nonzero = k != 0
-    anti[nonzero] = coeffs[nonzero] / (1j * k[nonzero])
-    anti[n // 2] = 0.0
-    osc = inverse_transform(SpectralCoeffs(grid, anti[None, :])).values[0]
+    c = 1.0 / float(np.mean(g))
+    osc = differentiate(g, -1)  # periodic antiderivative of g - mean(g)
     eta_disp = c * (osc - osc[0])  # eta(x) - x, with eta(0) = 0
-    eta = CircleDiffeo(PeriodicFunction(grid, eta_disp[None, :]))
+    eta = CircleDiffeo(PeriodicFunction(u.grid, eta_disp[None, :]))
     return eta, c
 
 

@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import IMMERSION_TOL
-from .errors import NonConvergence, NotImmersed, ShapeGeoError, SingularGram
+from .curves import l2_rows, l2_variation_rows, tangent
+from .errors import NonConvergence, ShapeGeoError, SingularGram
+from .periodic_core import PeriodicFunction, PeriodicGrid, evaluate_spectral, transform
 
 __all__ = [
     "MetricOracle",
@@ -315,15 +316,12 @@ def curve_space_oracle(n_samples, dim=2):
     """Oracle for flattened curves under the L^2 metric G = int <h,k> |c'|.
 
     Points are curves flattened to vectors of length dim * n_samples
-    (component-major).  Each call differentiates the curves of x once, on
-    x's own leading shape, and broadcasts c' and |c'| against h and k.
+    (component-major).  The oracle only reshapes and calls the kernel of
+    ``curves.l2_metric*``: ``curves.tangent`` once per call, which keeps
+    iterates immersed (the L^2 metric rewards degenerating curves), then
+    ``curves.l2_rows`` or ``curves.l2_variation_rows``.
     """
     m = dim * n_samples
-    k = np.arange(n_samples)
-    k[k > n_samples // 2] -= n_samples
-    ik = 1j * k.astype(float)
-    ik[n_samples // 2] = 0.0  # odd derivative: drop Nyquist
-    w = 2.0 * np.pi / n_samples
 
     def _curve(x):
         x = np.asarray(x)
@@ -332,29 +330,11 @@ def curve_space_oracle(n_samples, dim=2):
     def _flat(c):
         return c.reshape(c.shape[:-2] + (m,))
 
-    def _dtheta(c):
-        return np.fft.ifft(np.fft.fft(c, axis=-1) * ik, axis=-1).real
-
-    def _tangent(x):
-        """c' (..., dim, n) and |c'| (..., n) of the curves x (..., m)."""
-        cp = _dtheta(_curve(x))
-        sp = np.linalg.norm(cp, axis=-2)
-        # the L^2 metric rewards degenerating curves; keep iterates immersed
-        if np.min(sp) <= IMMERSION_TOL:
-            raise NotImmersed(f"curve speed collapsed to {np.min(sp):.3e}")
-        return cp, sp
-
     def metric_rows(x, h):
-        sp = _tangent(x)[1]
-        return _flat(w * _curve(h) * sp[..., None, :])
+        return _flat(l2_rows(tangent(_curve(x))[1], _curve(h)))
 
-    def variation_rows(x, h, k_):
-        # DG is linear in l': functional l -> sum_j <l'_j, r_j> with
-        # r = w <h,k> c'/|c'|; the adjoint of d/dtheta is -d/dtheta.
-        cp, sp = _tangent(x)
-        hk = np.sum(_curve(h) * _curve(k_), axis=-2)
-        r = w * hk[..., None, :] * cp / sp[..., None, :]
-        return _flat(-_dtheta(r))
+    def variation_rows(x, h, k):
+        return _flat(l2_variation_rows(*tangent(_curve(x)), _curve(h), _curve(k)))
 
     return MetricOracle.from_rows(
         m, metric_rows, variation_rows, name=f"l2-curves(n={n_samples},d={dim})"
@@ -447,15 +427,7 @@ def _refine_curve_path(prev, n_new, steps_new):
     time_refined = path.refine(steps_new)
     if n_new == n_old:
         return time_refined
-    factor = n_new // n_old
-    pts = time_refined.points.reshape(steps_new + 1, 2, n_old)
-    spec = np.fft.fft(pts, axis=-1) / n_old
-    padded = np.zeros((steps_new + 1, 2, n_new), dtype=complex)
-    half = n_old // 2
-    padded[..., :half] = spec[..., :half]
-    padded[..., n_new - half :] = spec[..., half:]
-    # split the old Nyquist mode evenly
-    padded[..., half] = 0.5 * spec[..., half]
-    padded[..., n_new - half] += 0.5 * spec[..., half]
-    vals = np.fft.ifft(padded * n_new, axis=-1).real
+    rows = time_refined.points.reshape(2 * (steps_new + 1), n_old)
+    coeffs = transform(PeriodicFunction(PeriodicGrid(n_old), rows))
+    vals = evaluate_spectral(coeffs, PeriodicGrid(n_new).nodes)
     return Path(vals.reshape(steps_new + 1, 2 * n_new))

@@ -23,6 +23,7 @@ __all__ = [
     "transform",
     "inverse_transform",
     "compress",
+    "differentiate",
     "derivative",
     "sobolev_inner_product",
     "sobolev_inner_product_integer",
@@ -175,20 +176,35 @@ def evaluate_spectral(c, theta):
     return out
 
 
-def derivative(f, order=1):
-    """Spectral derivative: fhat_k -> (ik)^order fhat_k.
+def differentiate(values, order=1):
+    """Fourier multiplier (ik)^order along the last axis of real samples.
 
-    The Nyquist mode is zeroed for odd orders to keep the result real;
-    inputs are assumed band-limited so that mode is negligible anyway.
+    Batched over leading axes and computed with rfft/irfft.  Order >= 1 is
+    the spectral derivative; order -1 is the mean-free periodic
+    antiderivative.  The k = 0 mode is always zeroed, and odd orders zero
+    the Nyquist mode to keep the result real.
+    """
+    if order == 0 or int(order) != order:
+        raise ValueError("order must be a nonzero integer")
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    k = np.arange(n // 2 + 1, dtype=float)
+    factor = np.zeros(k.size, dtype=complex)
+    factor[1:] = 1j**order * k[1:] ** order
+    if order % 2 == 1 and n % 2 == 0:
+        factor[-1] = 0.0
+    return np.fft.irfft(np.fft.rfft(values, axis=-1) * factor, n, axis=-1)
+
+
+def derivative(f, order=1):
+    """Spectral derivative fhat_k -> (ik)^order fhat_k of a PeriodicFunction.
+
+    Odd orders zero the Nyquist mode (see ``differentiate``); inputs are
+    assumed band-limited so that mode is negligible anyway.
     """
     if order < 1 or int(order) != order:
         raise ValueError("order must be a positive integer")
-    c = transform(f)
-    k = c.grid.wavenumbers
-    factor = (1j * k.astype(float)) ** order
-    if order % 2 == 1:
-        factor[f.grid.n_samples // 2] = 0.0
-    return inverse_transform(SpectralCoeffs(c.grid, c.coeffs * factor))
+    return PeriodicFunction(f.grid, differentiate(f.values, order))
 
 
 def sobolev_inner_product(f, g, q):

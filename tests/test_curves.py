@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shapegeo import curves, diffeo_flows
+from shapegeo import path_geodesics as pg
 from shapegeo import periodic_core as pc
 from shapegeo.errors import NotImmersed
 
@@ -23,6 +24,13 @@ def random_tangent(base, rng, max_mode=6):
         for k in range(1, max_mode + 1):
             vals[i] += rng.normal() * np.cos(k * nodes) + rng.normal() * np.sin(k * nodes)
     return curves.CurveTangent(base, pc.PeriodicFunction(base.grid, vals))
+
+
+def perturbed_circle(rng, n):
+    """Unit circle plus 0.05 times a random band-limited field."""
+    c = unit_circle(n)
+    vals = c.pos.values + 0.05 * random_tangent(c, rng).h.values
+    return curves.Curve(pc.PeriodicFunction(c.grid, vals))
 
 
 class TestImmersion:
@@ -122,6 +130,42 @@ class TestMetricVariation:
             fd = (curves.l2_metric(cp, hp, kp) - curves.l2_metric(cm, hm, km)) / (2 * eps)
             scale = max(1.0, abs(fd))
             assert abs(got - fd) / scale < 1e-6
+
+
+class TestSharedL2Kernel:
+    """Curve, l2_metric* and curve_space_oracle use one tangent helper and one pair of rows."""
+
+    def test_curve_caches_the_tangent_helper_output(self):
+        c = perturbed_circle(np.random.default_rng(0), 64)
+        cp, speed = curves.tangent(c.pos.values)
+        assert np.array_equal(c.deriv.values, cp)
+        assert np.array_equal(c.speed, speed)
+
+    def test_tangent_is_batched_and_checks_every_curve(self):
+        rng = np.random.default_rng(1)
+        stack = np.stack([perturbed_circle(rng, 32).pos.values for _ in range(3)])
+        cp, speed = curves.tangent(stack)
+        for i in range(3):
+            assert np.array_equal(cp[i], curves.tangent(stack[i])[0])
+            assert np.array_equal(speed[i], curves.tangent(stack[i])[1])
+        stack[1] = 0.0
+        with pytest.raises(NotImmersed):
+            curves.tangent(stack)
+
+    def test_l2_metric_and_variation_equal_curve_space_oracle(self):
+        rng = np.random.default_rng(2)
+        n = 64
+        oracle = pg.curve_space_oracle(n)
+        for _ in range(10):
+            c = perturbed_circle(rng, n)
+            l, h, k = (random_tangent(c, rng) for _ in range(3))
+            x, lx, hx, kx = (
+                v.reshape(-1) for v in (c.pos.values, l.h.values, h.h.values, k.h.values)
+            )
+            g, ref_g = curves.l2_metric(c, h, k), oracle.G(x, hx, kx)
+            dg, ref_dg = curves.l2_metric_variation(c, l, h, k), oracle.DG(x, lx, hx, kx)
+            assert abs(g - ref_g) <= 1e-13 * abs(ref_g)
+            assert abs(dg - ref_dg) <= 1e-13 * abs(ref_dg)
 
 
 class TestReparametrization:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shapegeo import hilbert_geometry, kernel_metrics as km, path_geodesics as pg
+from shapegeo import periodic_core as pc
 from shapegeo.errors import DegenerateConfig, NonConvergence, SingularGram
 
 
@@ -381,6 +382,23 @@ class TestPathContainer:
         assert fine.n_steps == 16
         assert np.allclose(fine.points[0], path.points[0])
         assert np.allclose(fine.points[-1], path.points[-1])
+
+
+class TestRefineCurvePath:
+    def test_refine_interpolates_old_samples_with_nyquist_mode(self):
+        # 0.01 cos(4 theta) is the Nyquist mode of the 8-node grid
+        n_old, n_new = 8, 16
+        nodes = pc.PeriodicGrid(n_old).nodes
+        rng = np.random.default_rng(6)
+        circle = np.stack([np.cos(nodes), np.sin(nodes)]) + 0.01 * np.cos(4 * nodes)
+        noisy = [circle + 0.05 * rng.normal(size=(2, n_old)) for _ in range(3)]
+        path = pg.Path(np.stack([c.reshape(-1) for c in noisy]))
+        fine = pg._refine_curve_path((path, n_old), n_new, 4).points.reshape(5, 2, n_new)
+        assert np.max(np.abs(fine[::2, :, ::2] - path.points.reshape(3, 2, n_old))) < 1e-13
+        rows = path.refine(4).points.reshape(10, n_old)
+        coeffs = pc.transform(pc.PeriodicFunction(pc.PeriodicGrid(n_old), rows))
+        expect = pc.evaluate_spectral(coeffs, pc.PeriodicGrid(n_new).nodes)
+        assert np.max(np.abs(fine.reshape(10, n_new) - expect)) < 1e-13
 
 
 class TestVanishingDistanceSetup:

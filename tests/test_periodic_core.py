@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapegeo import periodic_core as pc
 
@@ -132,6 +134,47 @@ class TestDerivative:
         a = pc.sobolev_inner_product(pc.derivative(f, 1), g, 0)
         b = pc.sobolev_inner_product(f, pc.derivative(g, 1), 0)
         assert abs(a + b) < 1e-10
+
+
+@st.composite
+def nyquist_free_samples(draw):
+    """Real samples (*lead, n) with random modes below Nyquist, n in 8..256."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n = draw(st.integers(8, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = rng.normal(size=lead + (n // 2 + 1,)) + 1j * rng.normal(size=lead + (n // 2 + 1,))
+    if n % 2 == 0:
+        spec[..., -1] = 0.0
+    return np.fft.irfft(spec, n, axis=-1)
+
+
+class TestDifferentiate:
+    @settings(max_examples=60, deadline=None)
+    @given(nyquist_free_samples(), st.sampled_from([-1, 1, 2, 3]))
+    def test_batched_equals_row_by_row(self, v, order):
+        got = pc.differentiate(v, order)
+        rows = v.reshape(-1, v.shape[-1])
+        expect = np.stack([pc.differentiate(r, order) for r in rows]).reshape(v.shape)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - expect)) <= 1e-14 * max(1.0, np.max(np.abs(expect)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(nyquist_free_samples())
+    def test_antiderivative_inverts_derivative_on_mean_free_part(self, v):
+        back = pc.differentiate(pc.differentiate(v, -1), 1)
+        assert np.max(np.abs(back - (v - v.mean(axis=-1, keepdims=True)))) < 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(nyquist_free_samples(), st.integers(0, 2**32 - 1))
+    def test_skew_adjoint(self, v, seed):
+        u = np.random.default_rng(seed).normal(size=v.shape)
+        uv, du = u * pc.differentiate(v), pc.differentiate(u) * v
+        assert abs(np.sum(uv) + np.sum(du)) <= 1e-12 * (np.sum(np.abs(uv)) + np.sum(np.abs(du)))
+
+    def test_invalid_order(self):
+        for order in (0, 1.5):
+            with pytest.raises(ValueError):
+                pc.differentiate(np.ones(8), order)
 
 
 class TestSobolevPairings:
