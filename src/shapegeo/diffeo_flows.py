@@ -3,8 +3,9 @@
 Circle maps are stored as lifts phi(x) = x + f(x) with periodic
 displacement f and 1 + f' > 0; the displacement is wrapped by a multiple
 of 2*pi so its mean lies in [-pi, pi).  Flows integrate per node with
-RK4 (fixed base step 1/256, Richardson-checked).  Flows on the real line
-run on a finite window; a trajectory leaving the window is reported as
+one RK4 loop: steps of at most 1/256, each halved until its step-doubling
+error is at most 1e-8 * (max|x| + 1).  Flows on the real line run on a
+finite window; a trajectory leaving the window is reported as
 blow-up data, not as an error.
 """
 
@@ -131,14 +132,19 @@ def compose(phi, psi):
 def invert(phi, tol=1e-12, max_iter=80):
     """Inverse circle diffeomorphism via monotone bisection per node.
 
-    Solves y + f(y) = theta_j on the lift; the bracket comes from the
-    displacement range.
+    Solves y + f(y) = theta_j on the lift.  The bracket comes from the
+    sampled displacement range; the interpolant can overshoot its samples,
+    so an end that misses the root moves by 2*pi, more than a lift's
+    displacement varies.
     """
     nodes = phi.grid.nodes
     f = phi.disp.values[0]
     coeffs = compress(transform(phi.disp))
     lo = nodes - np.max(f) - 1e-9
     hi = nodes - np.min(f) + 1e-9
+    g_lo, g_hi = np.stack([lo, hi]) + evaluate_spectral(coeffs, np.stack([lo, hi]))[0] - nodes
+    lo = np.where(g_lo > 0.0, lo - TWO_PI, lo)
+    hi = np.where(g_hi > 0.0, hi, hi + TWO_PI)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         val = mid + evaluate_spectral(coeffs, mid)[0] - nodes
@@ -155,47 +161,12 @@ def invert(phi, tol=1e-12, max_iter=80):
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(f, x, dt):
-    k1 = f(x)
+def _rk4_step(f, x, dt, k1):
+    """One classical RK4 step of size dt from x, given its first stage k1 = f(x)."""
     k2 = f(x + 0.5 * dt * k1)
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _integrate_autonomous(evaluate, x, t, base_step=1.0 / 256.0, tol=1e-8, max_halvings=8):
-    """Fixed-step RK4 with a Richardson accuracy check on the whole run.
-
-    Raises NonConvergence when ``max_halvings`` halvings of the step leave
-    the Richardson error above ``tol``.
-    """
-    n_steps = max(1, int(np.ceil(abs(t) / base_step)))
-    for _ in range(max_halvings + 1):
-        dt = t / n_steps
-        coarse = x.copy()
-        for _ in range(n_steps):
-            coarse = _rk4_step(evaluate, coarse, dt)
-        fine = x.copy()
-        for _ in range(2 * n_steps):
-            fine = _rk4_step(evaluate, fine, 0.5 * dt)
-        err = np.max(np.abs(fine - coarse))
-        if err <= tol:
-            return fine
-        n_steps *= 2
-    raise NonConvergence(f"Richardson error {err:.3e} > tol {tol:.0e} after {max_halvings} halvings")
-
-
-def flow_autonomous(u, t):
-    """Time-t flow of an autonomous circle field (the exponential map at t)."""
-    coeffs = compress(transform(u.u))
-
-    def evaluate(x):
-        return evaluate_spectral(coeffs, x)[0]
-
-    nodes = u.grid.nodes
-    end = _integrate_autonomous(evaluate, nodes, float(t))
-    disp = end - nodes
-    return CircleDiffeo(PeriodicFunction(u.grid, disp[None, :]))
 
 
 @dataclass(frozen=True)
@@ -256,83 +227,110 @@ def _field_evaluator(field, grid):
 
 @dataclass
 class FlowResult:
-    """Final map samples, or blow-up data when a trajectory escapes."""
+    """Final map samples, or blow-up data when a trajectory escapes; steps,
+    rejected (halvings) and max_err (largest accepted doubling error)."""
 
     final_map: Optional[np.ndarray]
     blow_up: bool = False
     blow_up_time: Optional[float] = None
+    steps: int = 0
+    rejected: int = 0
+    max_err: float = 0.0
 
 
 MAX_SUBSTEPS = 2**20
 # smallest substep tried before the step-doubling error check gives up
 MIN_STEP = 1e-12
+# largest substep; each accepted step's doubling error is at most TOL * (max|x| + 1)
+BASE_STEP = 1.0 / 256.0
+TOL = 1e-8
 
 
-def flow_time_dependent(u, grid=None, x0=None, base_step=1.0 / 256.0, tol=1e-8):
+def flow_time_dependent(u, x0=None):
     """Integrate the non-autonomous flow d/dt phi = u(t) o phi.
 
-    On real-line grids a trajectory leaving the working window marks the
-    result as blown up and the window-exit time is refined by bisection.
-    A step whose doubling error stays above tol down to MIN_STEP, or more
-    than MAX_SUBSTEPS substeps, raise NonConvergence: an exhausted budget
-    is not a blow-up.
+    Starts at x0 or the nodes of u.grid.  An RK4 step (at most BASE_STEP,
+    and short enough that no point moves more than 0.05 * (max|x| + 1)) is
+    halved until one full step and two half steps differ by at most
+    TOL * (max|x| + 1); the two half steps are kept.  On real-line grids a
+    trajectory leaving the working window marks the result as blown up and
+    the window-exit time is refined by bisection.  A step still failing at
+    MIN_STEP, or more than MAX_SUBSTEPS steps, raise NonConvergence: an
+    exhausted budget is not a blow-up.
     """
-    grid = grid if grid is not None else u.grid
-    periodic = isinstance(grid, PeriodicGrid)
+    grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
-    window = None if periodic else grid.half_width
-
+    window = None if isinstance(grid, PeriodicGrid) else grid.half_width
     t = float(u.knots[0])
-    n_sub = 0
-    for i, t_next in enumerate(u.knots[1:]):
-        evaluate = _field_evaluator(u.fields[i], grid)
+    steps, rejected, max_err = 0, 0, 0.0
+    for u_i, t_next in zip(u.fields, u.knots[1:]):
+        evaluate = _field_evaluator(u_i, grid)
         while t < t_next - 1e-14:
-            speed = np.max(np.abs(evaluate(x))) + 1e-30
+            k1 = evaluate(x)
             scale = np.max(np.abs(x)) + 1.0
-            dt = min(t_next - t, base_step, 0.05 * scale / speed)
+            dt = min(t_next - t, BASE_STEP, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
             while True:
-                x_new = _rk4_step(evaluate, x, dt)
-                half = _rk4_step(evaluate, _rk4_step(evaluate, x, 0.5 * dt), 0.5 * dt)
-                err = np.max(np.abs(half - x_new))
-                if err <= tol * scale:
+                full = _rk4_step(evaluate, x, dt, k1)
+                mid = _rk4_step(evaluate, x, 0.5 * dt, k1)
+                half = _rk4_step(evaluate, mid, 0.5 * dt, evaluate(mid))
+                err = float(np.max(np.abs(half - full)))
+                if err <= TOL * scale:
                     break
                 if dt <= MIN_STEP:
                     raise NonConvergence(
-                        f"step-doubling error {err:.3e} > {tol * scale:.3e} "
+                        f"step-doubling error {err:.3e} > {TOL * scale:.3e} "
                         f"at step {dt:.1e} <= MIN_STEP, t = {t:.6f}"
                     )
                 dt *= 0.5
-            x = half
+                rejected += 1
+            x_prev, x = x, half
             t += dt
-            n_sub += 1
+            steps += 1
+            max_err = max(max_err, err)
             if window is not None and np.max(np.abs(x)) > window:
                 idx = int(np.argmax(np.abs(x)))
-                t_exit = _refine_exit_time(evaluate, x, idx, t, dt, window)
-                return FlowResult(final_map=None, blow_up=True, blow_up_time=t_exit)
-            if n_sub > MAX_SUBSTEPS:
+                t_exit = _refine_exit_time(evaluate, x_prev[idx:idx + 1], t - dt, dt, window)
+                return FlowResult(None, blow_up=True, blow_up_time=t_exit, steps=steps,
+                                  rejected=rejected, max_err=max_err)
+            if steps > MAX_SUBSTEPS:
                 raise NonConvergence(
-                    f"{n_sub} substeps exceed MAX_SUBSTEPS at t = {t:.6f} of "
+                    f"{steps} substeps exceed MAX_SUBSTEPS at t = {t:.6f} of "
                     f"{u.knots[-1]:.6f}; last step-doubling error {err:.3e}"
                 )
-    return FlowResult(final_map=x, blow_up=False)
+    return FlowResult(x, steps=steps, rejected=rejected, max_err=max_err)
 
 
-def _refine_exit_time(evaluate, x_after, idx, t_after, dt, window):
-    """Bisect within the last accepted step for the window-crossing time."""
-    # re-integrate the single escaping trajectory backwards to the step start
-    x_end = x_after[idx]
-    x_start = _rk4_step(evaluate, np.array([x_end]), -dt)[0]
+def _refine_exit_time(evaluate, x_start, t_start, dt, window):
+    """Bisect within the accepted step [t_start, t_start + dt] from x_start
+    for the time the trajectory crosses the window edge."""
+    k1 = evaluate(x_start)
     lo, hi = 0.0, dt
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        x_mid = _rk4_step(evaluate, np.array([x_start]), mid)[0]
-        if abs(x_mid) > window:
+        if abs(_rk4_step(evaluate, x_start, mid, k1)[0]) > window:
             hi = mid
         else:
             lo = mid
         if hi - lo < 1e-9 * max(dt, 1.0):
             break
-    return t_after - dt + 0.5 * (lo + hi)
+    return t_start + 0.5 * (lo + hi)
+
+
+def flow_autonomous(u, t):
+    """Time-t flow of an autonomous circle field (the exponential map at t).
+
+    This is flow_time_dependent on the one-interval field u over [0, |t|],
+    time-reversed when t < 0, so every step's step-doubling error is at
+    most TOL * (max|x| + 1) on the lifted node positions x.
+    """
+    t = float(t)
+    if t == 0.0:
+        return CircleDiffeo.identity(u.grid.n_samples)
+    tf = TimeDependentField.uniform([u.u], u.grid, 0.0, abs(t))
+    if t < 0.0:
+        tf = tf.reversed()
+    end = flow_time_dependent(tf).final_map
+    return CircleDiffeo(PeriodicFunction(u.grid, (end - u.grid.nodes)[None, :]))
 
 
 # ---------------------------------------------------------------------------

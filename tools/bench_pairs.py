@@ -19,7 +19,9 @@ when the parent's interquartile range over its median is within the
 metric's relative bound, or when every change run reads better than every
 parent run; only a resolved metric can be within its bound.  A gain counts
 only when the change wins at least 9 of 10 pairs and its median beats the
-parent's by more than the parent's interquartile range.
+parent's by more than the parent's interquartile range.  The record also
+holds each side's line counts of src/ and tests/ (newlines in their .py
+files, as ``wc -l`` counts them), from which the change's net LOC follows.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ def export_revision(rev, dest):
         tar.extractall(checkout, filter="data")
     archive.unlink()
     return commit, checkout
+
+
+def line_counts(checkout):
+    """Newline counts of the .py files under src/ and tests/ of one checkout."""
+    return {part: sum(f.read_bytes().count(b"\n") for f in (checkout / part).rglob("*.py"))
+            for part in ("src", "tests")}
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
@@ -115,6 +123,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit, parent_dir = export_revision(args.parent, Path(tmp))
         checkouts = {"parent": parent_dir, "change": ROOT}
+        lines = {side: line_counts(checkouts[side]) for side in SIDES}
         values = {w: {s: {m: [] for m in end_to_end} for s in SIDES} for w in workloads}
         runs = {w: {"runs": 0, "all_correct": True, "failed": 0, "attempted": 0} for w in workloads}
         provenance = {}
@@ -166,6 +175,7 @@ def main(argv=None):
             for w in workloads
         },
         "runs_correct": runs,
+        "line_counts": lines,
         f"per_layer_seed{TRACE_SEED}": traced,
         "provenance": {
             **{k: v for k, v in provenance["change"].items() if k not in ("commit", "source_sha256", "seed")},
