@@ -13,7 +13,6 @@ from .errors import (
     DegenerateConfig,
     NonConvergence,
     NotImmersed,
-    OutOfChart,
     ShapeGeoError,
     SingularGram,
     StepCollapse,
@@ -31,7 +30,6 @@ __all__ = [
     "periodic_core",
     "ShapeGeoError",
     "NotImmersed",
-    "OutOfChart",
     "SingularGram",
     "NonConvergence",
     "DegenerateConfig",

@@ -34,7 +34,6 @@ __all__ = [
     "l2_metric_variation",
     "reparametrize",
     "reparametrize_tangent",
-    "normal_chart",
 ]
 
 # Absolute tolerance on the speed below which a curve is rejected.
@@ -145,19 +144,3 @@ def reparametrize_tangent(h, phi):
     base = reparametrize(h.base, phi)
     return CurveTangent(base, PeriodicFunction(h.h.grid, vals))
 
-
-def normal_chart(q, a):
-    """Return q + a * n_q for a planar curve q and scalar field a.
-
-    n_q is the unit normal obtained by rotating the unit tangent by -pi/2,
-    which points outward for counterclockwise curves: the unit circle with
-    constant a = rho maps to the circle of radius 1 + rho.
-    """
-    if q.dim != 2:
-        raise ValueError("normal_chart requires planar curves (d = 2)")
-    if a.dim != 1 or a.grid.n_samples != q.grid.n_samples:
-        raise ValueError("chart field must be scalar on the curve's grid")
-    tangent = q.deriv.values / q.speed
-    normal = np.stack([tangent[1], -tangent[0]])
-    vals = q.pos.values + a.values[0] * normal
-    return Curve(PeriodicFunction(q.grid, vals))

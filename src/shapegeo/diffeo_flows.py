@@ -40,7 +40,6 @@ __all__ = [
     "exp_noninjectivity_demo",
     "nonsurjectivity_candidate",
     "isolated_periodic_points",
-    "falsification_search",
     "membership_check",
     "compose",
     "invert",
@@ -129,13 +128,19 @@ def compose(phi, psi):
     return CircleDiffeo(PeriodicFunction(psi.grid, disp[None, :]))
 
 
-def invert(phi, tol=1e-12, max_iter=80):
+# bracket width invert bisects down to, and its budget of halvings
+INVERT_TOL = 1e-12
+INVERT_MAX_ITER = 80
+
+
+def invert(phi):
     """Inverse circle diffeomorphism via monotone bisection per node.
 
     Solves y + f(y) = theta_j on the lift.  The bracket comes from the
     sampled displacement range; the interpolant can overshoot its samples,
     so an end that misses the root moves by 2*pi, more than a lift's
-    displacement varies.
+    displacement varies.  Raises NonConvergence if a bracket is still
+    INVERT_TOL wide or wider after INVERT_MAX_ITER halvings.
     """
     nodes = phi.grid.nodes
     f = phi.disp.values[0]
@@ -145,13 +150,19 @@ def invert(phi, tol=1e-12, max_iter=80):
     g_lo, g_hi = np.stack([lo, hi]) + evaluate_spectral(coeffs, np.stack([lo, hi]))[0] - nodes
     lo = np.where(g_lo > 0.0, lo - TWO_PI, lo)
     hi = np.where(g_hi > 0.0, hi, hi + TWO_PI)
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         val = mid + evaluate_spectral(coeffs, mid)[0] - nodes
         hi = np.where(val > 0.0, mid, hi)
         lo = np.where(val > 0.0, lo, mid)
-        if np.max(hi - lo) < tol:
+        if np.max(hi - lo) < INVERT_TOL:
             break
+    width = float(np.max(hi - lo))
+    if width >= INVERT_TOL:
+        raise NonConvergence(
+            f"invert: bracket width {width:.3e} >= INVERT_TOL {INVERT_TOL:.0e} "
+            f"after INVERT_MAX_ITER = {INVERT_MAX_ITER} halvings"
+        )
     y = 0.5 * (lo + hi)
     return CircleDiffeo(PeriodicFunction(phi.grid, (y - nodes)[None, :]))
 
@@ -445,34 +456,6 @@ def isolated_periodic_points(phi, n, n_dense=4096, tol=1e-10):
                     break
             zeros.append(0.5 * (lo + hi))
     return np.asarray(zeros)
-
-
-def falsification_search(phi, seed=0, n_fields=64, n_modes=2):
-    """Coarse search over a random family of nowhere-vanishing fields for one
-    whose time-1 flow reproduces phi; returns the smallest sup-distance.
-
-    The underlying non-surjectivity statement is a theorem; this search is
-    illustrative only.
-    """
-    rng = np.random.default_rng(seed)
-    nodes = phi.grid.nodes
-    target = phi.values
-    mean_disp = float(np.mean(phi.disp.values))
-    best = np.inf
-    for _ in range(n_fields):
-        amp = rng.uniform(0.0, 0.3, size=n_modes)
-        phase = rng.uniform(0.0, TWO_PI, size=n_modes)
-        speed = rng.uniform(0.5, 1.5) * mean_disp
-        vals = np.full_like(nodes, speed)
-        for j in range(n_modes):
-            vals += speed * amp[j] * np.sin((j + 1) * nodes + phase[j])
-        if np.min(np.abs(vals)) <= VANISHING_TOL:
-            continue
-        u = CircleField(PeriodicFunction(phi.grid, vals[None, :]))
-        flowed = flow_autonomous(u, 1.0)
-        err = float(np.max(np.abs(_wrap_angle(flowed.values - target))))
-        best = min(best, err)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ class NotImmersed(ShapeGeoError):
     """Curve speed drops to (numerical) zero somewhere."""
 
 
-class OutOfChart(ShapeGeoError):
-    """Point lies outside the domain of the requested chart."""
-
-
 class SingularGram(ShapeGeoError):
     """Metric Gram matrix is numerically singular at the working resolution."""
 

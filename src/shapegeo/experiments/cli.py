@@ -92,6 +92,7 @@ def _run_sphere_bvp(config, out_dir):
     opts = pg.SolverOptions(tol=config["tol"], max_iter=config["max_iter"])
     columns = ["pair", "length", "analytic", "abs_err"]
     rows = []
+    unconverged = iterations = 0
     for i in range(config["n_pairs"]):
         x = rng.normal(size=m)
         x /= np.linalg.norm(x)
@@ -100,8 +101,10 @@ def _run_sphere_bvp(config, out_dir):
         init = pg.Path.linear(x, y, config["n_steps"])
         # project the chord onto the sphere so all iterates start near it
         pts = init.points / np.linalg.norm(init.points, axis=1, keepdims=True)
-        path, _ = pg.bvp_minimize(x, y, oracle, init=pg.Path(pts), opts=opts)
-        length = pg.path_length(path, oracle)
+        _, report = pg.bvp_minimize(x, y, oracle, init=pg.Path(pts), opts=opts)
+        unconverged += not report.converged
+        iterations += report.iterations
+        length = report.length
         exact = hilbert_geometry.sphere_distance_analytic(x, y)
         rows.append([i, length, exact, abs(length - exact)])
     svg_plot(
@@ -112,7 +115,7 @@ def _run_sphere_bvp(config, out_dir):
         ylabel="absolute error",
         logy=True,
     )
-    return columns, rows
+    return columns, rows, {"unconverged_pairs": unconverged, "bvp_iterations": iterations}
 
 
 def _run_exp_circle(config, out_dir):
@@ -210,7 +213,6 @@ def _run_landmark_geodesic(config, out_dir):
     opts = pg.SolverOptions(tol=config["tol"], max_iter=config["max_iter"])
     init = pg.Path.linear(start, end, config["n_steps"])
     path, report = pg.bvp_minimize(start, end, oracle, init=init, opts=opts)
-    length = pg.path_length(path, oracle)
     columns = ["t", "i", "x1"]
     rows = []
     times = path.times
@@ -227,7 +229,7 @@ def _run_landmark_geodesic(config, out_dir):
         xlabel="t",
         ylabel="position",
     )
-    return columns, rows, {"geodesic_length": length, "converged": report.converged}
+    return columns, rows, {"geodesic_length": report.length, "converged": report.converged}
 
 
 def _run_lddmm_flow(config, out_dir):

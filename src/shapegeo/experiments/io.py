@@ -1,4 +1,4 @@
-"""Artifact plumbing: flat key=value configs, reproducible CSV, hand-emitted SVG.
+"""Artifact plumbing: flat key=value configs, reproducible CSV tables, hand-emitted SVG.
 
 CSV dialect is fixed for bit-exact reproducibility: comma separators,
 '.' decimal point, 17 significant digits, header row, LF line endings.
@@ -24,10 +24,6 @@ __all__ = [
     "read_csv",
     "write_manifest",
     "svg_plot",
-    "write_curve_csv",
-    "read_curve_csv",
-    "write_diffeo_csv",
-    "read_diffeo_csv",
 ]
 
 
@@ -242,16 +238,15 @@ def svg_plot(path, series, title="", xlabel="", ylabel="", hlines=(), logy=False
             f'<text x="{px:.1f}" y="{_HEIGHT - _MARGIN_B + 18}" '
             f'text-anchor="middle" font-size="11">{tx:.4g}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in _ticks(y_lo, y_hi):  # on a log axis the labels are exponents
         py = _MARGIN_T + (y_hi - ty) / (y_hi - y_lo) * inner_h
-        label = ty if not logy else ty  # log axis labels are exponents
         parts.append(
             f'<polyline stroke="black" stroke-width="1" fill="none" '
             f'points="{_MARGIN_L - 5},{py:.1f} {_MARGIN_L},{py:.1f}"/>'
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-size="11">{label:.4g}</text>'
+            f'font-size="11">{ty:.4g}</text>'
         )
     for label, y in hlines:
         _, py = to_px(x_lo, y)
@@ -281,54 +276,3 @@ def svg_plot(path, series, title="", xlabel="", ylabel="", hlines=(), logy=False
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# Domain-object CSV round trips
-# ---------------------------------------------------------------------------
-
-
-def write_curve_csv(path, curve):
-    """Curve samples as columns theta, x1..xd."""
-    d = curve.dim
-    columns = ["theta"] + [f"x{i + 1}" for i in range(d)]
-    nodes = curve.grid.nodes
-    rows = [
-        [nodes[j]] + [curve.pos.values[i, j] for i in range(d)]
-        for j in range(curve.grid.n_samples)
-    ]
-    write_csv(path, columns, rows)
-
-
-def read_curve_csv(path):
-    from ..curves import Curve
-    from ..periodic_core import PeriodicFunction, PeriodicGrid
-
-    columns, rows = read_csv(path)
-    if not columns or columns[0] != "theta":
-        raise ValueError("curve CSV must start with a theta column")
-    data = np.asarray(rows, dtype=float)
-    grid = PeriodicGrid(data.shape[0])
-    if np.max(np.abs(data[:, 0] - grid.nodes)) > 1e-12:
-        raise ValueError("curve CSV nodes are not the uniform grid")
-    return Curve(PeriodicFunction(grid, data[:, 1:].T))
-
-
-def write_diffeo_csv(path, phi):
-    """Diffeomorphism lift as columns theta, phi(theta)."""
-    rows = list(zip(phi.grid.nodes, phi.values))
-    write_csv(path, ["theta", "phi"], rows)
-
-
-def read_diffeo_csv(path):
-    from ..diffeo_flows import CircleDiffeo
-    from ..periodic_core import PeriodicFunction, PeriodicGrid
-
-    columns, rows = read_csv(path)
-    if columns != ["theta", "phi"]:
-        raise ValueError("diffeo CSV must have columns theta, phi")
-    data = np.asarray(rows, dtype=float)
-    grid = PeriodicGrid(data.shape[0])
-    if np.max(np.abs(data[:, 0] - grid.nodes)) > 1e-12:
-        raise ValueError("diffeo CSV nodes are not the uniform grid")
-    disp = data[:, 1] - grid.nodes
-    return CircleDiffeo(PeriodicFunction(grid, disp[None, :]))

@@ -18,17 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import OutOfChart
 from .path_geodesics import MetricOracle
 
 __all__ = [
     "EllipsoidSpec",
-    "sphere_chart",
-    "sphere_chart_inverse",
     "sphere_distance_analytic",
     "sphere_oracle",
-    "ellipsoid_map",
-    "ellipsoid_map_inverse",
     "ellipsoid_path_length",
     "half_great_circle",
     "grossman_experiment",
@@ -58,28 +53,6 @@ def _check_unit(x, tol=1e-10):
     if abs(np.linalg.norm(x) - 1.0) > tol:
         raise ValueError("point is not on the unit sphere")
     return x
-
-
-def sphere_chart(x0, x):
-    """Chart u_{x0}(x) = x - <x, x0> x0 on the half-sphere <x, x0> > 0."""
-    x0 = _check_unit(x0)
-    x = _check_unit(x)
-    inner = float(np.dot(x, x0))
-    if inner <= 0:
-        raise OutOfChart(f"<x, x0> = {inner:.3e} <= 0")
-    return x - inner * x0
-
-
-def sphere_chart_inverse(x0, y):
-    """Inverse chart y -> y + sqrt(1 - |y|^2) x0."""
-    x0 = _check_unit(x0)
-    y = np.asarray(y, dtype=float)
-    if abs(float(np.dot(y, x0))) > 1e-10:
-        raise ValueError("chart image must be orthogonal to the center")
-    norm2 = float(np.dot(y, y))
-    if norm2 >= 1.0:
-        raise OutOfChart(f"|y| = {np.sqrt(norm2):.6f} >= 1")
-    return y + np.sqrt(1.0 - norm2) * x0
 
 
 def sphere_distance_analytic(x, y):
@@ -115,21 +88,6 @@ def sphere_oracle(m):
         return rows
 
     return MetricOracle.from_rows(m, metric_rows, variation_rows, name=f"sphere(m={m})")
-
-
-def ellipsoid_map(spec, x):
-    """Coordinatewise scaling x_n -> a_n x_n."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.m:
-        raise ValueError("dimension mismatch with the ellipsoid spec")
-    return spec.semi_axes * x
-
-
-def ellipsoid_map_inverse(spec, y):
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != spec.m:
-        raise ValueError("dimension mismatch with the ellipsoid spec")
-    return y / spec.semi_axes
 
 
 def ellipsoid_path_length(spec, path):

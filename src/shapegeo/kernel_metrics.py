@@ -28,7 +28,6 @@ __all__ = [
     "Kernel",
     "gaussian_kernel",
     "sobolev_kernel",
-    "sobolev_kernel_eval",
     "LandmarkConfig",
     "gram_assemble",
     "horizontal_lift",
@@ -36,6 +35,7 @@ __all__ = [
     "vertical_project",
     "landmark_metric_oracle",
     "admissibility_bound_check",
+    "constrained_infimum",
 ]
 
 MIN_SEPARATION = 1e-8
@@ -83,11 +83,6 @@ def gaussian_kernel(sigma):
 
 def sobolev_kernel(order, scale=1.0):
     return Kernel(kind="sobolev", scale=float(scale), order=int(order))
-
-
-def sobolev_kernel_eval(order, x, y):
-    """Green's function of (Id - Laplacian)^order on the line, order 1 or 2."""
-    return float(sobolev_kernel(order).profile(abs(float(x) - float(y))))
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,7 @@ def induced_metric(kernel, config, h, h2=None):
     return float(np.sum(h * _cho_solve(_factor(kernel, config.points)[2], h2)))
 
 
-def rkhs_inner(kernel, points_a, momenta_a, points_b, momenta_b):
+def _rkhs_inner(kernel, points_a, momenta_a, points_b, momenta_b):
     """RKHS inner product of two finite kernel expansions."""
     momenta_a = np.asarray(momenta_a, dtype=float)
     momenta_b = np.asarray(momenta_b, dtype=float)
@@ -227,9 +222,9 @@ def vertical_project(kernel, config, expansion_points, expansion_momenta):
         raise ValueError("momenta must match the expansion points in shape")
     values_on_q = _scalar_gram(kernel, config.points, z) @ mu  # (N, d)
     p, _ = horizontal_lift(kernel, config, values_on_q)
-    norm_x = rkhs_inner(kernel, z, mu, z, mu)
-    norm_hor = rkhs_inner(kernel, config.points, p, config.points, p)
-    cross = rkhs_inner(kernel, config.points, p, z, mu)
+    norm_x = _rkhs_inner(kernel, z, mu, z, mu)
+    norm_hor = _rkhs_inner(kernel, config.points, p, config.points, p)
+    cross = _rkhs_inner(kernel, config.points, p, z, mu)
     norm_ver = norm_x - 2.0 * cross + norm_hor
     return p, values_on_q, (norm_x, norm_hor, norm_ver)
 

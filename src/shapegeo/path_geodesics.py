@@ -31,9 +31,10 @@ __all__ = [
     "path_energy",
     "path_length",
     "energy_gradient",
+    "SolverOptions",
     "bvp_minimize",
+    "geodesic_acceleration",
     "ivp_shoot",
-    "distance_estimate",
     "curve_space_oracle",
     "vanishing_distance_experiment",
 ]
@@ -189,13 +190,19 @@ def energy_gradient(path, oracle):
     return grad
 
 
+# Armijo line search: sufficient-decrease constant, step shrink factor and
+# trial steps per iteration before the solve stops.
+ARMIJO_C1 = 1e-4
+ARMIJO_SHRINK = 0.5
+MAX_BACKTRACKS = 40
+# geodesic_acceleration rejects a Gram whose condition number exceeds this.
+COND_LIMIT = 1e12
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 20000
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 40
     raise_on_failure: bool = False
 
 
@@ -225,7 +232,7 @@ def bvp_minimize(x_start, x_end, oracle, init=None, opts=None):
         # Armijo backtracking, warm-started from the previous step size.
         step = min(step * 2.0, 1e6)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = path.points.copy()
             trial[1:-1] -= step * grad
             trial_path = Path(trial)
@@ -234,11 +241,11 @@ def bvp_minimize(x_start, x_end, oracle, init=None, opts=None):
             except ShapeGeoError:
                 # the trial left the space (e.g. a non-immersed curve): backtrack
                 trial_energy = np.inf
-            if trial_energy <= energy - opts.armijo_c1 * step * grad_norm**2:
+            if trial_energy <= energy - ARMIJO_C1 * step * grad_norm**2:
                 path, energy = trial_path, trial_energy
                 accepted = True
                 break
-            step *= opts.armijo_shrink
+            step *= ARMIJO_SHRINK
         if not accepted:
             break
 
@@ -257,9 +264,6 @@ def bvp_minimize(x_start, x_end, oracle, init=None, opts=None):
             report=report,
         )
     return path, report
-
-
-COND_LIMIT = 1e12
 
 
 def geodesic_acceleration(x, v, oracle):
@@ -299,12 +303,6 @@ def ivp_shoot(x0, v0, oracle, n_steps, t_final=1.0):
         x, v = x_new, v_new
         pts[i + 1] = x
     return Path(pts)
-
-
-def distance_estimate(x, y, oracle, init=None, opts=None):
-    """Upper bound on geodesic distance: length of the minimized BVP path."""
-    path, report = bvp_minimize(np.asarray(x, float), np.asarray(y, float), oracle, init=init, opts=opts)
-    return report.length
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +352,12 @@ def _bandlimited_triangle(theta, teeth, n_modes):
     return out * 8.0 / np.pi**2
 
 
-def _sawtooth_homotopy(n_samples, n_steps, teeth, translation, amplitude):
+# The endpoint curve of the vanishing-distance experiment is the unit circle
+# translated by this vector.
+TRANSLATION = (0.5, 0.0)
+
+
+def _sawtooth_homotopy(n_samples, n_steps, teeth, amplitude):
     """Path from the unit circle to its translate with a mid-path sawtooth."""
     theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
     circle = np.stack([np.cos(theta), np.sin(theta)])
@@ -364,14 +367,13 @@ def _sawtooth_homotopy(n_samples, n_steps, teeth, translation, amplitude):
     pts = np.empty((n_steps + 1, 2 * n_samples))
     for i, ti in enumerate(t):
         bump = amplitude * np.sin(np.pi * ti)
-        curve = circle + ti * np.asarray(translation)[:, None] + bump * saw * normal
+        curve = circle + ti * np.asarray(TRANSLATION)[:, None] + bump * saw * normal
         pts[i] = curve.reshape(-1)
     return Path(pts)
 
 
 def vanishing_distance_experiment(
     levels=3,
-    translation=(0.5, 0.0),
     base_samples=64,
     base_steps=16,
     control=False,
@@ -401,7 +403,7 @@ def vanishing_distance_experiment(
         steps = base_steps * scale
         oracle = euclidean_oracle(2 * n, weight=2.0 * np.pi / n) if control else curve_space_oracle(n)
         amplitude = 0.25 / teeth
-        init = _sawtooth_homotopy(n, steps, teeth, translation, amplitude)
+        init = _sawtooth_homotopy(n, steps, teeth, amplitude)
         x_start = init.points[0]
         x_end = init.points[-1]
         path, report = bvp_minimize(x_start, x_end, oracle, init=init, opts=opts)

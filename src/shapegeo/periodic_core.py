@@ -23,11 +23,11 @@ __all__ = [
     "transform",
     "inverse_transform",
     "compress",
+    "evaluate_spectral",
     "differentiate",
     "derivative",
     "sobolev_inner_product",
     "sobolev_inner_product_integer",
-    "pointwise_multiply",
     "sup_norm",
 ]
 
@@ -89,23 +89,6 @@ class PeriodicFunction:
             vals = vals.reshape(dim, n_samples)
         return cls(grid, vals)
 
-    def evaluate(self, theta):
-        """Evaluate the trigonometric interpolant at arbitrary angles."""
-        return evaluate_spectral(transform(self), theta)
-
-    def __add__(self, other):
-        _check_compat(self, other)
-        return PeriodicFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_compat(self, other)
-        return PeriodicFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return PeriodicFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class SpectralCoeffs:
@@ -113,10 +96,6 @@ class SpectralCoeffs:
 
     grid: PeriodicGrid
     coeffs: np.ndarray = field(repr=False)
-
-    @property
-    def wavenumbers(self):
-        return self.grid.wavenumbers
 
 
 def _check_compat(f, g):
@@ -240,14 +219,6 @@ def sobolev_inner_product_integer(f, g, q):
     fq = derivative(f, q)
     gq = derivative(g, q)
     return base + sobolev_inner_product(fq, gq, 0)
-
-
-def pointwise_multiply(f, g):
-    """Sample-wise product of two scalar-valued functions."""
-    _check_compat(f, g)
-    if f.dim != 1:
-        raise ValueError("pointwise_multiply requires scalar-valued inputs")
-    return PeriodicFunction(f.grid, f.values * g.values)
 
 
 def sup_norm(f):

@@ -1,7 +1,10 @@
-"""Immersed closed curves, the L^2 metric, reparametrization, normal chart."""
+"""Immersed closed curves, the L^2 metric, reparametrization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapegeo import curves, diffeo_flows
 from shapegeo import path_geodesics as pg
@@ -31,6 +34,43 @@ def perturbed_circle(rng, n):
     c = unit_circle(n)
     vals = c.pos.values + 0.05 * random_tangent(c, rng).h.values
     return curves.Curve(pc.PeriodicFunction(c.grid, vals))
+
+
+def trig_field(coeffs, n):
+    """(2, n) samples of sum_k a_k cos(k theta) + b_k sin(k theta) per component.
+
+    coeffs has shape (2, K, 2): component, mode k = 0..K-1, (a_k, b_k).
+    """
+    k_theta = np.multiply.outer(np.arange(coeffs.shape[1]), pc.PeriodicGrid(n).nodes)
+    return coeffs[..., 0] @ np.cos(k_theta) + coeffs[..., 1] @ np.sin(k_theta)
+
+
+@st.composite
+def reparametrized_metric_inputs(draw):
+    """Perturbed circle c, tangents h, k (modes <= 3, sup norm 1), phi = id + a sin(m theta + p).
+
+    The perturbation amplitude 0.02 is a resolution limit of n = 64, not a
+    loosened gate: at 0.05 a targeted search finds a case missing by 1.9e-8
+    at n = 64 and by 3.8e-15 at n = 128.
+    """
+    n = draw(st.sampled_from([64, 256]))
+    coeffs = arrays(float, (2, 4, 2), elements=st.floats(-1.0, 1.0))
+    c = unit_circle(n)
+    c = curves.Curve(pc.PeriodicFunction(c.grid, c.pos.values + 0.02 * trig_field(draw(coeffs), n)))
+
+    def tangent():
+        # G is bilinear in h and k; sup norm 1 keeps tiny draws from underflowing it
+        f = trig_field(draw(coeffs), n)
+        top = np.max(np.abs(f))
+        return curves.CurveTangent(c, pc.PeriodicFunction(c.grid, f / top if top > 0 else f))
+
+    h, k = tangent(), tangent()
+    m = draw(st.sampled_from([1, 2]))
+    a = draw(st.floats(-0.5, 0.5)) / m
+    p = draw(st.floats(0.0, 2 * np.pi))
+    disp = a * np.sin(m * c.grid.nodes + p)
+    phi = diffeo_flows.CircleDiffeo(pc.PeriodicFunction(c.grid, disp[None, :]))
+    return c, h, k, phi
 
 
 class TestImmersion:
@@ -182,32 +222,18 @@ class TestReparametrization:
         c2 = curves.reparametrize(c, phi)
         assert np.max(np.abs(c2.pos.values - c.pos.values)) < 1e-12
 
-    def test_metric_invariance(self):
-        rng = np.random.default_rng(2)
-        c = unit_circle(256)
-        h = random_tangent(c, rng)
-        phi = self.make_phi(256)
-        c2 = curves.reparametrize(c, phi)
+    @settings(max_examples=20, deadline=None)
+    @given(reparametrized_metric_inputs())
+    def test_metric_invariance_property(self, inputs):
+        # G_{c o phi}(h o phi, k o phi) = G_c(h, k); spectral composition keeps
+        # the two quadratures equal to roundoff on the coarse grid already
+        c, h, k, phi = inputs
         h2 = curves.reparametrize_tangent(h, phi)
-        a = curves.l2_metric(c, h, h)
-        b = curves.l2_metric(c2, h2, h2)
-        assert abs(a - b) / a < 1e-6
-
-    def test_invariance_error_improves_under_refinement(self):
-        rng = np.random.default_rng(3)
-
-        def invariance_error(n):
-            c = unit_circle(n)
-            h = random_tangent(c, rng)
-            phi = self.make_phi(n)
-            c2 = curves.reparametrize(c, phi)
-            h2 = curves.reparametrize_tangent(h, phi)
-            a = curves.l2_metric(c, h, h)
-            return abs(curves.l2_metric(c2, h2, h2) - a) / a
-
-        # spectral composition: already at roundoff on the coarse grid
-        assert invariance_error(64) < 1e-10
-        assert invariance_error(256) < 1e-10
+        k2 = curves.reparametrize_tangent(k, phi)
+        a = curves.l2_metric(c, h, k)
+        b = curves.l2_metric(h2.base, h2, k2)
+        scale = np.sqrt(curves.l2_metric(c, h, h) * curves.l2_metric(c, k, k))
+        assert abs(a - b) <= 1e-10 * scale
 
     def test_immersion_margin_bound(self):
         c = unit_circle(256)
@@ -215,35 +241,3 @@ class TestReparametrization:
         c2 = curves.reparametrize(c, phi)
         dphi = 1.0 + pc.derivative(phi.disp, 1).values[0]
         assert curves.immersion_check(c2) >= curves.immersion_check(c) * np.min(dphi) - 1e-8
-
-
-class TestNormalChart:
-    def test_zero_offset_is_identity(self):
-        c = unit_circle(128)
-        a = pc.PeriodicFunction(c.grid, np.zeros((1, 128)))
-        c2 = curves.normal_chart(c, a)
-        assert np.max(np.abs(c2.pos.values - c.pos.values)) < 1e-12
-
-    def test_constant_offset_scales_circle(self):
-        c = unit_circle(128)
-        rho = 0.3
-        a = pc.PeriodicFunction(c.grid, np.full((1, 128), rho))
-        c2 = curves.normal_chart(c, a)
-        radii = np.linalg.norm(c2.pos.values, axis=0)
-        assert np.max(np.abs(radii - (1 + rho))) < 1e-12
-
-    def test_cosine_offset_max_radius(self):
-        c = unit_circle(256)
-        a = pc.PeriodicFunction(
-            c.grid, (0.1 * np.cos(c.grid.nodes))[None, :]
-        )
-        c2 = curves.normal_chart(c, a)
-        radii = np.linalg.norm(c2.pos.values, axis=0)
-        assert abs(radii[0] - 1.1) < 1e-12
-        assert abs(np.max(radii) - 1.1) < 1e-12
-
-    def test_non_immersed_result_rejected(self):
-        c = unit_circle(128)
-        a = pc.PeriodicFunction(c.grid, np.full((1, 128), -1.0))
-        with pytest.raises(NotImmersed):
-            curves.normal_chart(c, a)

@@ -179,11 +179,6 @@ class TestNonSurjectivity:
         with pytest.raises(ValueError):
             df.nonsurjectivity_candidate(5, 0.5)
 
-    def test_falsification_search_fails_to_reproduce(self):
-        phi = df.nonsurjectivity_candidate(5, 0.15, n_samples=512)
-        best = df.falsification_search(phi, seed=0, n_fields=8)
-        assert best > 0.01  # illustrative only: no sampled flow matches
-
 
 class TestTimeDependentFlow:
     def test_blow_up_time(self):
@@ -236,7 +231,7 @@ class TestFlowTelemetry:
 
 
 class TestIntegratorBudgets:
-    """An exhausted step budget raises NonConvergence instead of returning a result."""
+    """An exhausted step or bisection budget raises NonConvergence instead of returning a result."""
 
     def test_autonomous_substep_budget(self, monkeypatch):
         monkeypatch.setattr(df, "MAX_SUBSTEPS", 3)
@@ -259,6 +254,13 @@ class TestIntegratorBudgets:
         tf = df.TimeDependentField.uniform([field], grid, 0.0, 1.0)
         with pytest.raises(NonConvergence, match="MAX_SUBSTEPS"):
             df.flow_time_dependent(tf, x0=np.array([0.0, 1.0]))
+
+    def test_invert_bisection_budget(self, monkeypatch):
+        monkeypatch.setattr(df, "INVERT_MAX_ITER", 1)
+        u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 64)
+        phi = df.flow_autonomous(u, 0.5)
+        with pytest.raises(NonConvergence, match=r"bracket width .* INVERT_MAX_ITER = 1 "):
+            df.invert(phi)
 
 
 class TestMembership:

@@ -6,8 +6,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from shapegeo import curves, diffeo_flows
-from shapegeo import periodic_core as pc
 from shapegeo.experiments import io
 from shapegeo.experiments.cli import main, run_experiment
 
@@ -53,27 +51,6 @@ class TestCsv:
             io.write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0]])
 
 
-class TestDomainCsv:
-    def test_curve_roundtrip(self, tmp_path):
-        c = curves.Curve.from_callable(
-            lambda t: np.stack([np.cos(t), np.sin(t)]), 64, dim=2
-        )
-        path = str(tmp_path / "curve.csv")
-        io.write_curve_csv(path, c)
-        back = io.read_curve_csv(path)
-        assert np.max(np.abs(back.pos.values - c.pos.values)) < 1e-15
-
-    def test_diffeo_roundtrip(self, tmp_path):
-        grid = pc.PeriodicGrid(64)
-        phi = diffeo_flows.CircleDiffeo(
-            pc.PeriodicFunction(grid, (0.2 * np.sin(grid.nodes))[None, :])
-        )
-        path = str(tmp_path / "phi.csv")
-        io.write_diffeo_csv(path, phi)
-        back = io.read_diffeo_csv(path)
-        assert np.max(np.abs(back.values - phi.values)) < 1e-15
-
-
 class TestSvg:
     def test_plot_is_polylines_and_text_only(self, tmp_path):
         path = str(tmp_path / "p.svg")
@@ -108,6 +85,16 @@ class TestRunner:
         with open(os.path.join(out2, "table.csv"), "rb") as fh:
             second = fh.read()
         assert first == second
+
+    def test_sphere_bvp_manifest_reports_solver(self, tmp_path):
+        # five iterations cannot converge, so both pairs run the full budget
+        out = str(tmp_path / "s")
+        args = ["sphere-bvp", "--set", "n_pairs=2", "--set", "n_steps=16", "--set", "max_iter=5"]
+        assert main(args + ["--out", out]) == 0
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            lines = fh.read().splitlines()
+        assert "# unconverged_pairs = 2" in lines
+        assert "# bvp_iterations = 10" in lines
 
     def test_manifest_roundtrip(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
