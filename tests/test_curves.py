@@ -222,6 +222,33 @@ class TestReparametrization:
         c2 = curves.reparametrize(c, phi)
         assert np.max(np.abs(c2.pos.values - c.pos.values)) < 1e-12
 
+    def test_metric_invariance(self):
+        rng = np.random.default_rng(2)
+        c = unit_circle(256)
+        h = random_tangent(c, rng)
+        phi = self.make_phi(256)
+        c2 = curves.reparametrize(c, phi)
+        h2 = curves.reparametrize_tangent(h, phi)
+        a = curves.l2_metric(c, h, h)
+        b = curves.l2_metric(c2, h2, h2)
+        assert abs(a - b) / a < 1e-6
+
+    def test_invariance_error_improves_under_refinement(self):
+        rng = np.random.default_rng(3)
+
+        def invariance_error(n):
+            c = unit_circle(n)
+            h = random_tangent(c, rng)
+            phi = self.make_phi(n)
+            c2 = curves.reparametrize(c, phi)
+            h2 = curves.reparametrize_tangent(h, phi)
+            a = curves.l2_metric(c, h, h)
+            return abs(curves.l2_metric(c2, h2, h2) - a) / a
+
+        # spectral composition: already at roundoff on the coarse grid
+        assert invariance_error(64) < 1e-10
+        assert invariance_error(256) < 1e-10
+
     @settings(max_examples=20, deadline=None)
     @given(reparametrized_metric_inputs())
     def test_metric_invariance_property(self, inputs):
