@@ -70,8 +70,14 @@ def _run_vanishing_l2(config, out_dir):
     columns = ["teeth", "l2_length", "flat_length"]
     rows = [
         [teeth, length, flat]
-        for (teeth, length), (_, flat) in zip(rows_l2, rows_flat)
+        for (teeth, length, _), (_, flat, _) in zip(rows_l2, rows_flat)
     ]
+    # the kept solve of each level: did it converge, and if not, why it stopped
+    extras = {}
+    for label, table in (("l2", rows_l2), ("flat", rows_flat)):
+        for teeth, _, report in table:
+            extras[f"{label}_converged_teeth_{teeth}"] = report.converged
+            extras[f"{label}_reason_teeth_{teeth}"] = report.reason
     svg_plot(
         os.path.join(out_dir, "plot.svg"),
         series=[
@@ -82,7 +88,7 @@ def _run_vanishing_l2(config, out_dir):
         xlabel="sawtooth teeth",
         ylabel="achieved path length",
     )
-    return columns, rows
+    return columns, rows, extras
 
 
 def _run_sphere_bvp(config, out_dir):

@@ -96,6 +96,25 @@ class TestRunner:
         assert "# unconverged_pairs = 2" in lines
         assert "# bvp_iterations = 10" in lines
 
+    def test_sphere_bvp_defaults_converge(self, tmp_path):
+        out = str(tmp_path / "s")
+        assert main(["sphere-bvp", "--out", out]) == 0
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            assert "# unconverged_pairs = 0" in fh.read().splitlines()
+
+    def test_vanishing_l2_manifest_reports_levels(self, tmp_path):
+        # five iterations cannot converge, so every level stops at the budget
+        out = str(tmp_path / "v")
+        args = ["vanishing-l2", "--set", "base_samples=16", "--set", "base_steps=4",
+                "--set", "max_iter=5"]
+        assert main(args + ["--out", out]) == 0
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            lines = fh.read().splitlines()
+        for label in ("l2", "flat"):
+            for teeth in (1, 4, 16):
+                assert f"# {label}_converged_teeth_{teeth} = 0" in lines
+                assert f"# {label}_reason_teeth_{teeth} = max_iter" in lines
+
     def test_manifest_roundtrip(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["sobolev-props", "--set", "k_max=3", "--out", out1]) == 0

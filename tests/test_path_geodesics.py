@@ -239,6 +239,20 @@ class TestBVP:
         )
         assert pg.path_length(path, oracle) <= init_length + 1e-12
 
+    def test_flat_solve_is_one_newton_step(self):
+        """On a unit flat metric the Sobolev direction L^{-1} g is the exact Newton step."""
+        oracle = pg.euclidean_oracle(3)
+        a, b = np.zeros(3), np.array([1.0, -2.0, 0.5])
+        pts = pg.Path.linear(a, b, 12).points
+        s = np.linspace(0.0, 1.0, 13)[1:-1]
+        pts[1:-1] += np.outer(np.sin(np.pi * s), [0.4, 0.3, -0.2])
+        pts[1:-1] += np.outer(s**2 * (1 - s), [1.0, 0.0, 2.0])
+        opts = pg.SolverOptions(tol=1e-10)
+        _, report = pg.bvp_minimize(a, b, oracle, init=pg.Path(pts), opts=opts)
+        assert report.converged
+        assert report.iterations <= 2
+        assert abs(report.energy - 0.5 * np.dot(b, b)) < 1e-12
+
     def test_nonconvergence_raises_with_payload(self):
         oracle = hilbert_geometry.sphere_oracle(4)
         rng = np.random.default_rng(3)
@@ -249,6 +263,104 @@ class TestBVP:
         assert excinfo.value.path is not None
         assert excinfo.value.report is not None
         assert not excinfo.value.report.converged
+
+
+class TestInverseTimeLaplacian:
+    @pytest.mark.parametrize("n_steps", [2, 3, 16, 48])
+    def test_closed_form_matches_dense_inverse(self, n_steps):
+        k = n_steps - 1
+        lap = n_steps * (2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1))  # (1/dt) tridiag
+        inverse = pg._inverse_time_laplacian(n_steps)
+        assert np.max(np.abs(inverse - np.linalg.inv(lap))) < 1e-12
+
+
+class TestStopReason:
+    """Why a solve stopped, and its work counts, as the report gives them."""
+
+    @staticmethod
+    def _bent_flat_solve(opts, metric=None):
+        flat = pg.euclidean_oracle(2)
+        oracle = flat if metric is None else dataclasses.replace(flat, metric=metric)
+        a, b = np.zeros(2), np.ones(2)
+        pts = pg.Path.linear(a, b, 8).points
+        pts[1:-1, 1] += 0.3 * np.sin(np.pi * np.linspace(0, 1, 9)[1:-1])
+        return pg.bvp_minimize(a, b, oracle, init=pg.Path(pts), opts=opts)
+
+    def test_tol(self):
+        _, report = self._bent_flat_solve(pg.SolverOptions(tol=1e-8))
+        assert (report.reason, report.converged) == ("tol", True)
+        assert report.grad_norm < 1e-8
+        # every iteration but the last accepts one trial
+        assert report.energy_evals == 1 + (report.iterations - 1) + report.backtracks
+
+    def test_max_iter(self):
+        oracle = hilbert_geometry.sphere_oracle(4)
+        rng = np.random.default_rng(3)
+        x, y = sphere_point(rng, 4), sphere_point(rng, 4)
+        opts = pg.SolverOptions(tol=1e-14, max_iter=2)
+        _, report = pg.bvp_minimize(x, y, oracle, init=pg.Path.linear(x, y, 8), opts=opts)
+        assert (report.reason, report.converged, report.iterations) == ("max_iter", False, 2)
+        assert report.energy_evals == 1 + 2 + report.backtracks
+
+    def test_line_search(self):
+        """Every trial energy is inf, so the first iteration exhausts its backtracks."""
+        calls = []
+
+        def metric(x, h, k):
+            calls.append(None)
+            if len(calls) == 1:  # the initial energy
+                return pg.euclidean_oracle(2).metric(x, h, k)
+            return np.full(np.shape(x)[:-1], np.inf)
+
+        _, report = self._bent_flat_solve(pg.SolverOptions(tol=1e-8), metric)
+        assert (report.reason, report.converged, report.iterations) == ("line_search", False, 1)
+        assert report.backtracks == pg.MAX_BACKTRACKS
+        assert report.energy_evals == 1 + pg.MAX_BACKTRACKS
+        assert np.isfinite(report.energy)
+
+
+class TestScipyCrossCheck:
+    """L-BFGS-B on path_energy, with energy_gradient as its Jacobian, finds the same minimum."""
+
+    @staticmethod
+    def _lbfgs_energy(oracle, init):
+        from scipy.optimize import minimize
+
+        def energy_and_gradient(z):
+            pts = init.points.copy()
+            pts[1:-1] = z.reshape(init.n_steps - 1, init.dim)
+            path = pg.Path(pts)
+            return pg.path_energy(path, oracle), pg.energy_gradient(path, oracle).ravel()
+
+        result = minimize(
+            energy_and_gradient, init.points[1:-1].ravel(), jac=True, method="L-BFGS-B",
+            options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 20000},
+        )
+        assert result.success, result.message
+        return result.fun
+
+    def _check(self, x, y, oracle, init, opts):
+        _, report = pg.bvp_minimize(x, y, oracle, init=init, opts=opts)
+        assert report.converged
+        reference = self._lbfgs_energy(oracle, init)
+        assert abs(report.energy - reference) <= 1e-8 * abs(reference)
+
+    def test_sphere_bvp_pair(self):
+        """The first pair of ``shapegeo sphere-bvp`` at its defaults."""
+        rng = np.random.default_rng(42)
+        m = 10
+        x, y = sphere_point(rng, m), sphere_point(rng, m)
+        init = pg.Path.linear(x, y, 48)
+        init = pg.Path(init.points / np.linalg.norm(init.points, axis=1, keepdims=True))
+        opts = pg.SolverOptions(tol=1e-6, max_iter=3000)
+        self._check(x, y, hilbert_geometry.sphere_oracle(m), init, opts)
+
+    def test_two_landmarks(self):
+        """The pair of ``shapegeo landmark-geodesic`` at its defaults."""
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 1, 2)
+        a, b = np.array([-2.0, 2.0]), np.array([-1.0, 3.0])
+        opts = pg.SolverOptions(tol=1e-6, max_iter=20000)
+        self._check(a, b, oracle, pg.Path.linear(a, b, 16), opts)
 
 
 class TestLineSearchErrors:
