@@ -434,28 +434,26 @@ def isolated_periodic_points(phi, n, n_dense=4096, tol=1e-10):
     coeffs = compress(transform(power.disp))
     x = np.linspace(0.0, TWO_PI, n_dense + 1)
     vals = evaluate_spectral(coeffs, x)[0]
-
-    def h(point):
-        return float(evaluate_spectral(coeffs, np.atleast_1d(point))[0, 0])
-
-    zeros = []
-    for i in range(n_dense):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            zeros.append(x[i])
-        elif fa * fb < 0.0:
-            lo, hi, flo = x[i], x[i + 1], fa
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fm = h(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if hi - lo < tol:
-                    break
-            zeros.append(0.5 * (lo + hi))
-    return np.asarray(zeros)
+    fa, fb = vals[:-1], vals[1:]
+    exact = fa == 0.0
+    bracket = ~exact & (fa * fb < 0.0)
+    lo, hi, flo = x[:-1][bracket], x[1:][bracket], fa[bracket]
+    # all brackets are halved together, each until it is narrower than tol
+    live = np.ones(lo.size, dtype=bool)
+    for _ in range(100):
+        if not np.any(live):
+            break
+        mid = 0.5 * (lo + hi)
+        fm = evaluate_spectral(coeffs, mid)[0]
+        left = live & (flo * fm <= 0.0)
+        right = live & ~left
+        hi = np.where(left, mid, hi)
+        lo = np.where(right, mid, lo)
+        flo = np.where(right, fm, flo)
+        live &= hi - lo >= tol
+    roots = x[:-1].copy()
+    roots[bracket] = 0.5 * (lo + hi)
+    return roots[exact | bracket]
 
 
 # ---------------------------------------------------------------------------

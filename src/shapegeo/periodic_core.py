@@ -12,6 +12,7 @@ fhat_0 = 1 and <1,1>_{H^q} = 1 for every q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +116,8 @@ def compress(c, rel_tol=1e-14):
     """Zero out coefficients below rel_tol times the largest magnitude.
 
     Band-limited data gains nothing, but off-grid evaluation of smooth
-    functions becomes much cheaper because evaluate_spectral skips the
-    zeroed modes.
+    functions becomes much cheaper: evaluate_spectral skips the zeroed
+    modes, and its phase table ends at the highest nonzero mode.
     """
     mag = np.abs(c.coeffs)
     top = np.max(mag)
@@ -133,26 +134,52 @@ def inverse_transform(c):
     return PeriodicFunction(c.grid, vals)
 
 
+def _powers(w, count):
+    """w^0, ..., w^(count-1) stacked along a new first axis, by cumulative products."""
+    table = np.empty((count,) + w.shape, dtype=complex)
+    table[0] = 1.0
+    for a in range(1, count):
+        table[a] = table[a - 1] * w
+    return table
+
+
 def evaluate_spectral(c, theta):
     """Evaluate the trigonometric interpolant of real data at angles theta.
 
-    The Nyquist coefficient is split evenly between +n/2 and -n/2, which
-    makes the interpolant real and exact on the grid nodes.
+    Returns Re sum_k c_k exp(ik theta), of shape coeffs.shape[:-1] +
+    theta.shape, with the Nyquist coefficient split evenly between +n/2
+    and -n/2, which makes the interpolant real and exact on the grid nodes.
+
+    Each -k is folded onto +k: d_0 = c_0, d_k = c_k + conj(c_{-k}) for
+    0 < k < n/2 and d_{n/2} = Re c_{n/2}, so the result is
+    Re sum_{k >= 0} d_k z^k with z = exp(i theta).  This identity holds for
+    the real part of any coefficients, Hermitian or not.  Only modes with a
+    nonzero d_k in some row are synthesized.  With k_max the highest of
+    them, M = ceil(sqrt(k_max + 1)) and B = k_max div M + 1, the phase
+    z^k = z^(k mod M) * (z^M)^(k div M) is read from a baby table z^a
+    (a < M) and a giant table (z^M)^b (b < B), both built by cumulative
+    products from one complex exponential per point: the baby-step/
+    giant-step split of Paterson and Stockmeyer (1973).  A phase thus
+    carries the rounding of up to M + B multiplications rather than that
+    of one exp(ik theta); at k_max = 128, M + B = 23.
     """
     theta = np.asarray(theta, dtype=float)
     n = c.grid.n_samples
-    k = c.grid.wavenumbers
-    coeffs = c.coeffs.copy()
-    nyq = coeffs[..., n // 2].copy()
-    coeffs[..., n // 2] = 0.0
-    # only synthesize the modes that are actually present
-    active = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 1)))
-    if not np.any(active):
-        active[n // 2 + 1 if n > 2 else 0] = True  # keep at least one column
-    phases = np.exp(1j * np.multiply.outer(theta, k[active]))
-    out = np.tensordot(coeffs[..., active], phases, axes=([-1], [-1])).real
-    out = out + np.multiply.outer(nyq.real, np.cos(0.5 * n * theta))
-    return out
+    coeffs = c.coeffs
+    folded = coeffs[..., : n // 2 + 1].astype(complex)
+    folded[..., 1 : n // 2] += np.conj(coeffs[..., : n // 2 : -1])
+    folded[..., n // 2] = coeffs[..., n // 2].real
+    modes = np.flatnonzero(np.any(folded != 0.0, axis=tuple(range(folded.ndim - 1))))
+    if modes.size == 0:
+        modes = np.zeros(1, dtype=int)  # keep one column so the shape is right
+    k_max = int(modes[-1])
+    m = math.isqrt(k_max) + 1  # ceil(sqrt(k_max + 1))
+    z = np.exp(1j * theta)
+    baby = _powers(z, m)
+    giant = _powers(baby[-1] * z, k_max // m + 1)
+    phases = baby[modes % m] * giant[modes // m]
+    # copy the real part out, so the result is contiguous and the complex product is freed
+    return np.tensordot(folded[..., modes], phases, axes=1).real.copy()
 
 
 def differentiate(values, order=1):

@@ -165,9 +165,9 @@ class TestExpNonInjectivity:
 
 
 class TestNonSurjectivity:
-    def test_candidate_is_fixed_point_free_with_isolated_periodic_points(self):
-        n_rot = 5
-        phi = df.nonsurjectivity_candidate(n_rot, 0.15, n_samples=2048)
+    @pytest.mark.parametrize("n_rot, eps, n_samples", [(5, 0.15, 2048), (3, 0.1, 256), (5, 0.05, 256)])
+    def test_candidate_is_fixed_point_free_with_isolated_periodic_points(self, n_rot, eps, n_samples):
+        phi = df.nonsurjectivity_candidate(n_rot, eps, n_samples=n_samples)
         disp = phi.disp.values[0]
         assert np.min(disp) > 0 and np.max(disp) < 2 * np.pi  # fixed-point free
         pts = df.isolated_periodic_points(phi, n_rot)
@@ -216,9 +216,26 @@ class TestTimeDependentFlow:
             df.TimeDependentField([0.0, 1.0], [grid.nodes, grid.nodes], grid)
 
 
+def noninjectivity_field(amp):
+    """exp_noninjectivity_demo's field for psi = x + amp*sin(3x), as exp-circle builds it.
+
+    After compress it keeps 39 Fourier modes at amp = 0.05 and 54 at amp = 0.08.
+    """
+    return df.exp_noninjectivity_demo(make_diffeo(256, lambda t: amp * np.sin(3 * t)), 3)[0]
+
+
 class TestFlowTelemetry:
-    def test_smooth_flow_takes_base_steps(self):
-        u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256)
+    @pytest.mark.parametrize(
+        "make_field",
+        [
+            lambda: df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256),
+            lambda: noninjectivity_field(0.05),
+            lambda: noninjectivity_field(0.08),
+        ],
+        ids=["sine", "noninjectivity-0.05", "noninjectivity-0.08"],
+    )
+    def test_smooth_flow_takes_base_steps(self, make_field):
+        u = make_field()
         result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u], u.grid, 0.0, 1.0))
         assert result.steps == 256 and result.rejected == 0
         assert 0.0 < result.max_err <= df.TOL * (np.max(np.abs(result.final_map)) + 1.0)

@@ -77,7 +77,51 @@ class TestGridAndTransform:
             assert abs(c[k] - np.conj(c[-k])) < 1e-13
 
 
+def direct_spectral_sum(coeffs, theta):
+    """Re sum_k c_k exp(ik theta) over the fft wavenumbers, the Nyquist
+    coefficient split evenly between +n/2 and -n/2: one exp per point and mode."""
+    n = coeffs.shape[-1]
+    split = coeffs.copy()
+    split[..., n // 2] *= 0.5
+    phases = np.exp(1j * np.multiply.outer(theta, pc.PeriodicGrid(n).wavenumbers))
+    out = np.tensordot(split, phases, axes=([-1], [-1]))
+    out = out + np.multiply.outer(split[..., n // 2], np.exp(-0.5j * n * theta))
+    return out.real
+
+
+@st.composite
+def spectral_cases(draw):
+    """Coefficients (d, n) and lifted angles in [-4pi, 4pi] of shape (), (P,) or (2, P)."""
+    d = draw(st.integers(1, 3))
+    n = 2 ** draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["hermitian", "general", "sparse", "nyquist", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
+    if kind == "hermitian":
+        coeffs = np.fft.fft(rng.normal(size=(d, n)), axis=-1) / n
+    elif kind == "sparse":
+        coeffs[rng.random(size=(d, n)) < 0.8] = 0.0
+    elif kind == "nyquist":
+        coeffs[:, np.arange(n) != n // 2] = 0.0
+    elif kind == "zero":
+        coeffs[:] = 0.0
+    points = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from([(), (points,), (2, points)]))
+    theta = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=shape)
+    return pc.SpectralCoeffs(pc.PeriodicGrid(n), coeffs), theta
+
+
 class TestEvaluateSpectral:
+    @settings(max_examples=200, deadline=None)
+    @given(spectral_cases())
+    def test_matches_direct_sum(self, case):
+        c, theta = case
+        got = pc.evaluate_spectral(c, theta)
+        expect = direct_spectral_sum(c.coeffs, theta)
+        assert got.shape == c.coeffs.shape[:-1] + theta.shape
+        scale = np.sum(np.abs(c.coeffs), axis=-1).reshape((-1,) + (1,) * theta.ndim)
+        assert np.all(np.abs(got - expect) <= 1e-12 * scale)
+
     def test_interpolation_exact_on_nodes(self):
         rng = np.random.default_rng(3)
         f = random_bandlimited(rng, 32, 8)
