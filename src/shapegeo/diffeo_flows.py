@@ -210,8 +210,9 @@ class TimeDependentField:
         object.__setattr__(self, "knots", knots)
 
     @classmethod
-    def uniform(cls, fields, grid, t_start=0.0, t_end=1.0):
-        knots = np.linspace(t_start, t_end, len(fields) + 1)
+    def uniform(cls, fields, grid, t_end=1.0):
+        """Equal intervals from t = 0 to t_end, one per field."""
+        knots = np.linspace(0.0, t_end, len(fields) + 1)
         return cls(knots, list(fields), grid)
 
     def reversed(self):
@@ -311,8 +312,8 @@ def flow_time_dependent(u, x0=None):
     return FlowResult(x, steps=steps, rejected=rejected, max_err=max_err)
 
 
-def _refine_exit_time(evaluate, x_start, t_start, dt, window):
-    """Bisect within the accepted step [t_start, t_start + dt] from x_start
+def _refine_exit_time(evaluate, x_start, t_step, dt, window):
+    """Bisect within the accepted step [t_step, t_step + dt] from x_start
     for the time the trajectory crosses the window edge."""
     k1 = evaluate(x_start)
     lo, hi = 0.0, dt
@@ -324,7 +325,7 @@ def _refine_exit_time(evaluate, x_start, t_start, dt, window):
             lo = mid
         if hi - lo < 1e-9 * max(dt, 1.0):
             break
-    return t_start + 0.5 * (lo + hi)
+    return t_step + 0.5 * (lo + hi)
 
 
 def flow_autonomous(u, t):
@@ -337,7 +338,7 @@ def flow_autonomous(u, t):
     t = float(t)
     if t == 0.0:
         return CircleDiffeo.identity(u.grid.n_samples)
-    tf = TimeDependentField.uniform([u.u], u.grid, 0.0, abs(t))
+    tf = TimeDependentField.uniform([u.u], u.grid, abs(t))
     if t < 0.0:
         tf = tf.reversed()
     end = flow_time_dependent(tf).final_map
@@ -421,7 +422,13 @@ def nonsurjectivity_candidate(n, eps, n_samples=256):
     return phi
 
 
-def isolated_periodic_points(phi, n, n_dense=4096, tol=1e-10):
+# sign-change scan: a spacing of 2 pi / 4096 is far below the pi / n between periodic points
+PERIODIC_SCAN_SAMPLES = 4096
+# bracket width where bisection stops, far below the 1e-6 the points are checked to
+PERIODIC_POINT_TOL = 1e-10
+
+
+def isolated_periodic_points(phi, n):
     """Fixed points of phi^n, by dense sampling and bisection.
 
     The displacement of the composed map is wrapped to mean in [-pi, pi),
@@ -432,7 +439,7 @@ def isolated_periodic_points(phi, n, n_dense=4096, tol=1e-10):
     for _ in range(n - 1):
         power = compose(phi, power)
     coeffs = compress(transform(power.disp))
-    x = np.linspace(0.0, TWO_PI, n_dense + 1)
+    x = np.linspace(0.0, TWO_PI, PERIODIC_SCAN_SAMPLES + 1)
     vals = evaluate_spectral(coeffs, x)[0]
     fa, fb = vals[:-1], vals[1:]
     exact = fa == 0.0
@@ -450,7 +457,7 @@ def isolated_periodic_points(phi, n, n_dense=4096, tol=1e-10):
         hi = np.where(left, mid, hi)
         lo = np.where(right, mid, lo)
         flo = np.where(right, fm, flo)
-        live &= hi - lo >= tol
+        live &= hi - lo >= PERIODIC_POINT_TOL
     roots = x[:-1].copy()
     roots[bracket] = 0.5 * (lo + hi)
     return roots[exact | bracket]
@@ -461,16 +468,20 @@ def isolated_periodic_points(phi, n, n_dense=4096, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def membership_check(f_samples, grid, decay_tol=1e-6):
+# |f| at the window ends, which stand in for infinity, up to which f counts as decayed
+DECAY_TOL = 1e-6
+
+
+def membership_check(f_samples, grid):
     """1-D proxy for Id + H^q membership: boundary decay and 1 + f' > 0."""
     f = np.asarray(f_samples, dtype=float)
     nodes = grid.nodes
     if f.shape != nodes.shape:
         raise ValueError("displacement samples do not match the grid")
-    if abs(f[0]) > decay_tol or abs(f[-1]) > decay_tol:
+    if abs(f[0]) > DECAY_TOL or abs(f[-1]) > DECAY_TOL:
         raise ValueError(
             f"displacement does not decay at the window boundary "
-            f"(|f| = {max(abs(f[0]), abs(f[-1])):.2e} > {decay_tol:.0e})"
+            f"(|f| = {max(abs(f[0]), abs(f[-1])):.2e} > DECAY_TOL {DECAY_TOL:.0e})"
         )
     fprime = np.gradient(f, nodes)
     return bool(np.min(1.0 + fprime) > 0.0)

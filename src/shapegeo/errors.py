@@ -16,14 +16,9 @@ class SingularGram(ShapeGeoError):
 class NonConvergence(ShapeGeoError):
     """A solver did not reach the requested tolerance within its budget.
 
-    Geodesic solvers carry the best path found so far in ``self.path`` and
-    the final report in ``self.report``; both are None otherwise.
+    The circle flows and ``invert`` raise it.  The BVP solver does not: its
+    ``GeodesicReport`` says whether and why a solve stopped short.
     """
-
-    def __init__(self, message, path=None, report=None):
-        super().__init__(message)
-        self.path = path
-        self.report = report
 
 
 class DegenerateConfig(ShapeGeoError):

@@ -6,7 +6,9 @@ Each subcommand writes table.csv, plot.svg and manifest.txt into the
 output directory.  The manifest is itself a valid config file, so
 ``shapegeo <subcommand> --config OUT/manifest.txt`` reproduces the table
 exactly.  The environment variable SHAPEGEO_SEED overrides the config
-seed.  Exit codes: 0 success, 2 config error, 3 numerical failure.
+seed of ``sphere-bvp``, the one subcommand with random input; the others
+have no seed and ignore it.  Exit codes: 0 success, 2 config error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ from .. import curves, diffeo_flows, hilbert_geometry, kernel_metrics
 from .. import path_geodesics as pg
 from .. import periodic_core as pc
 from ..errors import ShapeGeoError
-from .io import ConfigError, load_config_file, parse_overrides, svg_plot, write_csv, write_manifest
+from .io import ConfigError, atomic_write_text, load_config_file, parse_overrides
+from .io import svg_plot, write_csv, write_manifest
 
 __all__ = ["main", "run_experiment", "EXPERIMENTS"]
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations: config -> (columns, rows, plot writer)
+# Experiment implementations: config -> (columns, rows, extras), with the plot
+# written as a side effect; extras become manifest comments
 # ---------------------------------------------------------------------------
 
 
@@ -49,7 +53,7 @@ def _run_grossman(config, out_dir):
         ylabel="length",
         hlines=[("pi", float(np.pi))],
     )
-    return columns, rows
+    return columns, rows, {}
 
 
 def _run_vanishing_l2(config, out_dir):
@@ -173,7 +177,7 @@ def _run_exp_circle(config, out_dir):
         xlabel="theta",
         ylabel="field value",
     )
-    return columns, rows
+    return columns, rows, {}
 
 
 def _run_blowup(config, out_dir):
@@ -181,9 +185,7 @@ def _run_blowup(config, out_dir):
         half_width=config["half_width"], n_nodes=config["n_nodes"]
     )
     field = grid.nodes**2
-    tf = diffeo_flows.TimeDependentField.uniform(
-        [field], grid, 0.0, config["t_end"]
-    )
+    tf = diffeo_flows.TimeDependentField.uniform([field], grid, config["t_end"])
     result = diffeo_flows.flow_time_dependent(tf, x0=np.array([config["x0"]]))
     if not result.blow_up:
         raise ShapeGeoError("expected blow-up was not observed")
@@ -208,7 +210,7 @@ def _run_blowup(config, out_dir):
         ylabel="x",
         logy=True,
     )
-    return columns, rows
+    return columns, rows, {}
 
 
 def _run_landmark_geodesic(config, out_dir):
@@ -247,7 +249,7 @@ def _run_lddmm_flow(config, out_dir):
         np.sin(x) * np.exp(-0.1 * x**2),
         np.cos(2.0 * x) * np.exp(-0.1 * x**2),
     ]
-    tf = diffeo_flows.TimeDependentField.uniform(fields, grid, 0.0, 1.0)
+    tf = diffeo_flows.TimeDependentField.uniform(fields, grid)
     probe = np.linspace(-3.0, 3.0, config["n_probe"])
     fwd = diffeo_flows.flow_time_dependent(tf, x0=probe)
     back = diffeo_flows.flow_time_dependent(tf.reversed(), x0=fwd.final_map)
@@ -304,13 +306,13 @@ def _run_sobolev_props(config, out_dir):
         xlabel="mode k",
         ylabel="ratio",
     )
-    return columns, rows
+    return columns, rows, {}
 
 
 EXPERIMENTS = {
     "grossman": (
         _run_grossman,
-        {"m": 24, "n_min": 1, "n_max": 20, "seed": 0},
+        {"m": 24, "n_min": 1, "n_max": 20},
     ),
     "vanishing-l2": (
         _run_vanishing_l2,
@@ -320,7 +322,6 @@ EXPERIMENTS = {
             "base_steps": 16,
             "tol": 1e-6,
             "max_iter": 4000,
-            "seed": 0,
         },
     ),
     "sphere-bvp": (
@@ -341,7 +342,6 @@ EXPERIMENTS = {
             "rotation_order": 3,
             "amplitude_1": 0.05,
             "amplitude_2": 0.08,
-            "seed": 0,
         },
     ),
     "blowup": (
@@ -351,7 +351,6 @@ EXPERIMENTS = {
             "half_width": 10000.0,
             "n_nodes": 32768,
             "t_end": 1.0,
-            "seed": 0,
         },
     ),
     "landmark-geodesic": (
@@ -365,16 +364,15 @@ EXPERIMENTS = {
             "n_steps": 16,
             "tol": 1e-6,
             "max_iter": 20000,
-            "seed": 0,
         },
     ),
     "lddmm-flow": (
         _run_lddmm_flow,
-        {"half_width": 10.0, "n_nodes": 2048, "n_probe": 61, "seed": 0},
+        {"half_width": 10.0, "n_nodes": 2048, "n_probe": 61},
     ),
     "sobolev-props": (
         _run_sobolev_props,
-        {"n_samples": 64, "k_max": 8, "seed": 0},
+        {"n_samples": 64, "k_max": 8},
     ),
 }
 
@@ -393,7 +391,7 @@ def _assemble_config(name, args):
         config.update(file_config)
     config.update(parse_overrides(args.set or []))
     env_seed = os.environ.get("SHAPEGEO_SEED")
-    if env_seed is not None:
+    if env_seed is not None and "seed" in defaults:
         try:
             config["seed"] = int(env_seed)
         except ValueError as exc:
@@ -410,20 +408,13 @@ def run_experiment(name, config, out_dir):
     """Run one experiment and write table.csv, plot.svg, manifest.txt."""
     runner, defaults = EXPERIMENTS[name]
     os.makedirs(out_dir, exist_ok=True)
-    result = runner(config, out_dir)
-    if len(result) == 3:
-        columns, rows, extras = result
-    else:
-        columns, rows = result
-        extras = {}
+    columns, rows, extras = runner(config, out_dir)
     write_csv(os.path.join(out_dir, "table.csv"), columns, rows)
     write_manifest(os.path.join(out_dir, "manifest.txt"), name, config, extras)
     return columns, rows
 
 
 def _write_error_record(out_dir, exc):
-    from .io import atomic_write_text
-
     try:
         os.makedirs(out_dir, exist_ok=True)
         atomic_write_text(

@@ -81,8 +81,8 @@ def gaussian_kernel(sigma):
     return Kernel(kind="gaussian", scale=float(sigma))
 
 
-def sobolev_kernel(order, scale=1.0):
-    return Kernel(kind="sobolev", scale=float(scale), order=int(order))
+def sobolev_kernel(order):
+    return Kernel(kind="sobolev", order=int(order))
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,10 @@ def horizontal_lift(kernel, config, h):
     return p, field
 
 
-def induced_metric(kernel, config, h, h2=None):
-    """Cometric value h^T K_q^{-1} h2 (h2 defaults to h)."""
-    shape = (config.n_points, config.dim)
-    h = np.asarray(h, dtype=float).reshape(shape)
-    h2 = h if h2 is None else np.asarray(h2, dtype=float).reshape(shape)
-    return float(np.sum(h * _cho_solve(_factor(kernel, config.points)[2], h2)))
+def induced_metric(kernel, config, h):
+    """Cometric value h^T K_q^{-1} h, the squared norm of the tangent h."""
+    h = np.asarray(h, dtype=float).reshape(config.n_points, config.dim)
+    return float(np.sum(h * _cho_solve(_factor(kernel, config.points)[2], h)))
 
 
 def _rkhs_inner(kernel, points_a, momenta_a, points_b, momenta_b):

@@ -112,19 +112,19 @@ def transform(f):
     return SpectralCoeffs(f.grid, np.fft.fft(f.values, axis=-1) / n)
 
 
-def compress(c, rel_tol=1e-14):
-    """Zero out coefficients below rel_tol times the largest magnitude.
+def compress(c):
+    """Zero out coefficients at or below the rounding level of ``transform``.
 
+    The FFT of n samples carries errors of about n * eps times the largest
+    coefficient, so every coefficient no larger than n * eps * max|c_k| is
+    taken as rounding noise and zeroed, with n = c.grid.n_samples.
     Band-limited data gains nothing, but off-grid evaluation of smooth
     functions becomes much cheaper: evaluate_spectral skips the zeroed
     modes, and its phase table ends at the highest nonzero mode.
     """
     mag = np.abs(c.coeffs)
-    top = np.max(mag)
-    if top == 0.0:
-        return c
-    coeffs = np.where(mag > rel_tol * top, c.coeffs, 0.0)
-    return SpectralCoeffs(c.grid, coeffs)
+    threshold = c.grid.n_samples * np.finfo(float).eps * np.max(mag)
+    return SpectralCoeffs(c.grid, np.where(mag > threshold, c.coeffs, 0.0))
 
 
 def inverse_transform(c):

@@ -24,7 +24,7 @@ def _verdict(number, ok, detail):
 def test_acceptance_01_grossman_ellipsoid():
     t0 = time.time()
     spec = hilbert_geometry.EllipsoidSpec(m=24)
-    table = hilbert_geometry.grossman_experiment(spec, range(1, 21), quad_tol=1e-12)
+    table = hilbert_geometry.grossman_experiment(spec, range(1, 21))
     elapsed = time.time() - t0
     lengths = [row[1] for row in table]
     squeeze = all(np.pi < length <= bound + 1e-9 for _, length, bound in table)
@@ -199,7 +199,7 @@ def test_acceptance_06_exponential_map_constructions():
 
 def test_acceptance_07_blow_up():
     grid = diffeo_flows.RealGrid(half_width=1e4, n_nodes=1 << 15)
-    tf = diffeo_flows.TimeDependentField.uniform([grid.nodes**2], grid, 0.0, 1.0)
+    tf = diffeo_flows.TimeDependentField.uniform([grid.nodes**2], grid)
     result = diffeo_flows.flow_time_dependent(tf, x0=np.array([2.0]))
     err = abs(result.blow_up_time - 0.5) if result.blow_up else np.inf
     ok = result.blow_up and err < 1e-3
@@ -272,7 +272,7 @@ def test_acceptance_09_flow_group_property():
     worst = 0.0
     member_ok = True
     for fields in cases:
-        tf = diffeo_flows.TimeDependentField.uniform(fields, grid, 0.0, 1.0)
+        tf = diffeo_flows.TimeDependentField.uniform(fields, grid)
         fwd = diffeo_flows.flow_time_dependent(tf)
         back = diffeo_flows.flow_time_dependent(tf.reversed(), x0=fwd.final_map)
         worst = max(worst, float(np.max(np.abs(back.final_map - x))))

@@ -183,7 +183,7 @@ class TestNonSurjectivity:
 class TestTimeDependentFlow:
     def test_blow_up_time(self):
         grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid, 0.0, 1.0)
+        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
         result = df.flow_time_dependent(tf, x0=np.array([2.0]))
         assert result.blow_up
         assert abs(result.blow_up_time - 0.5) < 1e-3
@@ -191,7 +191,7 @@ class TestTimeDependentFlow:
     def test_no_blow_up_for_bounded_field(self):
         grid = df.RealGrid()
         field = np.sin(grid.nodes) * np.exp(-0.5 * grid.nodes**2)
-        tf = df.TimeDependentField.uniform([field], grid, 0.0, 1.0)
+        tf = df.TimeDependentField.uniform([field], grid)
         result = df.flow_time_dependent(tf, x0=np.array([0.0, 1.0, -1.5]))
         assert not result.blow_up
 
@@ -202,7 +202,7 @@ class TestTimeDependentFlow:
             np.sin(x) * np.exp(-0.5 * x**2),
             np.cos(2 * x) * np.exp(-0.5 * x**2),
         ]
-        tf = df.TimeDependentField.uniform(fields, grid, 0.0, 1.0)
+        tf = df.TimeDependentField.uniform(fields, grid)
         probe = np.linspace(-3, 3, 41)
         fwd = df.flow_time_dependent(tf, x0=probe)
         back = df.flow_time_dependent(tf.reversed(), x0=fwd.final_map)
@@ -219,9 +219,18 @@ class TestTimeDependentFlow:
 def noninjectivity_field(amp):
     """exp_noninjectivity_demo's field for psi = x + amp*sin(3x), as exp-circle builds it.
 
-    After compress it keeps 39 Fourier modes at amp = 0.05 and 54 at amp = 0.08.
+    After compress it keeps 31 Fourier modes at amp = 0.05 and 45 at amp = 0.08.
     """
     return df.exp_noninjectivity_demo(make_diffeo(256, lambda t: amp * np.sin(3 * t)), 3)[0]
+
+
+class TestCompressThreshold:
+    @pytest.mark.parametrize("amp", [0.05, 0.08])
+    def test_noninjectivity_field_keeps_only_multiples_of_3(self, amp):
+        """The field is 2pi/3-periodic, so any other surviving mode is rounding noise."""
+        u = noninjectivity_field(amp)
+        modes = u.grid.wavenumbers[np.flatnonzero(pc.compress(pc.transform(u.u)).coeffs[0])]
+        assert modes.size > 0 and np.all(modes % 3 == 0)
 
 
 class TestFlowTelemetry:
@@ -236,13 +245,13 @@ class TestFlowTelemetry:
     )
     def test_smooth_flow_takes_base_steps(self, make_field):
         u = make_field()
-        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u], u.grid, 0.0, 1.0))
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u], u.grid))
         assert result.steps == 256 and result.rejected == 0
         assert 0.0 < result.max_err <= df.TOL * (np.max(np.abs(result.final_map)) + 1.0)
 
     def test_blow_up_run_shrinks_its_steps(self):
         grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid, 0.0, 1.0)
+        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
         result = df.flow_time_dependent(tf, x0=np.array([2.0]))
         assert result.blow_up and result.steps > 256
 
@@ -260,7 +269,7 @@ class TestIntegratorBudgets:
         monkeypatch.setattr(df, "MIN_STEP", 1e-3)
         monkeypatch.setattr(df, "TOL", 0.0)
         grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid, 0.0, 1.0)
+        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
         with pytest.raises(NonConvergence, match="MIN_STEP"):
             df.flow_time_dependent(tf, x0=np.array([2.0]))
 
@@ -268,7 +277,7 @@ class TestIntegratorBudgets:
         monkeypatch.setattr(df, "MAX_SUBSTEPS", 3)
         grid = df.RealGrid()
         field = np.sin(grid.nodes) * np.exp(-0.5 * grid.nodes**2)
-        tf = df.TimeDependentField.uniform([field], grid, 0.0, 1.0)
+        tf = df.TimeDependentField.uniform([field], grid)
         with pytest.raises(NonConvergence, match="MAX_SUBSTEPS"):
             df.flow_time_dependent(tf, x0=np.array([0.0, 1.0]))
 
@@ -298,7 +307,7 @@ class TestMembership:
     def test_flow_of_decaying_field_is_member(self):
         grid = df.RealGrid()
         field = 0.5 * np.sin(grid.nodes) * np.exp(-0.5 * grid.nodes**2)
-        tf = df.TimeDependentField.uniform([field], grid, 0.0, 1.0)
+        tf = df.TimeDependentField.uniform([field], grid)
         result = df.flow_time_dependent(tf)
         disp = result.final_map - grid.nodes
         assert df.membership_check(disp, grid)

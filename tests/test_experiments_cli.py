@@ -63,6 +63,19 @@ class TestSvg:
         assert "polyline" in tags and "text" in tags
 
 
+# one quick --set config per subcommand
+SMALL_CONFIGS = {
+    "grossman": ["n_max=4"],
+    "vanishing-l2": ["base_samples=16", "base_steps=4", "max_iter=5"],
+    "sphere-bvp": ["n_pairs=2", "n_steps=16", "seed=7"],
+    "exp-circle": ["n_samples=64"],
+    "blowup": ["half_width=100.0", "n_nodes=1024"],
+    "landmark-geodesic": ["n_steps=8"],
+    "lddmm-flow": ["n_nodes=256", "n_probe=5"],
+    "sobolev-props": ["k_max=3"],
+}
+
+
 class TestRunner:
     def test_grossman_end_to_end(self, tmp_path):
         out = str(tmp_path / "g")
@@ -115,11 +128,14 @@ class TestRunner:
                 assert f"# {label}_converged_teeth_{teeth} = 0" in lines
                 assert f"# {label}_reason_teeth_{teeth} = max_iter" in lines
 
-    def test_manifest_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
+    def test_manifest_roundtrip(self, tmp_path, name):
+        """A manifest read back as the config reproduces the table byte for byte."""
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["sobolev-props", "--set", "k_max=3", "--out", out1]) == 0
+        sets = [arg for pair in SMALL_CONFIGS[name] for arg in ("--set", pair)]
+        assert main([name, *sets, "--out", out1]) == 0
         manifest = os.path.join(out1, "manifest.txt")
-        assert main(["sobolev-props", "--config", manifest, "--out", out2]) == 0
+        assert main([name, "--config", manifest, "--out", out2]) == 0
         with open(os.path.join(out1, "table.csv"), "rb") as fh:
             first = fh.read()
         with open(os.path.join(out2, "table.csv"), "rb") as fh:
@@ -134,6 +150,13 @@ class TestRunner:
         ) == 0
         with open(os.path.join(out, "manifest.txt")) as fh:
             assert "seed = 123" in fh.read()
+
+    def test_env_seed_is_ignored_without_seed_key(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "g")
+        monkeypatch.setenv("SHAPEGEO_SEED", "123")
+        assert main(["grossman", "--set", "n_max=4", "--out", out]) == 0
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            assert not [line for line in fh if line.startswith("seed")]
 
     def test_unknown_key_is_config_error(self, tmp_path):
         assert main(["grossman", "--set", "bogus=1", "--out", str(tmp_path / "x")]) == 2

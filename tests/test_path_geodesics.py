@@ -7,7 +7,7 @@ import pytest
 
 from shapegeo import hilbert_geometry, kernel_metrics as km, path_geodesics as pg
 from shapegeo import periodic_core as pc
-from shapegeo.errors import DegenerateConfig, NonConvergence, SingularGram
+from shapegeo.errors import DegenerateConfig, SingularGram
 
 
 def sphere_point(rng, m):
@@ -252,17 +252,6 @@ class TestBVP:
         assert report.converged
         assert report.iterations <= 2
         assert abs(report.energy - 0.5 * np.dot(b, b)) < 1e-12
-
-    def test_nonconvergence_raises_with_payload(self):
-        oracle = hilbert_geometry.sphere_oracle(4)
-        rng = np.random.default_rng(3)
-        x, y = sphere_point(rng, 4), sphere_point(rng, 4)
-        opts = pg.SolverOptions(tol=1e-14, max_iter=2, raise_on_failure=True)
-        with pytest.raises(NonConvergence) as excinfo:
-            pg.bvp_minimize(x, y, oracle, init=pg.Path.linear(x, y, 8), opts=opts)
-        assert excinfo.value.path is not None
-        assert excinfo.value.report is not None
-        assert not excinfo.value.report.converged
 
 
 class TestInverseTimeLaplacian:
