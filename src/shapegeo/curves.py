@@ -107,25 +107,21 @@ def immersion_check(c):
     return float(np.min(c.speed))
 
 
-def _check_same_base(*tangents):
-    base = tangents[0].base
-    for t in tangents[1:]:
-        if t.base is not base and not np.array_equal(
-            t.base.pos.values, base.pos.values
-        ):
-            raise ValueError("tangents are based at different curves")
-    return base
+def _check_same_base(c, *tangents):
+    for t in tangents:
+        if t.base is not c and not np.array_equal(t.base.pos.values, c.pos.values):
+            raise ValueError("tangents are not based at the curve c")
 
 
 def l2_metric(c, h, k):
     """Trapezoid quadrature of <h, k> |c'| dtheta."""
-    _check_same_base(h, k)
+    _check_same_base(c, h, k)
     return float(np.sum(k.h.values * l2_rows(c.speed, h.h.values)))
 
 
 def l2_metric_variation(c, l, h, k):
     """Directional derivative of the L^2 metric in curve direction l."""
-    _check_same_base(l, h, k)
+    _check_same_base(c, l, h, k)
     rows = l2_variation_rows(c.deriv.values, c.speed, h.h.values, k.h.values)
     return float(np.sum(l.h.values * rows))
 

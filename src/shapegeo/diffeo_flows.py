@@ -6,7 +6,8 @@ of 2*pi so its mean lies in [-pi, pi).  Flows integrate per node with
 one RK4 loop: steps of at most 1/256, each halved until its step-doubling
 error is at most 1e-8 * (max|x| + 1).  Flows on the real line run on a
 finite window; a trajectory leaving the window is reported as
-blow-up data, not as an error.
+blow-up data, not as an error.  The same RK4 step, at fixed step size,
+serves ``path_geodesics.ivp_shoot``.
 """
 
 from __future__ import annotations

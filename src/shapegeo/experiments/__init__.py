@@ -1,5 +1,7 @@
-"""Experiment runner: named subcommands, flat configs, CSV tables, SVG plots."""
+"""Experiment runner: named subcommands, flat configs, CSV tables, SVG plots.
 
-from . import cli, io
+The submodules ``cli`` and ``io`` are not imported here, so that
+``python -m shapegeo.experiments.cli`` runs ``cli`` once, as ``__main__``.
+"""
 
-__all__ = ["cli", "io"]
+__all__ = []

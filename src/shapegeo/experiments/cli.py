@@ -387,7 +387,9 @@ def _assemble_config(name, args):
     config = dict(defaults)
     if args.config is not None:
         file_config = load_config_file(args.config)
-        file_config.pop("experiment", None)
+        file_experiment = file_config.pop("experiment", name)
+        if file_experiment != name:
+            raise ConfigError(f"config file is for {file_experiment}, not {name}")
         config.update(file_config)
     config.update(parse_overrides(args.set or []))
     env_seed = os.environ.get("SHAPEGEO_SEED")

@@ -14,9 +14,8 @@ endpoints (Neuberger, *Sobolev Gradients and Differential Equations*,
 1997; Sundaramoorthi-Yezzi-Mennucci, *Sobolev active contours*, 2007).
 For a metric near the identity p is close to the Newton step, so plain
 descent's thousands of iterations become tens.  The initial-value solver
-time-steps the geodesic equation, solving for the Christoffel term at
-each step against the metric's Gram matrix, which the oracle derives
-from its flat map ``metric_rows``.
+takes the flows' RK4 step on the state (x, v), each stage solving for the
+Christoffel term against the Gram matrix of the flat map ``metric_rows``.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .curves import l2_rows, l2_variation_rows, tangent
+from .diffeo_flows import _rk4_step
 from .errors import ShapeGeoError, SingularGram
 from .periodic_core import PeriodicFunction, PeriodicGrid, evaluate_spectral, transform
 
@@ -348,25 +348,20 @@ def geodesic_acceleration(x, v, oracle):
 
 
 def ivp_shoot(x0, v0, oracle, n_steps):
-    """Integrate the geodesic equation over t in [0, 1] with the implicit midpoint rule."""
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    """Integrate the geodesic equation over t in [0, 1] by n_steps RK4 steps on y = (x, v)."""
+    x = np.asarray(x0, dtype=float)
+    dim = x.size
+
+    def rate(y):
+        return np.concatenate([y[dim:], geodesic_acceleration(y[:dim], y[dim:], oracle)])
+
+    y = np.concatenate([x, np.asarray(v0, dtype=float)])
     dt = 1.0 / n_steps
-    pts = np.empty((n_steps + 1, x.size))
+    pts = np.empty((n_steps + 1, dim))
     pts[0] = x
     for i in range(n_steps):
-        # implicit midpoint, solved by fixed-point iteration
-        a = geodesic_acceleration(x, v, oracle)
-        x_new = x + dt * v + 0.5 * dt * dt * a
-        v_new = v + dt * a
-        for _ in range(3):
-            xm = 0.5 * (x + x_new)
-            vm = 0.5 * (v + v_new)
-            am = geodesic_acceleration(xm, vm, oracle)
-            x_new = x + dt * vm
-            v_new = v + dt * am
-        x, v = x_new, v_new
-        pts[i + 1] = x
+        y = _rk4_step(rate, y, dt, rate(y))
+        pts[i + 1] = y[:dim]
     return Path(pts)
 
 

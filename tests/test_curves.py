@@ -127,6 +127,20 @@ class TestL2Metric:
         assert curves.l2_metric(c, h, h) > 0
         assert abs(curves.l2_metric(c, h, k) - curves.l2_metric(c, k, h)) < 1e-12
 
+    def test_tangents_must_be_based_at_c(self):
+        # |(1, 1)|^2 times the 3:1 ellipse's perimeter is 26.73; read with the
+        # unit circle's speed instead, the same field would give 4 pi = 12.57
+        ellipse = curves.Curve.from_callable(
+            lambda t: np.stack([3.0 * np.cos(t), np.sin(t)]), 256, dim=2
+        )
+        h = curves.CurveTangent(ellipse, pc.PeriodicFunction(ellipse.grid, np.ones((2, 256))))
+        assert abs(curves.l2_metric(ellipse, h, h) - 26.73) < 0.01
+        circle = unit_circle()
+        with pytest.raises(ValueError):
+            curves.l2_metric(circle, h, h)
+        with pytest.raises(ValueError):
+            curves.l2_metric_variation(circle, h, h, h)
+
 
 class TestMetricVariation:
     def test_constant_direction_is_zero(self):

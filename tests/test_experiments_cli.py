@@ -1,11 +1,14 @@
 """Experiment runner: configs, CSV/SVG artifacts, determinism, exit codes."""
 
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import shapegeo
 from shapegeo.experiments import io
 from shapegeo.experiments.cli import main, run_experiment
 
@@ -160,6 +163,24 @@ class TestRunner:
 
     def test_unknown_key_is_config_error(self, tmp_path):
         assert main(["grossman", "--set", "bogus=1", "--out", str(tmp_path / "x")]) == 2
+
+    def test_config_of_another_experiment_is_config_error(self, tmp_path):
+        config = tmp_path / "sphere.txt"
+        config.write_text("experiment = sphere-bvp\nn_steps = 8\n")
+        args = ["landmark-geodesic", "--config", str(config), "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+
+    def test_module_run_raises_no_runtime_warning(self, tmp_path):
+        # runpy warns when the package has imported the module it is about to run
+        src = os.path.dirname(os.path.dirname(shapegeo.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "shapegeo.experiments.cli",
+             "sobolev-props", "--set", "k_max=1", "--out", str(tmp_path / "s")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_bad_override_is_config_error(self, tmp_path):
         assert main(["grossman", "--set", "m", "--out", str(tmp_path / "x")]) == 2

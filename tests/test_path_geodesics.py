@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapegeo import hilbert_geometry, kernel_metrics as km, path_geodesics as pg
 from shapegeo import periodic_core as pc
@@ -13,6 +15,16 @@ from shapegeo.errors import DegenerateConfig, SingularGram
 def sphere_point(rng, m):
     x = rng.normal(size=m)
     return x / np.linalg.norm(x)
+
+
+@st.composite
+def sphere_shot(draw):
+    """A unit x in R^m, 3 <= m <= 10, and a tangent v at x with |v| in [0.1, 3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = sphere_point(rng, draw(st.integers(3, 10)))
+    w = rng.normal(size=x.size)
+    w -= (w @ x) * x
+    return x, draw(st.floats(0.1, 3.0)) * w / np.linalg.norm(w)
 
 
 def curve_point(rng, n=16):
@@ -412,6 +424,27 @@ class TestIVP:
         target = np.zeros(m)
         target[1] = 1.0
         assert np.linalg.norm(path.points[-1] - target) < 1e-4
+
+    def test_sphere_quarter_circle_fourth_order(self):
+        # RK4: halving the step divides the endpoint error by 2^4 = 16
+        m = 10
+        oracle = hilbert_geometry.sphere_oracle(m)
+        x0, v0, target = np.zeros(m), np.zeros(m), np.zeros(m)
+        x0[0] = 1.0
+        v0[1] = np.pi / 2
+        target[1] = 1.0
+        err = [np.linalg.norm(pg.ivp_shoot(x0, v0, oracle, n).points[-1] - target) for n in (16, 32)]
+        assert err[0] / err[1] >= 12.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(sphere_shot())
+    def test_sphere_great_circle_property(self, shot):
+        # the geodesic from x with velocity v is cos(t|v|) x + sin(t|v|) v/|v|
+        x, v = shot
+        speed = np.linalg.norm(v)
+        path = pg.ivp_shoot(x, v, hilbert_geometry.sphere_oracle(x.size), 64)
+        target = np.cos(speed) * x + np.sin(speed) * v / speed
+        assert np.linalg.norm(path.points[-1] - target) < 1e-6
 
     def test_bvp_ivp_consistency(self):
         rng = np.random.default_rng(4)
