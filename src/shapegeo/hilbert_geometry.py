@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .path_geodesics import MetricOracle
+from .path_geodesics import MetricOracle, _check_condition
 
 __all__ = [
     "EllipsoidSpec",
@@ -67,8 +67,13 @@ def sphere_oracle(m):
 
     G_x(h, k) = <h, k>/r^2 + <h, x><k, x> (r^2 - 1)/r^4, r = |x|.  On the
     unit sphere this restricts to the ambient inner product and great
-    circles at r = 1 are geodesics.
+    circles at r = 1 are geodesics.  The Gram is 1/r^2 across x and 1 along
+    it, so ``sharp`` is r^2 xi - (r^2 - 1) <xi, x> x / r^2 and the condition
+    number is max(r^2, 1/r^2).  The per-point state is x itself.
     """
+
+    def at(x):
+        return np.asarray(x)
 
     def metric_rows(x, h):
         r2 = np.sum(x * x, axis=-1)[..., None]
@@ -87,7 +92,27 @@ def sphere_oracle(m):
         rows = rows + hx * kx * (-2.0 / r2**2 + 4.0 / r2**3) * x
         return rows
 
-    return MetricOracle.from_rows(m, metric_rows, variation_rows, name=f"sphere(m={m})")
+    def flat_derivative(x, l, h):
+        r2 = np.sum(x * x, axis=-1)[..., None]
+        lx = np.sum(l * x, axis=-1)[..., None]
+        hx = np.sum(h * x, axis=-1)[..., None]
+        hl = np.sum(h * l, axis=-1)[..., None]
+        t = 1.0 / r2 - 1.0 / r2**2
+        # d/de of 1/r^2 and of t along l, with d(r^2) = 2 <x, l>
+        rows = lx * (-2.0 / r2**2) * h
+        rows = rows + t * (hl * x + hx * l)
+        rows = rows + hx * lx * (-2.0 / r2**2 + 4.0 / r2**3) * x
+        return rows
+
+    def sharp(x, xi):
+        r2 = np.sum(x * x, axis=-1)[..., None]
+        _check_condition(np.max(np.maximum(r2, 1.0 / r2)))
+        xix = np.sum(xi * x, axis=-1)[..., None]
+        return r2 * xi - (r2 - 1.0) * xix * x / r2
+
+    return MetricOracle.from_rows(
+        m, at, metric_rows, variation_rows, sharp, flat_derivative, name=f"sphere(m={m})"
+    )
 
 
 def ellipsoid_path_length(spec, path):

@@ -17,12 +17,13 @@ DegenerateConfig.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve
 
 from .errors import DegenerateConfig
-from .path_geodesics import MetricOracle
+from .path_geodesics import MetricOracle, _check_condition
 
 __all__ = [
     "Kernel",
@@ -124,19 +125,28 @@ def _pairwise(pts):
     return diff, dist
 
 
-def _factor(kernel, pts):
-    """Checked geometry and Cholesky factor of the scalar Gram of configurations (..., N, d).
+class _Factored(NamedTuple):
+    """Checked geometry, scalar Gram K and its Cholesky factor of configurations (..., N, d)."""
 
-    Returns (diff, dist, chol) with chol (..., N, N) lower triangular.  A
-    Gram that is not positive definite in any configuration raises
+    diff: np.ndarray
+    dist: np.ndarray
+    gram: np.ndarray
+    chol: np.ndarray
+
+
+def _factor(kernel, pts):
+    """Pairwise differences (..., N, N, d), distances, K and its lower Cholesky factor.
+
+    A Gram that is not positive definite in any configuration raises
     DegenerateConfig.
     """
     diff, dist = _pairwise(pts)
+    gram = kernel.profile(dist)
     try:
-        chol = np.linalg.cholesky(kernel.profile(dist))
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise DegenerateConfig(f"Gram matrix not positive definite: {exc}") from exc
-    return diff, dist, chol
+    return _Factored(diff, dist, gram, chol)
 
 
 def _cho_solve(chol, rhs):
@@ -180,7 +190,7 @@ def gram_assemble(kernel, config):
 def horizontal_lift(kernel, config, h):
     """Momenta p = K_q^{-1} h and the interpolating field X = sum k(., q_i) p_i."""
     h = np.asarray(h, dtype=float).reshape(config.n_points, config.dim)
-    p = _cho_solve(_factor(kernel, config.points)[2], h)
+    p = _cho_solve(_factor(kernel, config.points).chol, h)
 
     def field(x):
         x = np.asarray(x, dtype=float)
@@ -193,7 +203,7 @@ def horizontal_lift(kernel, config, h):
 def induced_metric(kernel, config, h):
     """Cometric value h^T K_q^{-1} h, the squared norm of the tangent h."""
     h = np.asarray(h, dtype=float).reshape(config.n_points, config.dim)
-    return float(np.sum(h * _cho_solve(_factor(kernel, config.points)[2], h)))
+    return float(np.sum(h * _cho_solve(_factor(kernel, config.points).chol, h)))
 
 
 def _rkhs_inner(kernel, points_a, momenta_a, points_b, momenta_b):
@@ -255,16 +265,18 @@ def constrained_infimum(kernel, config, h, extra_points):
 def landmark_metric_oracle(kernel, config_dim, n_points):
     """Metric oracle for flattened landmark configurations in R^(N*d).
 
-    The metric is the kernel cometric h^T K(x)^{-1} k.  The oracle writes
-    its flat map h -> K(x)^{-1} h and that map's x-gradient, which
-    contracts one analytic kernel-gradient tensor; ``MetricOracle.from_rows``
-    derives G, DG and the Gram inv(K_scalar) ⊗ I_d from them.  Each call
-    factors the N x N scalar Gram of every configuration in x's leading
-    axes with one batched Cholesky and solves the momenta (N, d) with d
-    right-hand sides; h and k broadcast against x without refactoring.
-    Non-finite positions raise ValueError; landmarks closer than
-    MIN_SEPARATION or a Gram that is not positive definite, in any row,
-    raise DegenerateConfig.
+    The metric is the kernel cometric h^T K(x)^{-1} k.  ``at(x)`` factors
+    the N x N scalar Gram K of every configuration in x's leading axes with
+    one batched Cholesky (a ``_Factored`` state), and every other callable
+    reads that state: the flat map h -> K^{-1} h solves the momenta (N, d)
+    with d right-hand sides; its x-gradient and ``flat_derivative``
+    -K^{-1} dK[l] K^{-1} h contract one analytic kernel-gradient tensor;
+    and ``sharp`` is K xi, with no solve (Miller-Trouve-Younes, *Geodesic
+    shooting for computational anatomy*, 2006), its condition number that
+    of K from ``eigvalsh``, since cond(K^{-1} ⊗ I_d) = cond(K).  h, k and
+    l broadcast against x without refactoring.  Non-finite positions raise
+    ValueError; landmarks closer than MIN_SEPARATION or a Gram that is not
+    positive definite, in any row, raise DegenerateConfig.
     """
     d = config_dim
     n = n_points
@@ -274,23 +286,42 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
         v = np.asarray(v, dtype=float)
         return v.reshape(v.shape[:-1] + (n, d))
 
-    def metric_rows(x, h):
-        chol = _factor(kernel, _split(x))[2]
-        rows = _cho_solve(chol, _split(h))
+    def _flat(rows):
         return rows.reshape(rows.shape[:-2] + (m,))
+
+    def at(x):
+        return x if isinstance(x, _Factored) else _factor(kernel, _split(x))
+
+    def metric_rows(x, h):
+        return _flat(_cho_solve(at(x).chol, _split(h)))
 
     def variation_rows(x, h, k):
         """-sum_ab p_a.p2_b dk_ab/dx_j for the momenta p = K^{-1} h, p2 = K^{-1} k."""
-        diff, dist, chol = _factor(kernel, _split(x))
+        s = at(x)
         hk = np.concatenate(np.broadcast_arrays(_split(h), _split(k)), axis=-1)
-        p, p2 = np.split(_cho_solve(chol, hk), 2, axis=-1)
+        p, p2 = np.split(_cho_solve(s.chol, hk), 2, axis=-1)
         pp = np.einsum("...ad,...bd->...ab", p, p2)
         sym = pp + np.swapaxes(pp, -1, -2)
-        rows = -np.einsum("...ab,...abd->...ad", sym, _kernel_gradient(kernel, diff, dist))
-        return rows.reshape(rows.shape[:-2] + (m,))
+        grad = _kernel_gradient(kernel, s.diff, s.dist)
+        return _flat(-np.einsum("...ab,...abd->...ad", sym, grad))
+
+    def flat_derivative(x, l, h):
+        """-K^{-1} dK[l] K^{-1} h, where dK[l]_ab = grad k_ab . (l_a - l_b)."""
+        s = at(x)
+        l = _split(l)
+        dk = np.einsum("...abd,...abd->...ab", _kernel_gradient(kernel, s.diff, s.dist),
+                       l[..., :, None, :] - l[..., None, :, :])
+        return _flat(-_cho_solve(s.chol, dk @ _cho_solve(s.chol, _split(h))))
+
+    def sharp(x, xi):
+        s = at(x)
+        eig = np.abs(np.linalg.eigvalsh(s.gram))
+        _check_condition(np.max(np.max(eig, axis=-1) / np.min(eig, axis=-1)))
+        return _flat(s.gram @ _split(xi))
 
     return MetricOracle.from_rows(
-        m, metric_rows, variation_rows, name=f"landmarks(N={n},d={d},{kernel.kind})"
+        m, at, metric_rows, variation_rows, sharp, flat_derivative,
+        name=f"landmarks(N={n},d={d},{kernel.kind})",
     )
 
 

@@ -14,21 +14,29 @@ endpoints (Neuberger, *Sobolev Gradients and Differential Equations*,
 1997; Sundaramoorthi-Yezzi-Mennucci, *Sobolev active contours*, 2007).
 For a metric near the identity p is close to the Newton step, so plain
 descent's thousands of iterations become tens.  The initial-value solver
-takes the flows' RK4 step on the state (x, v), each stage solving for the
-Christoffel term against the Gram matrix of the flat map ``metric_rows``.
+takes the flows' RK4 step on the state (x, v).  Each stage gets the
+Christoffel term from one per-point oracle state: the derivative of the
+flat map ``metric_rows`` and its inverse ``sharp``, with no Gram matrix
+formed and nothing factored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .curves import l2_rows, l2_variation_rows, tangent
 from .diffeo_flows import _rk4_step
 from .errors import ShapeGeoError, SingularGram
-from .periodic_core import PeriodicFunction, PeriodicGrid, evaluate_spectral, transform
+from .periodic_core import (
+    PeriodicFunction,
+    PeriodicGrid,
+    differentiate,
+    evaluate_spectral,
+    transform,
+)
 
 __all__ = [
     "MetricOracle",
@@ -49,24 +57,34 @@ __all__ = [
 
 @dataclass
 class MetricOracle:
-    """A weak Riemannian metric on R^dim: its flat map and that map's x-derivative.
+    """A weak Riemannian metric on R^dim: its flat map, that map's derivatives and inverse.
 
-    An oracle writes two callables; both broadcast over leading axes of
-    their (..., dim) arguments:
+    An oracle writes five callables; all but ``at`` broadcast over leading
+    axes of their (..., dim) arguments:
 
+    - ``at(x)``, the per-point state that the other four read: c' and |c'|
+      on curves, the pairwise geometry, scalar Gram K and its Cholesky
+      factor on landmarks, and x itself on the sphere and the flat oracle.
+      ``at(at(x)) is at(x)``, so every callable, the derived ones too,
+      takes either the array x or its state;
     - ``metric_rows(x, h)``, the flat map h -> G_x(h, .), as the vector
       (G(x, h, e_j))_j;
     - ``variation_rows(x, h, k)``, its x-gradient (DG(x, e_j, h, k))_j,
-      where DG(x, l, h, k) = d/de G(x + e*l, h, k) at e = 0.
+      where DG(x, l, h, k) = d/de G(x + e*l, h, k) at e = 0;
+    - ``flat_derivative(x, l, h)`` = d/de metric_rows(x + e*l, h) at e = 0;
+    - ``sharp(x, xi)``, the inverse of the flat map, solving
+      metric_rows(x, h) = xi for h.  It raises ``SingularGram`` when the
+      2-norm condition number of the Gram, which each oracle knows in
+      closed form, is not finite or exceeds ``COND_LIMIT``.
 
     ``from_rows`` derives the rest by contraction: ``metric`` is
     G(x, h, k) = h . metric_rows(x, k), ``variation`` is
     DG(x, l, h, k) = l . variation_rows(x, h, k), and ``gram(x)`` is the
-    (dim, dim) matrix metric_rows(x, I).  All five stay fields rather than
-    methods so that ``dataclasses.replace`` can wrap or substitute each one
-    on a copy (a per-call tracer does, and so do tests that fail one metric
-    call).  The derived fields call the rows they were built from, not the
-    fields, so wrapping one field never reroutes another.
+    (dim, dim) matrix metric_rows(x, I).  Every callable is a field rather
+    than a method so that ``dataclasses.replace`` can wrap or substitute
+    each one on a copy (a per-call tracer does, and so do tests that fail
+    one metric call).  The derived fields call the rows they were built
+    from, not the fields, so wrapping one field never reroutes another.
     """
 
     dim: int
@@ -75,10 +93,13 @@ class MetricOracle:
     metric_rows: Callable
     variation_rows: Callable
     gram: Callable
+    at: Callable
+    sharp: Callable
+    flat_derivative: Callable
     name: str = "oracle"
 
     @classmethod
-    def from_rows(cls, dim, metric_rows, variation_rows, name):
+    def from_rows(cls, dim, at, metric_rows, variation_rows, sharp, flat_derivative, name):
         def metric(x, h, k):
             return (h * metric_rows(x, k)).sum(axis=-1)
 
@@ -88,7 +109,8 @@ class MetricOracle:
         def gram(x):
             return metric_rows(x, np.eye(dim))
 
-        return cls(dim, metric, variation, metric_rows, variation_rows, gram, name)
+        return cls(dim, metric, variation, metric_rows, variation_rows, gram, at, sharp,
+                   flat_derivative, name)
 
     def G(self, x, h, k):
         return self.metric(x, h, k)
@@ -97,11 +119,21 @@ class MetricOracle:
         return self.variation(x, l, h, k)
 
 
+def _check_condition(cond):
+    """Raise ``SingularGram`` unless the Gram condition number cond is finite and <= COND_LIMIT."""
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularGram(f"metric Gram condition number {cond:.3e} > {COND_LIMIT:.0e}")
+
+
 def euclidean_oracle(m, weight=1.0):
     """Flat oracle G(x, h, k) = sum_j weight_j h_j k_j on R^m.
 
     ``weight`` is a scalar or an (m,) array of positive weights.
     """
+    cond = float(np.max(weight) / np.min(weight))
+
+    def at(x):
+        return np.asarray(x)
 
     def metric_rows(x, h):
         return weight * np.broadcast_to(h, np.broadcast_shapes(np.shape(x), np.shape(h)))
@@ -109,14 +141,27 @@ def euclidean_oracle(m, weight=1.0):
     def variation_rows(x, h, k):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(h), np.shape(k)))
 
-    return MetricOracle.from_rows(m, metric_rows, variation_rows, name=f"euclidean(m={m})")
+    def sharp(x, xi):
+        _check_condition(cond)
+        return np.broadcast_to(xi, np.broadcast_shapes(np.shape(x), np.shape(xi))) / weight
+
+    # the flat map does not depend on x, so its derivative is zero like its variation
+    return MetricOracle.from_rows(
+        m, at, metric_rows, variation_rows, sharp, variation_rows, name=f"euclidean(m={m})"
+    )
 
 
 @dataclass(frozen=True)
 class Path:
-    """Points x_0 .. x_T at uniform times t_i = i/T."""
+    """Points x_0 .. x_T at uniform times t_i = i/T.
+
+    A path keeps the oracle state of its midpoints once an energy, gradient
+    or length has computed it (see ``_midpoint_state``), so ``points`` must
+    not be written in place after that; every solver here writes to a copy.
+    """
 
     points: np.ndarray = field(repr=False)
+    _midpoints: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -178,25 +223,35 @@ class GeodesicReport:
         return self.reason == "tol"
 
 
-def _midpoints_velocities(path):
-    pts = path.points
-    dt = 1.0 / path.n_steps
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    vels = (pts[1:] - pts[:-1]) / dt
-    return mids, vels, dt
+def _midpoint_state(path, oracle):
+    """(oracle.at(midpoints), velocities, dt) of a path.
+
+    The result is kept on the path for the ``at`` of the last oracle that
+    asked, so the energy of an accepted trial, the gradient at that path and
+    its final length share one state.
+    """
+    memo = path._midpoints
+    if memo is None or memo[0] is not oracle.at:
+        pts = path.points
+        dt = 1.0 / path.n_steps
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        vels = (pts[1:] - pts[:-1]) / dt
+        memo = (oracle.at, oracle.at(mids), vels, dt)
+        object.__setattr__(path, "_midpoints", memo)
+    return memo[1:]
 
 
 def path_energy(path, oracle):
     """Midpoint-quadrature Riemannian path energy."""
-    mids, vels, dt = _midpoints_velocities(path)
-    vals = oracle.G(mids, vels, vels)
+    state, vels, dt = _midpoint_state(path, oracle)
+    vals = oracle.G(state, vels, vels)
     return float(0.5 * np.sum(vals) * dt)
 
 
 def path_length(path, oracle):
     """Midpoint-quadrature Riemannian path length."""
-    mids, vels, dt = _midpoints_velocities(path)
-    vals = oracle.G(mids, vels, vels)
+    state, vels, dt = _midpoint_state(path, oracle)
+    vals = oracle.G(state, vels, vels)
     return float(np.sum(np.sqrt(np.maximum(vals, 0.0))) * dt)
 
 
@@ -205,9 +260,9 @@ def energy_gradient(path, oracle):
 
     Returns an array of shape (T-1, m); endpoints are held fixed.
     """
-    mids, vels, dt = _midpoints_velocities(path)
-    g_rows = oracle.metric_rows(mids, vels)             # (T, m): G(m_i, v_i, e_j)
-    dg_rows = oracle.variation_rows(mids, vels, vels)   # (T, m): DG(m_i, e_j, v_i, v_i)
+    state, vels, dt = _midpoint_state(path, oracle)
+    g_rows = oracle.metric_rows(state, vels)             # (T, m): G(m_i, v_i, e_j)
+    dg_rows = oracle.variation_rows(state, vels, vels)   # (T, m): DG(m_i, e_j, v_i, v_i)
     grad = g_rows[:-1] - g_rows[1:]
     grad = grad + 0.25 * dt * (dg_rows[:-1] + dg_rows[1:])
     return grad
@@ -226,7 +281,7 @@ MAX_BACKTRACKS = 40
 # with a cap of 1e6, against 2 with a cap of 1.
 SOBOLEV_MAX_STEP = 1.0
 PLAIN_MAX_STEP = 1e6
-# geodesic_acceleration rejects a Gram whose condition number exceeds this.
+# Each oracle's sharp rejects a Gram whose condition number exceeds this.
 COND_LIMIT = 1e12
 
 
@@ -332,19 +387,18 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
 
 
 def geodesic_acceleration(x, v, oracle):
-    """Solve 2 G(Gamma(v, v), e_j) = 2 DG(x, v, v, e_j) - DG(x, e_j, v, v).
+    """The acceleration -Gamma_x(v, v) of the geodesic through x with velocity v.
 
-    Returns the acceleration -Gamma(x)(v, v).
+    The geodesic equation d/dt metric_rows(x, v) = 1/2 variation_rows(x, v, v)
+    gives -Gamma_x(v, v) = -1/2 sharp(2 flat_derivative(v, v) - variation_rows(v, v)),
+    all read from one ``oracle.at(x)``.  Non-finite x or v raise ValueError,
+    and a Gram past ``COND_LIMIT`` raises ``SingularGram`` from ``sharp``.
     """
-    gram = np.asarray(oracle.gram(x), dtype=float)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularGram(f"metric Gram condition number {cond:.3e} > {COND_LIMIT:.0e}")
-    dg_e = oracle.variation_rows(x, v, v)  # DG(x, e_j, v, v)
-    dg_last = oracle.DG(x, v, v, np.eye(oracle.dim))  # DG(x, v, v, e_j)
-    rhs = 0.5 * (2.0 * dg_last - dg_e)
-    gamma = np.linalg.solve(gram, rhs)
-    return -gamma
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        raise ValueError("geodesic acceleration needs finite x and v")
+    state = oracle.at(x)
+    rhs = 2.0 * oracle.flat_derivative(state, v, v) - oracle.variation_rows(state, v, v)
+    return -0.5 * oracle.sharp(state, rhs)
 
 
 def ivp_shoot(x0, v0, oracle, n_steps):
@@ -370,14 +424,23 @@ def ivp_shoot(x0, v0, oracle, n_steps):
 # ---------------------------------------------------------------------------
 
 
+class _CurveState(NamedTuple):
+    """c' (..., 2, n) and |c'| (..., n) of flattened curves, from ``curves.tangent``."""
+
+    cp: np.ndarray
+    speed: np.ndarray
+
+
 def curve_space_oracle(n_samples):
     """Oracle for flattened plane curves under the L^2 metric G = int <h,k> |c'|.
 
     Points are plane curves flattened to vectors of length 2 * n_samples
-    (component-major).  The oracle only reshapes and calls the kernel of
-    ``curves.l2_metric*``: ``curves.tangent`` once per call, which keeps
-    iterates immersed (the L^2 metric rewards degenerating curves), then
-    ``curves.l2_rows`` or ``curves.l2_variation_rows``.
+    (component-major).  ``at`` runs ``curves.tangent``, which keeps iterates
+    immersed (the L^2 metric rewards degenerating curves); the rows are
+    ``curves.l2_rows`` and ``curves.l2_variation_rows`` on that state.  The
+    flat map (2 pi / n) h |c'| is diagonal, so ``sharp`` divides by it, its
+    condition number is max|c'| / min|c'|, and ``flat_derivative`` is the
+    flat map with |c'| replaced by its derivative <l', c'/|c'|>.
     """
     m = 2 * n_samples
 
@@ -388,14 +451,27 @@ def curve_space_oracle(n_samples):
     def _flat(c):
         return c.reshape(c.shape[:-2] + (m,))
 
+    def at(x):
+        return x if isinstance(x, _CurveState) else _CurveState(*tangent(_curve(x)))
+
     def metric_rows(x, h):
-        return _flat(l2_rows(tangent(_curve(x))[1], _curve(h)))
+        return _flat(l2_rows(at(x).speed, _curve(h)))
 
     def variation_rows(x, h, k):
-        return _flat(l2_variation_rows(*tangent(_curve(x)), _curve(h), _curve(k)))
+        return _flat(l2_variation_rows(*at(x), _curve(h), _curve(k)))
+
+    def flat_derivative(x, l, h):
+        cp, speed = at(x)
+        return _flat(l2_rows(np.sum(differentiate(_curve(l)) * cp, axis=-2) / speed, _curve(h)))
+
+    def sharp(x, xi):
+        speed = at(x).speed
+        _check_condition(np.max(np.max(speed, axis=-1) / np.min(speed, axis=-1)))
+        return _flat(_curve(xi) / (2.0 * np.pi / n_samples * speed[..., None, :]))
 
     return MetricOracle.from_rows(
-        m, metric_rows, variation_rows, name=f"l2-curves(n={n_samples},d=2)"
+        m, at, metric_rows, variation_rows, sharp, flat_derivative,
+        name=f"l2-curves(n={n_samples},d=2)",
     )
 
 

@@ -105,6 +105,72 @@ class TestOracleContract:
                 scale = max(1.0, np.max(np.abs(value)))
                 assert np.max(np.abs(batched[name][i] - value)) < 1e-12 * scale, name
 
+    def test_state_calls_equal_array_calls(self, case):
+        """Rows, G, DG and the Gram read from ``at(x)`` are the calls on x, bit for bit."""
+        oracle, point = case
+        rng = np.random.default_rng(13)
+        for x in (point(rng), np.stack([point(rng) for _ in range(4)])):
+            state = oracle.at(x)
+            assert oracle.at(state) is state
+            l, h, k = (rng.normal(size=x.shape) for _ in range(3))
+            for name, args in [
+                ("metric_rows", (h,)),
+                ("variation_rows", (h, k)),
+                ("G", (h, k)),
+                ("DG", (l, h, k)),
+            ]:
+                call = getattr(oracle, name)
+                assert np.array_equal(call(state, *args), call(x, *args)), name
+        assert np.array_equal(oracle.gram(oracle.at(x[0])), oracle.gram(x[0]))
+
+    def test_sharp_inverts_the_flat_map(self, case):
+        oracle, point = case
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            x = point(rng)
+            h = rng.normal(size=x.shape)
+            back = oracle.sharp(oracle.at(x), oracle.metric_rows(x, h))
+            assert np.max(np.abs(back - h)) <= 1e-12 * np.max(np.abs(h))
+
+    def test_flat_derivative_matches_fd(self, case):
+        oracle, point = case
+        rng = np.random.default_rng(15)
+        eps = 1e-6
+        for _ in range(5):
+            x = point(rng)
+            l, h = (rng.normal(size=x.shape) for _ in range(2))
+            plus, minus = oracle.metric_rows(x + eps * l, h), oracle.metric_rows(x - eps * l, h)
+            fd = (plus - minus) / (2 * eps)
+            exact = oracle.flat_derivative(oracle.at(x), l, h)
+            assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), speed=st.floats(0.01, 10.0))
+    def test_acceleration_matches_gram_solve(self, case, seed, speed):
+        """The acceleration equals the dense Gram formula it replaced, to 1e-10 relative."""
+        oracle, point = case
+        rng = np.random.default_rng(seed)
+        x = point(rng)
+        v = speed * rng.normal(size=x.shape)
+        gram = oracle.gram(x)
+        assert np.linalg.cond(gram) < pg.COND_LIMIT
+        rhs = 0.5 * (2.0 * oracle.DG(x, v, v, np.eye(oracle.dim)) - oracle.variation_rows(x, v, v))
+        reference = -np.linalg.solve(gram, rhs)
+        accel = pg.geodesic_acceleration(x, v, oracle)
+        scale = max(np.max(np.abs(reference)), 1e-300)
+        assert np.max(np.abs(accel - reference)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["x", "v"])
+    def test_acceleration_rejects_non_finite_input(self, case, bad, where):
+        oracle, point = case
+        rng = np.random.default_rng(16)
+        x = point(rng)
+        v = rng.normal(size=x.shape)
+        (x if where == "x" else v)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pg.geodesic_acceleration(x, v, oracle)
+
 
 class TestEnergyAndLength:
     def test_constant_path(self):
@@ -466,6 +532,29 @@ class TestIVP:
         oracle = pg.euclidean_oracle(2, weight=np.array([1.0, 1e-14]))
         with pytest.raises(SingularGram):
             pg.ivp_shoot(np.zeros(2), np.ones(2), oracle, 4)
+
+
+class TestSingularGram:
+    """Where the metric is too ill-conditioned for the acceleration to be trusted."""
+
+    def test_sphere_near_the_origin(self):
+        # the Gram is 1/r^2 across x and 1 along it: cond 1e14 at r = 1e-7
+        with pytest.raises(SingularGram):
+            pg.geodesic_acceleration(np.array([1e-7, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                                     hilbert_geometry.sphere_oracle(3))
+
+    def test_sphere_below_the_limit(self):
+        # cond 1e10 at r = 1e-5; the geodesic circles at radius r with acceleration -1/r
+        accel = pg.geodesic_acceleration(np.array([1e-5, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                                         hilbert_geometry.sphere_oracle(3))
+        assert abs(accel[0] + 1e5) < 1e-3 * 1e5
+
+    def test_nearly_coincident_landmarks(self):
+        # two Gaussian landmarks 1e-6 apart: K has eigenvalues 2 and 5e-13, cond 4e12
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 2, 2)
+        x = np.array([0.0, 0.0, 1e-6, 0.0])
+        with pytest.raises(SingularGram):
+            pg.geodesic_acceleration(x, np.array([1.0, 0.0, -1.0, 0.0]), oracle)
 
 
 class TestDistance:
