@@ -26,7 +26,6 @@ __all__ = [
     "IMMERSION_TOL",
     "Curve",
     "CurveTangent",
-    "immersion_check",
     "tangent",
     "l2_rows",
     "l2_variation_rows",
@@ -100,11 +99,6 @@ class CurveTangent:
             raise ValueError("tangent grid does not match base curve grid")
         if self.h.dim != self.base.dim:
             raise ValueError("tangent dimension does not match base curve")
-
-
-def immersion_check(c):
-    """Return the immersion margin min_j |c'(theta_j)|."""
-    return float(np.min(c.speed))
 
 
 def _check_same_base(c, *tangents):

@@ -5,10 +5,9 @@ Usage: ``shapegeo <subcommand> [--config FILE] [--set key=value]... [--out DIR]`
 Each subcommand writes table.csv, plot.svg and manifest.txt into the
 output directory.  The manifest is itself a valid config file, so
 ``shapegeo <subcommand> --config OUT/manifest.txt`` reproduces the table
-exactly.  The environment variable SHAPEGEO_SEED overrides the config
-seed of ``sphere-bvp``, the one subcommand with random input; the others
-have no seed and ignore it.  Exit codes: 0 success, 2 config error,
-3 numerical failure.
+exactly; ``sphere-bvp``, the one subcommand with random input, takes its
+seed from the config like any other key.  Exit codes: 0 success, 2 config
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -392,12 +391,6 @@ def _assemble_config(name, args):
             raise ConfigError(f"config file is for {file_experiment}, not {name}")
         config.update(file_config)
     config.update(parse_overrides(args.set or []))
-    env_seed = os.environ.get("SHAPEGEO_SEED")
-    if env_seed is not None and "seed" in defaults:
-        try:
-            config["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"SHAPEGEO_SEED must be an integer: {env_seed!r}") from exc
     unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(

@@ -24,8 +24,6 @@ __all__ = [
     "EllipsoidSpec",
     "sphere_distance_analytic",
     "sphere_oracle",
-    "ellipsoid_path_length",
-    "half_great_circle",
     "grossman_experiment",
 ]
 
@@ -113,33 +111,6 @@ def sphere_oracle(m):
     return MetricOracle.from_rows(
         m, at, metric_rows, variation_rows, sharp, flat_derivative, name=f"sphere(m={m})"
     )
-
-
-def ellipsoid_path_length(spec, path):
-    """Length of F(c) for a discrete path c on the unit sphere.
-
-    Path samples are renormalized onto the sphere; the velocity is a
-    second-order central difference and the integrand sqrt(sum a_n^2
-    cdot_n^2) is integrated with the composite trapezoid rule.
-    """
-    pts = np.asarray(path.points, dtype=float)
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    n_steps = pts.shape[0] - 1
-    dt = 1.0 / n_steps
-    vel = np.gradient(pts, dt, axis=0, edge_order=2)
-    integrand = np.sqrt(np.sum((spec.semi_axes * vel) ** 2, axis=1))
-    return float(np.trapezoid(integrand, dx=dt))
-
-
-def half_great_circle(n, n_steps, m):
-    """Discrete half great circle from e_0 to -e_0 through the (e_0, e_n)-plane."""
-    if not 1 <= n < m:
-        raise ValueError("plane index out of range")
-    t = np.linspace(0.0, 1.0, n_steps + 1)
-    pts = np.zeros((n_steps + 1, m))
-    pts[:, 0] = np.cos(np.pi * t)
-    pts[:, n] = np.sin(np.pi * t)
-    return pts
 
 
 # lengths exceed pi by about (pi/2) 2^-n, 1.5e-6 at n = 20, and must decrease strictly in n

@@ -3,7 +3,8 @@
 A configuration of N distinct points in R^d carries the block Gram
 matrix K_q with blocks k(q_i, q_j) * I_d.  The induced metric is the
 cometric G(h, h') = h^T K_q^{-1} h'; the minimal-norm vector field
-inducing a tangent h is the kernel expansion with momenta p = K_q^{-1} h.
+inducing a tangent h is the kernel expansion with momenta p = K_q^{-1} h,
+and ``constrained_infimum`` realizes that infimum independently as a QP.
 
 Since K_q = K ⊗ I_d for the N x N scalar Gram K, every solve factors K
 alone (Cholesky, no regularization) and solves the momenta (N, d) with d
@@ -31,9 +32,7 @@ __all__ = [
     "sobolev_kernel",
     "LandmarkConfig",
     "gram_assemble",
-    "horizontal_lift",
     "induced_metric",
-    "vertical_project",
     "landmark_metric_oracle",
     "admissibility_bound_check",
     "constrained_infimum",
@@ -152,18 +151,8 @@ def _factor(kernel, pts):
 def _cho_solve(chol, rhs):
     """K^{-1} rhs from the factor chol of K, for chol (..., N, N) and rhs (..., N, c).
 
-    Leading axes broadcast.  Axes that rhs has in front of chol's are folded
-    into the right-hand-side columns, so each factor is used once however
-    many right-hand sides share it.
+    Leading axes broadcast, so one factor serves every right-hand side stacked in front of it.
     """
-    extra = rhs.ndim - chol.ndim
-    if extra > 0:
-        n, c = rhs.shape[-2:]
-        front, batch = rhs.shape[:extra], rhs.shape[extra:-2]
-        moved = tuple(range(extra)), tuple(range(-extra, 0))
-        cols = np.moveaxis(rhs, *moved).reshape(batch + (n, -1))
-        sol = _cho_solve(chol, cols).reshape(batch + (n, c) + front)
-        return np.moveaxis(sol, *moved[::-1])
     return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs))
 
 
@@ -187,54 +176,10 @@ def gram_assemble(kernel, config):
     return np.kron(scal, np.eye(config.dim))
 
 
-def horizontal_lift(kernel, config, h):
-    """Momenta p = K_q^{-1} h and the interpolating field X = sum k(., q_i) p_i."""
-    h = np.asarray(h, dtype=float).reshape(config.n_points, config.dim)
-    p = _cho_solve(_factor(kernel, config.points).chol, h)
-
-    def field(x):
-        x = np.asarray(x, dtype=float)
-        weights = kernel(x[..., None, :], config.points)  # (..., N)
-        return weights @ p
-
-    return p, field
-
-
 def induced_metric(kernel, config, h):
     """Cometric value h^T K_q^{-1} h, the squared norm of the tangent h."""
     h = np.asarray(h, dtype=float).reshape(config.n_points, config.dim)
     return float(np.sum(h * _cho_solve(_factor(kernel, config.points).chol, h)))
-
-
-def _rkhs_inner(kernel, points_a, momenta_a, points_b, momenta_b):
-    """RKHS inner product of two finite kernel expansions."""
-    momenta_a = np.asarray(momenta_a, dtype=float)
-    momenta_b = np.asarray(momenta_b, dtype=float)
-    cross = _scalar_gram(kernel, np.atleast_2d(points_a), np.atleast_2d(points_b))
-    return float(np.einsum("ad,ab,bd->", momenta_a, cross, momenta_b))
-
-
-def vertical_project(kernel, config, expansion_points, expansion_momenta):
-    """Split a finite kernel expansion into horizontal and vertical parts.
-
-    The horizontal part is the expansion over the configuration points
-    that interpolates the field's values there; the remainder vanishes on
-    the configuration and is RKHS-orthogonal to the horizontal part.
-
-    Returns (p_horizontal, values_on_q, norms) where norms is the triple
-    (|X|^2, |X_hor|^2, |X_ver|^2).
-    """
-    z = np.atleast_2d(np.asarray(expansion_points, dtype=float))
-    mu = np.asarray(expansion_momenta, dtype=float)
-    if mu.shape != z.shape:
-        raise ValueError("momenta must match the expansion points in shape")
-    values_on_q = _scalar_gram(kernel, config.points, z) @ mu  # (N, d)
-    p, _ = horizontal_lift(kernel, config, values_on_q)
-    norm_x = _rkhs_inner(kernel, z, mu, z, mu)
-    norm_hor = _rkhs_inner(kernel, config.points, p, config.points, p)
-    cross = _rkhs_inner(kernel, config.points, p, z, mu)
-    norm_ver = norm_x - 2.0 * cross + norm_hor
-    return p, values_on_q, (norm_x, norm_hor, norm_ver)
 
 
 def constrained_infimum(kernel, config, h, extra_points):
@@ -298,8 +243,8 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
     def variation_rows(x, h, k):
         """-sum_ab p_a.p2_b dk_ab/dx_j for the momenta p = K^{-1} h, p2 = K^{-1} k."""
         s = at(x)
-        hk = np.concatenate(np.broadcast_arrays(_split(h), _split(k)), axis=-1)
-        p, p2 = np.split(_cho_solve(s.chol, hk), 2, axis=-1)
+        p = _cho_solve(s.chol, _split(h))
+        p2 = p if k is h else _cho_solve(s.chol, _split(k))
         pp = np.einsum("...ad,...bd->...ab", p, p2)
         sym = pp + np.swapaxes(pp, -1, -2)
         grad = _kernel_gradient(kernel, s.diff, s.dist)

@@ -27,6 +27,16 @@ def test_wide_overlapping_parent_is_unresolved(bench_pairs):
     assert not out["resolved"] and not out["within_bound"]
 
 
+def test_seed_dependent_work_is_resolved_by_paired_ratio_only(bench_pairs):
+    # seeds 1, 5 and 9 do more work on both sides, so the parent IQR is 60% of its median;
+    # each change run is within 1% of its pair's parent run
+    parent = [0.16 if i in (0, 4, 8) else 0.10 for i in range(10)]
+    change = [p * (1.0 + 0.01 * (-1) ** i) for i, p in enumerate(parent)]
+    out = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert (out["resolved"], out["within_bound"], out["gain_rule_met"]) == (False, False, False)
+    assert out["paired_ratio_iqr"] == 0.02 and out["resolved_by_paired_ratio"]
+
+
 def test_wide_parent_beaten_by_every_change_run_is_resolved(bench_pairs):
     # every change run (at most 4.8) beats every parent run (at least 5.0)
     out = bench_pairs.compare(NOISY, [v * 0.3 for v in NOISY], "lower", 0.25)

@@ -145,21 +145,19 @@ class TestRunner:
             second = fh.read()
         assert first == second
 
-    def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
-        out = str(tmp_path / "s")
-        monkeypatch.setenv("SHAPEGEO_SEED", "123")
-        assert main(
-            ["sphere-bvp", "--set", "n_pairs=1", "--set", "n_steps=8", "--out", out]
-        ) == 0
-        with open(os.path.join(out, "manifest.txt")) as fh:
-            assert "seed = 123" in fh.read()
-
-    def test_env_seed_is_ignored_without_seed_key(self, tmp_path, monkeypatch):
-        out = str(tmp_path / "g")
-        monkeypatch.setenv("SHAPEGEO_SEED", "123")
-        assert main(["grossman", "--set", "n_max=4", "--out", out]) == 0
-        with open(os.path.join(out, "manifest.txt")) as fh:
-            assert not [line for line in fh if line.startswith("seed")]
+    def test_manifest_rerun_ignores_seed_environment(self, tmp_path, monkeypatch):
+        """The seed comes from the config alone: no environment variable overrides it."""
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        sets = ["--set", "n_pairs=2", "--set", "n_steps=8"]
+        assert main(["sphere-bvp", *sets, "--out", out1]) == 0
+        monkeypatch.setenv("SHAPEGEO_SEED", "7")
+        assert main(["sphere-bvp", "--config", os.path.join(out1, "manifest.txt"),
+                     "--out", out2]) == 0
+        for name in ("table.csv", "manifest.txt"):
+            with open(os.path.join(out1, name), "rb") as fh:
+                first = fh.read()
+            with open(os.path.join(out2, name), "rb") as fh:
+                assert fh.read() == first, name
 
     def test_unknown_key_is_config_error(self, tmp_path):
         assert main(["grossman", "--set", "bogus=1", "--out", str(tmp_path / "x")]) == 2

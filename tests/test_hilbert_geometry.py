@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shapegeo import hilbert_geometry as hg
-from shapegeo import path_geodesics as pg
 
 
 def gauss_legendre_length_oracle(a_n, order=60):
@@ -71,22 +70,6 @@ class TestEllipsoid:
     def test_semi_axes(self):
         spec = hg.EllipsoidSpec(m=6)
         assert np.allclose(spec.semi_axes, [1, 1.5, 1.25, 1.125, 1.0625, 1.03125])
-
-    def test_half_great_circle_endpoints(self):
-        pts = hg.half_great_circle(3, 32, 8)
-        assert np.allclose(pts[0], np.eye(8)[0])
-        assert np.allclose(pts[-1], -np.eye(8)[0])
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
-
-    def test_path_length_matches_quadrature(self):
-        spec = hg.EllipsoidSpec(m=8)
-        n = 3
-        oracle = gauss_legendre_length_oracle(spec.semi_axes[n])
-        coarse = hg.ellipsoid_path_length(spec, pg.Path(hg.half_great_circle(n, 128, 8)))
-        fine = hg.ellipsoid_path_length(spec, pg.Path(hg.half_great_circle(n, 512, 8)))
-        assert abs(fine - oracle) < 1e-4
-        # second-order quadrature: refining 4x shrinks the error ~16x
-        assert abs(fine - oracle) < abs(coarse - oracle) / 8.0
 
     def test_grossman_lengths_against_independent_oracle(self):
         spec = hg.EllipsoidSpec(m=24)

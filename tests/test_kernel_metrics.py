@@ -89,22 +89,15 @@ class TestGram:
 
 
 class TestLiftAndMetric:
-    def test_lift_interpolates(self):
-        rng = np.random.default_rng(1)
-        kernel = km.sobolev_kernel(2)
-        cfg = random_config(rng, 4, 2)
-        h = rng.normal(size=(4, 2))
-        p, field = km.horizontal_lift(kernel, cfg, h)
-        assert np.max(np.abs(field(cfg.points) - h)) < 1e-10
-
     def test_metric_is_rkhs_norm_of_lift(self):
         rng = np.random.default_rng(2)
         kernel = km.gaussian_kernel(1.5)
         cfg = random_config(rng, 5, 2)
         h = rng.normal(size=(5, 2))
-        p, _ = km.horizontal_lift(kernel, cfg, h)
+        oracle = km.landmark_metric_oracle(kernel, 2, 5)
+        p = oracle.metric_rows(cfg.points.reshape(-1), h.reshape(-1))  # momenta K^{-1} h
         a = km.induced_metric(kernel, cfg, h)
-        b = p.ravel() @ km.gram_assemble(kernel, cfg) @ p.ravel()
+        b = p @ km.gram_assemble(kernel, cfg) @ p
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
     def test_constrained_qp_realizes_the_infimum(self):
@@ -116,16 +109,6 @@ class TestLiftAndMetric:
             direct = km.induced_metric(kernel, cfg, h)
             qp = km.constrained_infimum(kernel, cfg, h, extra)
             assert abs(direct - qp) < 1e-8 * max(1.0, abs(direct))
-
-    def test_vertical_pythagoras(self):
-        rng = np.random.default_rng(4)
-        kernel = km.gaussian_kernel(1.0)
-        cfg = random_config(rng, 4, 2)
-        z = np.vstack([cfg.points, rng.uniform(-4, 4, size=(3, 2))])
-        mu = rng.normal(size=z.shape)
-        p, vals, (nx, nh, nv) = km.vertical_project(kernel, cfg, z, mu)
-        assert abs(nx - nh - nv) < 1e-9 * max(1.0, nx)
-        assert nv >= -1e-12
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(5)
@@ -185,6 +168,17 @@ class TestLandmarkOracle:
         assert np.max(np.abs(rows - [oracle.G(x, h, e) for e in eye])) < 1e-12
         vrows = oracle.variation_rows(x, h, k)
         assert np.max(np.abs(vrows - [oracle.DG(x, e, h, k) for e in eye])) < 1e-11
+
+    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+    def test_variation_rows_same_tangent_twice(self, kernel):
+        """Passing h as both tangents (one solve) equals passing an equal copy (two solves)."""
+        rng = np.random.default_rng(15)
+        oracle = km.landmark_metric_oracle(kernel, 2, 4)
+        for x in (random_config(rng, 4, 2).points.reshape(-1),
+                  np.stack([random_config(rng, 4, 2).points.reshape(-1) for _ in range(3)])):
+            h = rng.normal(size=x.shape)
+            once = oracle.variation_rows(x, h, h)
+            assert np.array_equal(once, oracle.variation_rows(x, h, h.copy()))
 
     @settings(max_examples=60, deadline=None)
     @given(spaced_oracle_inputs())

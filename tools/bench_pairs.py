@@ -17,7 +17,11 @@ values, medians and quartiles (the exclusive method of
 difference and the parent's interquartile range.  A metric is resolved
 when the parent's interquartile range over its median is within the
 metric's relative bound, or when every change run reads better than every
-parent run; only a resolved metric can be within its bound.  A gain counts
+parent run; only a resolved metric can be within its bound.  Side by side
+with that rule, the record gives the interquartile range of the ten
+per-pair change/parent ratios and whether it is within the bound
+(``resolved_by_paired_ratio``): pairs share a seed, so it leaves out the
+seed-to-seed spread of the work.  No verdict reads it.  A gain counts
 only when the change wins at least 9 of 10 pairs and its median beats the
 parent's by more than the parent's interquartile range.  The record also
 holds each side's line counts of src/ and tests/ (newlines in their .py
@@ -92,6 +96,9 @@ def compare(parent, change, better, bound):
     iqr = p_stats["q3"] - p_stats["q1"]
     resolved = (iqr / p_stats["median"] <= bound
                 or max(sign * c for c in change) < min(sign * p for p in parent))
+    # each pair shares a seed, so the spread of the ratios leaves out the seed's
+    r1, _, r3 = statistics.quantiles([c / p for p, c in zip(parent, change)], n=4,
+                                     method="exclusive")
     return {
         "parent": p_stats,
         "change": c_stats,
@@ -103,6 +110,8 @@ def compare(parent, change, better, bound):
         "parent_iqr": round(iqr, 4),
         "bound": bound,
         "resolved": resolved,
+        "paired_ratio_iqr": round(r3 - r1, 4),
+        "resolved_by_paired_ratio": r3 - r1 <= bound,
         "within_bound": resolved and sign * relative <= bound,
         "gain_rule_met": wins >= 0.9 * len(parent) and sign * diff < 0 and abs(diff) > iqr,
     }
@@ -163,8 +172,11 @@ def main(argv=None):
             "from its own copy of the sources. wall_s and setup_s are at reference speed. Quartiles "
             "are the exclusive method of statistics.quantiles. A metric is resolved when the "
             "parent's IQR over its median is within the bound or every change run beats every "
-            "parent run; only a resolved metric is within_bound. A gain counts when the change wins "
-            "at least 9 of 10 pairs and its median beats the parent's by more than the parent's IQR. "
+            "parent run; only a resolved metric is within_bound. Beside that rule, paired_ratio_iqr "
+            "is the IQR of the per-pair change/parent ratios and resolved_by_paired_ratio says "
+            "whether it is within the bound: it measures run-to-run noise without the "
+            "seed-to-seed spread of the work, and no verdict reads it. A gain counts when the "
+            "change wins at least 9 of 10 pairs and its median beats the parent's by more than the parent's IQR. "
             f"Per-layer figures are one --trace 1 run per side with seed {TRACE_SEED}. Written "
             "by tools/bench_pairs.py."
         ),
