@@ -89,6 +89,17 @@ class TestGram:
 
 
 class TestLiftAndMetric:
+    def test_lift_interpolates(self):
+        """The field z -> sum_b k(z, x_b) p_b of the momenta p = K^{-1} h takes the value h at x."""
+        rng = np.random.default_rng(1)
+        kernel = km.sobolev_kernel(2)
+        cfg = random_config(rng, 4, 2)
+        h = rng.normal(size=(4, 2))
+        oracle = km.landmark_metric_oracle(kernel, 2, 4)
+        p = oracle.metric_rows(cfg.points.reshape(-1), h.reshape(-1)).reshape(4, 2)
+        field = kernel(cfg.points[:, None, :], cfg.points[None, :, :]) @ p
+        assert np.max(np.abs(field - h)) < 1e-10
+
     def test_metric_is_rkhs_norm_of_lift(self):
         rng = np.random.default_rng(2)
         kernel = km.gaussian_kernel(1.5)
