@@ -7,7 +7,9 @@ one RK4 loop: steps of at most 1/256, each halved until its step-doubling
 error is at most 1e-8 * (max|x| + 1).  Flows on the real line run on a
 finite window; a trajectory leaving the window is reported as
 blow-up data, not as an error.  The same RK4 step, at fixed step size,
-serves ``path_geodesics.ivp_shoot``.
+serves ``path_geodesics.ivp_shoot``.  The three root searches (inverse
+maps, periodic points, window-exit times) share one bisection, and every
+exhausted step or halving budget raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -129,6 +131,19 @@ def compose(phi, psi):
     return CircleDiffeo(PeriodicFunction(psi.grid, disp[None, :]))
 
 
+def _bisect(upper, lo, hi, tol, max_halvings, budget):
+    """Halve all brackets [lo, hi] together, hi moving to the midpoint where upper(mid)
+    holds, until the widest is below tol; NonConvergence names the spent budget."""
+    for _ in range(max_halvings):
+        mid = 0.5 * (lo + hi)
+        up = upper(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        if np.max(hi - lo) < tol:
+            return lo, hi
+    raise NonConvergence(f"bracket width {float(np.max(hi - lo)):.3e} >= {tol:.1e} "
+                         f"after {budget} = {max_halvings} halvings")
+
+
 # bracket width invert bisects down to, and its budget of halvings
 INVERT_TOL = 1e-12
 INVERT_MAX_ITER = 80
@@ -151,19 +166,8 @@ def invert(phi):
     g_lo, g_hi = np.stack([lo, hi]) + evaluate_spectral(coeffs, np.stack([lo, hi]))[0] - nodes
     lo = np.where(g_lo > 0.0, lo - TWO_PI, lo)
     hi = np.where(g_hi > 0.0, hi, hi + TWO_PI)
-    for _ in range(INVERT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = mid + evaluate_spectral(coeffs, mid)[0] - nodes
-        hi = np.where(val > 0.0, mid, hi)
-        lo = np.where(val > 0.0, lo, mid)
-        if np.max(hi - lo) < INVERT_TOL:
-            break
-    width = float(np.max(hi - lo))
-    if width >= INVERT_TOL:
-        raise NonConvergence(
-            f"invert: bracket width {width:.3e} >= INVERT_TOL {INVERT_TOL:.0e} "
-            f"after INVERT_MAX_ITER = {INVERT_MAX_ITER} halvings"
-        )
+    lo, hi = _bisect(lambda y: y + evaluate_spectral(coeffs, y)[0] - nodes > 0.0,
+                     lo, hi, INVERT_TOL, INVERT_MAX_ITER, "INVERT_MAX_ITER")
     y = 0.5 * (lo + hi)
     return CircleDiffeo(PeriodicFunction(phi.grid, (y - nodes)[None, :]))
 
@@ -257,6 +261,8 @@ MIN_STEP = 1e-12
 # largest substep; each accepted step's doubling error is at most TOL * (max|x| + 1)
 BASE_STEP = 1.0 / 256.0
 TOL = 1e-8
+# halvings of the last step that locate a window exit to 1e-9 * max(dt, 1)
+EXIT_MAX_HALVINGS = 60
 
 
 def flow_time_dependent(u, x0=None):
@@ -268,8 +274,9 @@ def flow_time_dependent(u, x0=None):
     TOL * (max|x| + 1); the two half steps are kept.  On real-line grids a
     trajectory leaving the working window marks the result as blown up and
     the window-exit time is refined by bisection.  A step still failing at
-    MIN_STEP, or more than MAX_SUBSTEPS steps, raise NonConvergence: an
-    exhausted budget is not a blow-up.
+    MIN_STEP, more than MAX_SUBSTEPS steps, or an exit time not located in
+    EXIT_MAX_HALVINGS halvings raise NonConvergence: an exhausted budget is
+    not a blow-up.
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
@@ -301,32 +308,18 @@ def flow_time_dependent(u, x0=None):
             steps += 1
             max_err = max(max_err, err)
             if window is not None and np.max(np.abs(x)) > window:
-                idx = int(np.argmax(np.abs(x)))
-                t_exit = _refine_exit_time(evaluate, x_prev[idx:idx + 1], t - dt, dt, window)
-                return FlowResult(None, blow_up=True, blow_up_time=t_exit, steps=steps,
-                                  rejected=rejected, max_err=max_err)
+                i = int(np.argmax(np.abs(x)))  # the farthest point; bisect the step for its exit
+                lo, hi = _bisect(
+                    lambda s: abs(_rk4_step(evaluate, x_prev[i:i + 1], s, k1[i:i + 1])[0]) > window,
+                    0.0, dt, 1e-9 * max(dt, 1.0), EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
+                return FlowResult(None, blow_up=True, blow_up_time=t - dt + 0.5 * (lo + hi),
+                                  steps=steps, rejected=rejected, max_err=max_err)
             if steps > MAX_SUBSTEPS:
                 raise NonConvergence(
                     f"{steps} substeps exceed MAX_SUBSTEPS at t = {t:.6f} of "
                     f"{u.knots[-1]:.6f}; last step-doubling error {err:.3e}"
                 )
     return FlowResult(x, steps=steps, rejected=rejected, max_err=max_err)
-
-
-def _refine_exit_time(evaluate, x_start, t_step, dt, window):
-    """Bisect within the accepted step [t_step, t_step + dt] from x_start
-    for the time the trajectory crosses the window edge."""
-    k1 = evaluate(x_start)
-    lo, hi = 0.0, dt
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if abs(_rk4_step(evaluate, x_start, mid, k1)[0]) > window:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-9 * max(dt, 1.0):
-            break
-    return t_step + 0.5 * (lo + hi)
 
 
 def flow_autonomous(u, t):
@@ -427,6 +420,8 @@ def nonsurjectivity_candidate(n, eps, n_samples=256):
 PERIODIC_SCAN_SAMPLES = 4096
 # bracket width where bisection stops, far below the 1e-6 the points are checked to
 PERIODIC_POINT_TOL = 1e-10
+# halvings allowed; the 2 pi / 4096 brackets need 24
+PERIODIC_MAX_HALVINGS = 100
 
 
 def isolated_periodic_points(phi, n):
@@ -434,7 +429,8 @@ def isolated_periodic_points(phi, n):
 
     The displacement of the composed map is wrapped to mean in [-pi, pi),
     which removes the full 2*pi winding of phi^n; its fixed points on the
-    circle are the zeros of that wrapped displacement.
+    circle are the zeros of that wrapped displacement.  Spending
+    PERIODIC_MAX_HALVINGS halvings raises NonConvergence.
     """
     power = phi
     for _ in range(n - 1):
@@ -445,22 +441,14 @@ def isolated_periodic_points(phi, n):
     fa, fb = vals[:-1], vals[1:]
     exact = fa == 0.0
     bracket = ~exact & (fa * fb < 0.0)
-    lo, hi, flo = x[:-1][bracket], x[1:][bracket], fa[bracket]
-    # all brackets are halved together, each until it is narrower than tol
-    live = np.ones(lo.size, dtype=bool)
-    for _ in range(100):
-        if not np.any(live):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = evaluate_spectral(coeffs, mid)[0]
-        left = live & (flo * fm <= 0.0)
-        right = live & ~left
-        hi = np.where(left, mid, hi)
-        lo = np.where(right, mid, lo)
-        flo = np.where(right, fm, flo)
-        live &= hi - lo >= PERIODIC_POINT_TOL
     roots = x[:-1].copy()
-    roots[bracket] = 0.5 * (lo + hi)
+    if np.any(bracket):
+        # the root sits where the displacement leaves the sign it has at lo
+        sign = np.sign(fa[bracket])
+        lo, hi = _bisect(lambda mid: sign * evaluate_spectral(coeffs, mid)[0] <= 0.0,
+                         x[:-1][bracket], x[1:][bracket], PERIODIC_POINT_TOL,
+                         PERIODIC_MAX_HALVINGS, "PERIODIC_MAX_HALVINGS")
+        roots[bracket] = 0.5 * (lo + hi)
     return roots[exact | bracket]
 
 

@@ -16,8 +16,10 @@ class SingularGram(ShapeGeoError):
 class NonConvergence(ShapeGeoError):
     """A solver did not reach the requested tolerance within its budget.
 
-    The circle flows and ``invert`` raise it.  The BVP solver does not: its
-    ``GeodesicReport`` says whether and why a solve stopped short.
+    The circle flows, the bisections of ``diffeo_flows`` (``invert``,
+    ``isolated_periodic_points``, the blow-up exit time) and
+    ``grossman_experiment``'s quadrature raise it.  The BVP solver does not:
+    its ``GeodesicReport`` says whether and why a solve stopped short.
     """
 
 

@@ -50,21 +50,20 @@ def _coerce(text):
     return text
 
 
+def _parse_pair(text, where):
+    """Split one ``key=value`` pair; ``where`` locates it in error messages."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, value = text.split("=", 1)
+    if not key.strip():
+        raise ConfigError(f"{where}: empty key in {text!r}")
+    return key.strip(), _coerce(value)
+
+
 def parse_config_text(text):
     """Parse flat ``key = value`` lines; '#' starts a comment."""
-    config = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        config[key] = _coerce(value)
-    return config
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return dict(_parse_pair(line, f"line {n}") for n, line in enumerate(lines, start=1) if line)
 
 
 def load_config_file(path):
@@ -78,16 +77,7 @@ def load_config_file(path):
 
 def parse_overrides(pairs):
     """Parse repeated --set key=value overrides (later wins)."""
-    config = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"--set has empty key in {pair!r}")
-        config[key] = _coerce(value)
-    return config
+    return dict(_parse_pair(pair, "--set") for pair in pairs)
 
 
 def format_value(value):

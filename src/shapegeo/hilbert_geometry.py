@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .errors import NonConvergence
 from .path_geodesics import MetricOracle, _check_condition
 
 __all__ = [
@@ -121,7 +122,8 @@ def grossman_experiment(spec, n_list):
     """Lengths of the half-great-circle family F(c_n), via adaptive quadrature.
 
     Each row is (n, length, (1 + 2^{-n}) * pi).  The lengths strictly
-    decrease in n, stay above pi, and respect the displayed bound.
+    decrease in n, stay above pi, and respect the displayed bound.  Raises
+    NonConvergence where quad's error estimate fails its own acceptance test.
     """
     a = spec.semi_axes
     rows = []
@@ -133,6 +135,9 @@ def grossman_experiment(spec, n_list):
         def integrand(t, an=an):
             return np.pi * np.sqrt(np.sin(np.pi * t) ** 2 + an**2 * np.cos(np.pi * t) ** 2)
 
-        length, _ = quad(integrand, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+        length, abserr = quad(integrand, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+        if abserr > max(QUAD_TOL, QUAD_TOL * length):
+            raise NonConvergence(f"quad error estimate {abserr:.2e} at n = {n} exceeds QUAD_TOL "
+                                 f"{QUAD_TOL:.0e} (absolute and relative)")
         rows.append((int(n), float(length), float((1.0 + 2.0 ** (-n)) * np.pi)))
     return rows

@@ -179,6 +179,11 @@ class TestNonSurjectivity:
         with pytest.raises(ValueError):
             df.nonsurjectivity_candidate(5, 0.5)
 
+    def test_map_without_periodic_points(self):
+        # the cube of the rotation by 1 rad is the rotation by 3 rad: no bracket to bisect
+        pts = df.isolated_periodic_points(df.CircleDiffeo.rotation(1.0, 64), 3)
+        assert pts.shape == (0,)
+
 
 class TestTimeDependentFlow:
     def test_blow_up_time(self):
@@ -287,6 +292,19 @@ class TestIntegratorBudgets:
         phi = df.flow_autonomous(u, 0.5)
         with pytest.raises(NonConvergence, match=r"bracket width .* INVERT_MAX_ITER = 1 "):
             df.invert(phi)
+
+    def test_exit_time_bisection_budget(self, monkeypatch):
+        monkeypatch.setattr(df, "EXIT_MAX_HALVINGS", 1)
+        grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
+        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
+        with pytest.raises(NonConvergence, match=r"bracket width .* EXIT_MAX_HALVINGS = 1 "):
+            df.flow_time_dependent(tf, x0=np.array([2.0]))
+
+    def test_periodic_point_bisection_budget(self, monkeypatch):
+        monkeypatch.setattr(df, "PERIODIC_MAX_HALVINGS", 1)
+        phi = df.nonsurjectivity_candidate(3, 0.1)
+        with pytest.raises(NonConvergence, match=r"bracket width .* PERIODIC_MAX_HALVINGS = 1 "):
+            df.isolated_periodic_points(phi, 3)
 
 
 class TestMembership:

@@ -27,6 +27,13 @@ class TestConfigParsing:
         with pytest.raises(io.ConfigError):
             io.parse_overrides(["novalue"])
 
+    def test_empty_key_rejected_and_only_files_strip_comments(self):
+        with pytest.raises(io.ConfigError):
+            io.parse_config_text(" = 3\n")
+        with pytest.raises(io.ConfigError):
+            io.parse_overrides(["=3"])
+        assert io.parse_overrides(["a = x # y"]) == {"a": "x # y"}
+
 
 class TestCsv:
     def test_roundtrip_17_digits(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shapegeo import hilbert_geometry as hg
+from shapegeo.errors import NonConvergence
 
 
 def gauss_legendre_length_oracle(a_n, order=60):
@@ -85,3 +86,10 @@ class TestEllipsoid:
         spec = hg.EllipsoidSpec(m=4)
         with pytest.raises(ValueError):
             hg.grossman_experiment(spec, [4])
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_grossman_quadrature_budget(self, monkeypatch):
+        # 1e-17 is below double-precision roundoff, so quad's error estimate cannot meet it
+        monkeypatch.setattr(hg, "QUAD_TOL", 1e-17)
+        with pytest.raises(NonConvergence, match="QUAD_TOL"):
+            hg.grossman_experiment(hg.EllipsoidSpec(), [5])
