@@ -3,13 +3,15 @@
 Circle maps are stored as lifts phi(x) = x + f(x) with periodic
 displacement f and 1 + f' > 0; the displacement is wrapped by a multiple
 of 2*pi so its mean lies in [-pi, pi).  Flows integrate per node with
-one RK4 loop: steps of at most 1/256, each halved until its step-doubling
-error is at most 1e-8 * (max|x| + 1).  Flows on the real line run on a
-finite window; a trajectory leaving the window is reported as
-blow-up data, not as an error.  The same RK4 step, at fixed step size,
-serves ``path_geodesics.ivp_shoot``.  The three root searches (inverse
-maps, periodic points, window-exit times) share one bisection, and every
-exhausted step or halving budget raises NonConvergence.
+one embedded Dormand-Prince 5(4) loop: steps of at most 1/256, each
+halved until its error estimate is at most 1e-8 * (max|x| + 1), with the
+last stage of a step reused as the first stage of the next (Dormand &
+Prince, J. Comput. Appl. Math. 6, 1980; Hairer-Norsett-Wanner, *Solving
+ODEs I*, II.5).  Flows on the real line run on a finite window; a
+trajectory leaving the window is reported as blow-up data, not as an
+error.  The three root searches (inverse maps, periodic points,
+window-exit times) share one bisection, and every exhausted step or
+halving budget raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -177,12 +179,33 @@ def invert(phi):
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(f, x, dt, k1):
-    """One classical RK4 step of size dt from x, given its first stage k1 = f(x)."""
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Dormand-Prince 5(4): row i gives stage i + 2 from stages 1 .. i + 1; the last
+# row is the 5th-order weights, so the 7th stage is f at the new point.
+_DP_A = [np.array(row) for row in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
+# 5th-order minus 4th-order weights, over all 7 stages
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def _dp5_step(f, x, dt, k1):
+    """One Dormand-Prince 5(4) step of size dt from the 1-D points x, given
+    its first stage k1 = f(x).
+
+    Returns the 5th-order solution y, its stage f(y) (the next step's first
+    stage) and the sup-norm of the embedded error estimate.
+    """
+    k = np.empty((7, x.size))
+    k[0] = k1
+    for i, row in enumerate(_DP_A):
+        y = x + dt * (row @ k[:i + 1])
+        k[i + 1] = f(y)
+    return y, k[6], dt * float(np.max(np.abs(_DP_E @ k)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +268,7 @@ def _field_evaluator(field, grid):
 @dataclass
 class FlowResult:
     """Final map samples, or blow-up data when a trajectory escapes; steps,
-    rejected (halvings) and max_err (largest accepted doubling error)."""
+    rejected (halvings) and max_err (largest accepted embedded error estimate)."""
 
     final_map: Optional[np.ndarray]
     blow_up: bool = False
@@ -256,9 +279,9 @@ class FlowResult:
 
 
 MAX_SUBSTEPS = 2**20
-# smallest substep tried before the step-doubling error check gives up
+# smallest substep tried before the embedded error check gives up
 MIN_STEP = 1e-12
-# largest substep; each accepted step's doubling error is at most TOL * (max|x| + 1)
+# largest substep; each accepted step's embedded error estimate is at most TOL * (max|x| + 1)
 BASE_STEP = 1.0 / 256.0
 TOL = 1e-8
 # halvings of the last step that locate a window exit to 1e-9 * max(dt, 1)
@@ -268,15 +291,17 @@ EXIT_MAX_HALVINGS = 60
 def flow_time_dependent(u, x0=None):
     """Integrate the non-autonomous flow d/dt phi = u(t) o phi.
 
-    Starts at x0 or the nodes of u.grid.  An RK4 step (at most BASE_STEP,
-    and short enough that no point moves more than 0.05 * (max|x| + 1)) is
-    halved until one full step and two half steps differ by at most
-    TOL * (max|x| + 1); the two half steps are kept.  On real-line grids a
-    trajectory leaving the working window marks the result as blown up and
-    the window-exit time is refined by bisection.  A step still failing at
-    MIN_STEP, more than MAX_SUBSTEPS steps, or an exit time not located in
-    EXIT_MAX_HALVINGS halvings raise NonConvergence: an exhausted budget is
-    not a blow-up.
+    Starts at x0 or the nodes of u.grid.  A Dormand-Prince 5(4) step (at
+    most BASE_STEP, and short enough that no point moves more than
+    0.05 * (max|x| + 1)) is halved until its embedded error estimate
+    |y5 - y4| is at most TOL * (max|x| + 1); the 5th-order solution y5 is
+    kept, and its last stage is the next step's first.  Each knot interval
+    evaluates its own field afresh.  On real-line grids a trajectory
+    leaving the working window marks the result as blown up and the
+    window-exit time is refined by bisecting the same step.  A step still
+    failing at MIN_STEP, more than MAX_SUBSTEPS steps, or an exit time not
+    located in EXIT_MAX_HALVINGS halvings raise NonConvergence: an
+    exhausted budget is not a blow-up.
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
@@ -285,39 +310,38 @@ def flow_time_dependent(u, x0=None):
     steps, rejected, max_err = 0, 0, 0.0
     for u_i, t_next in zip(u.fields, u.knots[1:]):
         evaluate = _field_evaluator(u_i, grid)
+        k1 = evaluate(x)
         while t < t_next - 1e-14:
-            k1 = evaluate(x)
             scale = np.max(np.abs(x)) + 1.0
             dt = min(t_next - t, BASE_STEP, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
             while True:
-                full = _rk4_step(evaluate, x, dt, k1)
-                mid = _rk4_step(evaluate, x, 0.5 * dt, k1)
-                half = _rk4_step(evaluate, mid, 0.5 * dt, evaluate(mid))
-                err = float(np.max(np.abs(half - full)))
+                y, k_last, err = _dp5_step(evaluate, x, dt, k1)
                 if err <= TOL * scale:
                     break
                 if dt <= MIN_STEP:
                     raise NonConvergence(
-                        f"step-doubling error {err:.3e} > {TOL * scale:.3e} "
+                        f"embedded error estimate {err:.3e} > {TOL * scale:.3e} "
                         f"at step {dt:.1e} <= MIN_STEP, t = {t:.6f}"
                     )
                 dt *= 0.5
                 rejected += 1
-            x_prev, x = x, half
+            x_prev, k1_prev = x, k1
+            x, k1 = y, k_last
             t += dt
             steps += 1
             max_err = max(max_err, err)
             if window is not None and np.max(np.abs(x)) > window:
                 i = int(np.argmax(np.abs(x)))  # the farthest point; bisect the step for its exit
+                xi, ki = x_prev[i:i + 1], k1_prev[i:i + 1]
                 lo, hi = _bisect(
-                    lambda s: abs(_rk4_step(evaluate, x_prev[i:i + 1], s, k1[i:i + 1])[0]) > window,
+                    lambda s: abs(_dp5_step(evaluate, xi, s, ki)[0][0]) > window,
                     0.0, dt, 1e-9 * max(dt, 1.0), EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
                 return FlowResult(None, blow_up=True, blow_up_time=t - dt + 0.5 * (lo + hi),
                                   steps=steps, rejected=rejected, max_err=max_err)
             if steps > MAX_SUBSTEPS:
                 raise NonConvergence(
                     f"{steps} substeps exceed MAX_SUBSTEPS at t = {t:.6f} of "
-                    f"{u.knots[-1]:.6f}; last step-doubling error {err:.3e}"
+                    f"{u.knots[-1]:.6f}; last embedded error estimate {err:.3e}"
                 )
     return FlowResult(x, steps=steps, rejected=rejected, max_err=max_err)
 
@@ -326,8 +350,8 @@ def flow_autonomous(u, t):
     """Time-t flow of an autonomous circle field (the exponential map at t).
 
     This is flow_time_dependent on the one-interval field u over [0, |t|],
-    time-reversed when t < 0, so every step's step-doubling error is at
-    most TOL * (max|x| + 1) on the lifted node positions x.
+    time-reversed when t < 0, so every step's embedded Dormand-Prince error
+    estimate is at most TOL * (max|x| + 1) on the lifted node positions x.
     """
     t = float(t)
     if t == 0.0:

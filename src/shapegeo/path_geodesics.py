@@ -14,7 +14,7 @@ endpoints (Neuberger, *Sobolev Gradients and Differential Equations*,
 1997; Sundaramoorthi-Yezzi-Mennucci, *Sobolev active contours*, 2007).
 For a metric near the identity p is close to the Newton step, so plain
 descent's thousands of iterations become tens.  The initial-value solver
-takes the flows' RK4 step on the state (x, v).  Each stage gets the
+takes fixed classical RK4 steps on the state (x, v).  Each stage gets the
 Christoffel term from one per-point oracle state: the derivative of the
 flat map ``metric_rows`` and its inverse ``sharp``, with no Gram matrix
 formed and nothing factored.
@@ -28,7 +28,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curves import l2_rows, l2_variation_rows, tangent
-from .diffeo_flows import _rk4_step
 from .errors import ShapeGeoError, SingularGram
 from .periodic_core import (
     PeriodicFunction,
@@ -401,8 +400,17 @@ def geodesic_acceleration(x, v, oracle):
     return -0.5 * oracle.sharp(state, rhs)
 
 
+def _rk4_step(f, x, dt, k1):
+    """One classical RK4 step of size dt from x, given its first stage k1 = f(x)."""
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def ivp_shoot(x0, v0, oracle, n_steps):
-    """Integrate the geodesic equation over t in [0, 1] by n_steps RK4 steps on y = (x, v)."""
+    """Integrate the geodesic equation over t in [0, 1] by n_steps classical RK4
+    steps on y = (x, v), at the fixed step 1/n_steps."""
     x = np.asarray(x0, dtype=float)
     dim = x.size
 

@@ -122,6 +122,13 @@ class TestFlowProperties:
         left = df.compose(df.invert(phi), phi)
         assert np.max(np.abs(wrap(left.values - phi.grid.nodes))) < 1e-9
 
+    @settings(max_examples=10, deadline=None)
+    @given(resolved_fields(), st.floats(-1.0, 1.0))
+    def test_flow_matches_dense_ode_oracle(self, u, t):
+        phi = df.flow_autonomous(u, t)
+        sol = solve_ivp(lambda _, x: u(x), (0.0, t), u.grid.nodes, rtol=1e-12, atol=1e-13)
+        assert np.max(np.abs(wrap(phi.values - sol.y[:, -1]))) < 1e-10
+
 
 class TestConjugation:
     def test_closed_form_rotation_speed(self):
@@ -258,7 +265,20 @@ class TestFlowTelemetry:
         grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
         tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
         result = df.flow_time_dependent(tf, x0=np.array([2.0]))
-        assert result.blow_up and result.steps > 256
+        assert result.blow_up and result.steps > result.blow_up_time / df.BASE_STEP
+
+    def test_steps_reuse_their_last_stage(self, monkeypatch):
+        """Six field evaluations per step, plus the first stage of each knot interval."""
+        calls = []
+        evaluate = df.evaluate_spectral
+        monkeypatch.setattr(df, "evaluate_spectral", lambda *a: calls.append(1) or evaluate(*a))
+        u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256)
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u], u.grid))
+        assert result.steps == 256 and len(calls) == 6 * 256 + 1
+        calls.clear()
+        back = pc.PeriodicFunction(u.grid, -0.5 * u.u.values)
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u, back], u.grid))
+        assert len(calls) == 6 * result.steps + 2
 
 
 class TestIntegratorBudgets:
