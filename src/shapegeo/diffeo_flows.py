@@ -284,7 +284,8 @@ MIN_STEP = 1e-12
 # largest substep; each accepted step's embedded error estimate is at most TOL * (max|x| + 1)
 BASE_STEP = 1.0 / 256.0
 TOL = 1e-8
-# halvings of the last step that locate a window exit to 1e-9 * max(dt, 1)
+# bracket width in time the window-exit bisection stops at, and its budget of halvings
+EXIT_TOL = 1e-9
 EXIT_MAX_HALVINGS = 60
 
 
@@ -300,8 +301,8 @@ def flow_time_dependent(u, x0=None):
     leaving the working window marks the result as blown up and the
     window-exit time is refined by bisecting the same step.  A step still
     failing at MIN_STEP, more than MAX_SUBSTEPS steps, or an exit time not
-    located in EXIT_MAX_HALVINGS halvings raise NonConvergence: an
-    exhausted budget is not a blow-up.
+    located to EXIT_TOL in EXIT_MAX_HALVINGS halvings raise NonConvergence:
+    an exhausted budget is not a blow-up.
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
@@ -335,7 +336,7 @@ def flow_time_dependent(u, x0=None):
                 xi, ki = x_prev[i:i + 1], k1_prev[i:i + 1]
                 lo, hi = _bisect(
                     lambda s: abs(_dp5_step(evaluate, xi, s, ki)[0][0]) > window,
-                    0.0, dt, 1e-9 * max(dt, 1.0), EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
+                    0.0, dt, EXIT_TOL, EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
                 return FlowResult(None, blow_up=True, blow_up_time=t - dt + 0.5 * (lo + hi),
                                   steps=steps, rejected=rejected, max_err=max_err)
             if steps > MAX_SUBSTEPS:

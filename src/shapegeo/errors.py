@@ -32,4 +32,5 @@ class VanishingField(ShapeGeoError):
 
 
 class StepCollapse(ShapeGeoError):
-    """ODE integration produced a non-orientation-preserving circle map."""
+    """A circle map is not orientation preserving: min(1 + f') <= 0 for its
+    lift displacement f.  Every ``CircleDiffeo`` checks this when it is built."""

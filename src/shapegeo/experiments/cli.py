@@ -3,16 +3,19 @@
 Usage: ``shapegeo <subcommand> [--config FILE] [--set key=value]... [--out DIR]``
 
 Each subcommand writes table.csv, plot.svg and manifest.txt into the
-output directory.  The manifest is itself a valid config file, so
+output directory, which then holds that run's files only (error.txt alone
+after a numerical failure).  The manifest is itself a valid config file, so
 ``shapegeo <subcommand> --config OUT/manifest.txt`` reproduces the table
 exactly; ``sphere-bvp``, the one subcommand with random input, takes its
 seed from the config like any other key.  Exit codes: 0 success, 2 config
-error, 3 numerical failure.
+error (also a value of the wrong type or one the experiment rejects), 3
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -29,20 +32,19 @@ __all__ = ["main", "run_experiment", "EXPERIMENTS"]
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations: config -> (columns, rows, extras), with the plot
-# written as a side effect; extras become manifest comments
+# Experiment implementations: config -> (columns, rows, extras, plot); extras
+# become manifest comments and plot holds the keyword arguments of svg_plot
 # ---------------------------------------------------------------------------
 
 
-def _run_grossman(config, out_dir):
+def _run_grossman(config):
     spec = hilbert_geometry.EllipsoidSpec(m=config["m"])
     n_list = range(config["n_min"], config["n_max"] + 1)
     table = hilbert_geometry.grossman_experiment(spec, n_list)
     columns = ["n", "length", "bound"]
     rows = [list(r) for r in table]
     ns = [r[0] for r in rows]
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
+    plot = dict(
         series=[
             ("Len(F c_n)", ns, [r[1] for r in rows]),
             ("(1+2^-n) pi", ns, [r[2] for r in rows]),
@@ -52,37 +54,30 @@ def _run_grossman(config, out_dir):
         ylabel="length",
         hlines=[("pi", float(np.pi))],
     )
-    return columns, rows, {}
+    return columns, rows, {}, plot
 
 
-def _run_vanishing_l2(config, out_dir):
+def _run_vanishing_l2(config):
     opts = pg.SolverOptions(tol=config["tol"], max_iter=config["max_iter"])
-    rows_l2 = pg.vanishing_distance_experiment(
-        levels=config["levels"],
-        base_samples=config["base_samples"],
-        base_steps=config["base_steps"],
-        opts=opts,
-    )
-    rows_flat = pg.vanishing_distance_experiment(
-        levels=config["levels"],
-        base_samples=config["base_samples"],
-        base_steps=config["base_steps"],
-        control=True,
-        opts=opts,
-    )
+    tables = {
+        label: pg.vanishing_distance_experiment(
+            levels=config["levels"], base_samples=config["base_samples"],
+            base_steps=config["base_steps"], control=control, opts=opts,
+        )
+        for label, control in (("l2", False), ("flat", True))
+    }
     columns = ["teeth", "l2_length", "flat_length"]
     rows = [
         [teeth, length, flat]
-        for (teeth, length, _), (_, flat, _) in zip(rows_l2, rows_flat)
+        for (teeth, length, _), (_, flat, _) in zip(tables["l2"], tables["flat"])
     ]
     # the kept solve of each level: did it converge, and if not, why it stopped
     extras = {}
-    for label, table in (("l2", rows_l2), ("flat", rows_flat)):
+    for label, table in tables.items():
         for teeth, _, report in table:
             extras[f"{label}_converged_teeth_{teeth}"] = report.converged
             extras[f"{label}_reason_teeth_{teeth}"] = report.reason
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
+    plot = dict(
         series=[
             ("L2 metric", [r[0] for r in rows], [r[1] for r in rows]),
             ("flat control", [r[0] for r in rows], [r[2] for r in rows]),
@@ -91,10 +86,10 @@ def _run_vanishing_l2(config, out_dir):
         xlabel="sawtooth teeth",
         ylabel="achieved path length",
     )
-    return columns, rows, extras
+    return columns, rows, extras, plot
 
 
-def _run_sphere_bvp(config, out_dir):
+def _run_sphere_bvp(config):
     m = config["m"]
     rng = np.random.default_rng(config["seed"])
     oracle = hilbert_geometry.sphere_oracle(m)
@@ -116,18 +111,18 @@ def _run_sphere_bvp(config, out_dir):
         length = report.length
         exact = hilbert_geometry.sphere_distance_analytic(x, y)
         rows.append([i, length, exact, abs(length - exact)])
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
+    plot = dict(
         series=[("abs error", [r[0] for r in rows], [max(r[3], 1e-17) for r in rows])],
         title="Sphere BVP vs arccos distance",
         xlabel="pair index",
         ylabel="absolute error",
         logy=True,
     )
-    return columns, rows, {"unconverged_pairs": unconverged, "bvp_iterations": iterations}
+    extras = {"unconverged_pairs": unconverged, "bvp_iterations": iterations}
+    return columns, rows, extras, plot
 
 
-def _run_exp_circle(config, out_dir):
+def _run_exp_circle(config):
     n = config["n_samples"]
     u = diffeo_flows.CircleField.from_callable(
         lambda th: 1.0 + 0.5 * np.sin(th), n
@@ -165,8 +160,7 @@ def _run_exp_circle(config, out_dir):
     ]
     rows = [[c, float(np.sqrt(0.75)), conj_err, err1, err2, field_sep]]
     nodes = grid.nodes
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
+    plot = dict(
         series=[
             ("u = 1 + 0.5 sin", nodes, u.u.values[0]),
             ("u1 (noninjectivity)", nodes, u1.u.values[0]),
@@ -176,10 +170,10 @@ def _run_exp_circle(config, out_dir):
         xlabel="theta",
         ylabel="field value",
     )
-    return columns, rows, {}
+    return columns, rows, {}, plot
 
 
-def _run_blowup(config, out_dir):
+def _run_blowup(config):
     grid = diffeo_flows.RealGrid(
         half_width=config["half_width"], n_nodes=config["n_nodes"]
     )
@@ -201,18 +195,17 @@ def _run_blowup(config, out_dir):
     # trajectory of the analytic solution up to the window exit
     ts = np.linspace(0.0, result.blow_up_time, 200)
     xs = config["x0"] / (1.0 - ts * config["x0"])
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
+    plot = dict(
         series=[("x(t) = x0/(1 - t x0)", ts, xs)],
         title="Finite-time blow-up of dx/dt = x^2",
         xlabel="t",
         ylabel="x",
         logy=True,
     )
-    return columns, rows, {}
+    return columns, rows, {}, plot
 
 
-def _run_landmark_geodesic(config, out_dir):
+def _run_landmark_geodesic(config):
     kernel = kernel_metrics.gaussian_kernel(config["sigma"])
     start = np.array([config["q1_start"], config["q2_start"]])
     end = np.array([config["q1_end"], config["q2_end"]])
@@ -226,8 +219,7 @@ def _run_landmark_geodesic(config, out_dir):
     for j, t in enumerate(times):
         for i in range(2):
             rows.append([t, i, path.points[j, i]])
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
+    plot = dict(
         series=[
             ("landmark 1", times, path.points[:, 0]),
             ("landmark 2", times, path.points[:, 1]),
@@ -236,10 +228,11 @@ def _run_landmark_geodesic(config, out_dir):
         xlabel="t",
         ylabel="position",
     )
-    return columns, rows, {"geodesic_length": report.length, "converged": report.converged}
+    extras = {"geodesic_length": report.length, "converged": report.converged}
+    return columns, rows, extras, plot
 
 
-def _run_lddmm_flow(config, out_dir):
+def _run_lddmm_flow(config):
     grid = diffeo_flows.RealGrid(
         half_width=config["half_width"], n_nodes=config["n_nodes"]
     )
@@ -263,8 +256,7 @@ def _run_lddmm_flow(config, out_dir):
         [probe[i], fwd.final_map[i], back.final_map[i], abs(back.final_map[i] - probe[i])]
         for i in range(len(probe))
     ]
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
+    plot = dict(
         series=[
             ("forward flow", probe, fwd.final_map),
             ("after reversal", probe, back.final_map),
@@ -274,10 +266,10 @@ def _run_lddmm_flow(config, out_dir):
         xlabel="x0",
         ylabel="position",
     )
-    return columns, rows, {"membership_check": membership}
+    return columns, rows, {"membership_check": membership}, plot
 
 
-def _run_sobolev_props(config, out_dir):
+def _run_sobolev_props(config):
     n = config["n_samples"]
     columns = ["k", "q", "mode_sum", "integer_form", "ratio", "weight"]
     rows = []
@@ -294,18 +286,13 @@ def _run_sobolev_props(config, out_dir):
                 weight = (1.0 + float(k) ** (2 * q)) / (1.0 + float(k) ** 2) ** q
             rows.append([k, q, a, b, b / a, weight])
     ks = sorted(set(r[0] for r in rows))
-    series = []
-    for q in (0, 1, 2):
-        vals = [r[4] for r in rows if r[1] == q]
-        series.append((f"ratio at q={q}", ks, vals))
-    svg_plot(
-        os.path.join(out_dir, "plot.svg"),
-        series=series,
+    plot = dict(
+        series=[(f"ratio at q={q}", ks, [r[4] for r in rows if r[1] == q]) for q in (0, 1, 2)],
         title="Integer-form / mode-sum ratio per single mode",
         xlabel="mode k",
         ylabel="ratio",
     )
-    return columns, rows, {}
+    return columns, rows, {}, plot
 
 
 EXPERIMENTS = {
@@ -382,7 +369,7 @@ EXPERIMENTS = {
 
 
 def _assemble_config(name, args):
-    runner, defaults = EXPERIMENTS[name]
+    defaults = EXPERIMENTS[name][1]
     config = dict(defaults)
     if args.config is not None:
         file_config = load_config_file(args.config)
@@ -396,28 +383,38 @@ def _assemble_config(name, args):
         raise ConfigError(
             f"unknown config keys for {name}: {', '.join(sorted(unknown))}"
         )
-    return runner, config
+    for key, value in config.items():
+        default = defaults[key]
+        # manifests write an integral float such as sigma = 1 as an int
+        accepted = (int, float) if isinstance(default, float) else type(default)
+        if not isinstance(value, accepted):
+            raise ConfigError(f"{key} = {value!r} for {name}: expected {type(default).__name__}")
+    return config
+
+
+# a run leaves the first three, or error.txt alone when it fails numerically
+ARTIFACTS = ("table.csv", "plot.svg", "manifest.txt", "error.txt")
+NUMERICAL_FAILURES = (ShapeGeoError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def run_experiment(name, config, out_dir):
-    """Run one experiment and write table.csv, plot.svg, manifest.txt."""
-    runner, defaults = EXPERIMENTS[name]
+    """Run one experiment into out_dir, which then holds this run's files only."""
+    runner = EXPERIMENTS[name][0]
     os.makedirs(out_dir, exist_ok=True)
-    columns, rows, extras = runner(config, out_dir)
+    for artifact in ARTIFACTS:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, artifact))
+    try:
+        columns, rows, extras, plot = runner(config)
+    except NUMERICAL_FAILURES as exc:
+        with contextlib.suppress(OSError):  # best effort: the failure itself is raised
+            atomic_write_text(os.path.join(out_dir, "error.txt"),
+                              f"error_type = {type(exc).__name__}\nmessage = {exc}\n")
+        raise
     write_csv(os.path.join(out_dir, "table.csv"), columns, rows)
+    svg_plot(os.path.join(out_dir, "plot.svg"), **plot)
     write_manifest(os.path.join(out_dir, "manifest.txt"), name, config, extras)
     return columns, rows
-
-
-def _write_error_record(out_dir, exc):
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        atomic_write_text(
-            os.path.join(out_dir, "error.txt"),
-            f"error_type = {type(exc).__name__}\nmessage = {exc}\n",
-        )
-    except OSError:
-        pass
 
 
 def main(argv=None):
@@ -447,16 +444,13 @@ def main(argv=None):
     name = args.experiment
     out_dir = args.out if args.out is not None else os.path.join("out", name)
     try:
-        runner, config = _assemble_config(name, args)
-    except ConfigError as exc:
+        run_experiment(name, _assemble_config(name, args), out_dir)
+    except NUMERICAL_FAILURES as exc:  # LinAlgError is also a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # ConfigError and the library's own input checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        run_experiment(name, config, out_dir)
-    except (ShapeGeoError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        _write_error_record(out_dir, exc)
-        return 3
     return 0
 
 

@@ -271,11 +271,9 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
 
 
 def _profile_derivative(kernel, r):
-    """d/dr of the kernel profile, analytic for both supported kinds."""
+    """d/dr of the kernel profile, analytic for both Sobolev kinds (orders 1 and 2)."""
     s = kernel.scale
     rs = r / s
-    if kernel.kind == "gaussian":
-        return -rs / s * np.exp(-0.5 * rs**2)
     if kernel.order == 1:
         return -0.5 / s * np.exp(-rs)
     return -0.25 / s * rs * np.exp(-rs)

@@ -10,7 +10,7 @@ import pytest
 
 import shapegeo
 from shapegeo.experiments import io
-from shapegeo.experiments.cli import main, run_experiment
+from shapegeo.experiments.cli import EXPERIMENTS, main, run_experiment
 
 
 class TestConfigParsing:
@@ -189,6 +189,35 @@ class TestRunner:
 
     def test_bad_override_is_config_error(self, tmp_path):
         assert main(["grossman", "--set", "m", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("name, override", [
+        ("sobolev-props", "n_samples=100"),  # the grid needs a power of two
+        ("sobolev-props", "n_samples=abc"),
+        ("sphere-bvp", "tol=fast"),
+        ("grossman", "n_max=4.5"),
+    ])
+    def test_rejected_value_is_config_error(self, tmp_path, name, override):
+        out = tmp_path / "x"
+        assert main([name, "--set", override, "--out", str(out)]) == 2
+        assert not (out / "table.csv").exists()
+
+    @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
+    def test_runner_returns_its_outputs_and_writes_nothing(self, tmp_path, monkeypatch, name):
+        runner, defaults = EXPERIMENTS[name]
+        config = dict(defaults, **io.parse_overrides(SMALL_CONFIGS[name]))
+        monkeypatch.chdir(tmp_path)
+        result = runner(config)
+        assert isinstance(result, tuple) and len(result) == 4
+        assert os.listdir(tmp_path) == []
+
+    def test_out_dir_holds_only_the_last_run(self, tmp_path):
+        out = tmp_path / "b"
+        args = ["blowup", "--set", "half_width=100.0", "--set", "n_nodes=1024", "--out", str(out)]
+        assert main(args) == 0
+        assert main(args + ["--set", "x0=0.1"]) == 3  # no blow-up: a numerical failure
+        assert os.listdir(out) == ["error.txt"]
+        assert main(args) == 0
+        assert sorted(os.listdir(out)) == ["manifest.txt", "plot.svg", "table.csv"]
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # no blow-up happens for a small initial value within t_end = 1
