@@ -394,9 +394,12 @@ def exp_noninjectivity_demo(psi, n):
     """Field u(x) = (2*pi/n) psi'(psi^{-1}(x)) whose time-1 flow is the
     rotation by 2*pi/n for every 2*pi/n-periodic psi.
 
+    The order n is any nonzero integer; a negative n rotates backwards.
     Returns (u, err) with err the sup-distance between the computed flow
     and the rotation.
     """
+    if n == 0:
+        raise ValueError("rotation order must be nonzero")
     grid = psi.grid
     nodes = grid.nodes
     shift = TWO_PI / n
@@ -428,9 +431,11 @@ def nonsurjectivity_candidate(n, eps, n_samples=256):
     """The map phi(x) = x + 2*pi/n + eps*sin(n x): fixed-point free with
     isolated periodic points, hence not a time-1 flow of any field.
 
-    Requires |eps| < 2/n and, for phi to be a diffeomorphism on the grid,
-    |eps| * n < 1.
+    Requires n >= 1, |eps| < 2/n and, for phi to be a diffeomorphism on the
+    grid, |eps| * n < 1.
     """
+    if n < 1:
+        raise ValueError(f"order n must be >= 1, got {n}")
     if abs(eps) >= 2.0 / n:
         raise ValueError(f"|eps| must be < 2/n = {2.0 / n:.4f}")
     grid = PeriodicGrid(n_samples)
@@ -450,13 +455,15 @@ PERIODIC_MAX_HALVINGS = 100
 
 
 def isolated_periodic_points(phi, n):
-    """Fixed points of phi^n, by dense sampling and bisection.
+    """Fixed points of phi^n for n >= 1, by dense sampling and bisection.
 
     The displacement of the composed map is wrapped to mean in [-pi, pi),
     which removes the full 2*pi winding of phi^n; its fixed points on the
     circle are the zeros of that wrapped displacement.  Spending
     PERIODIC_MAX_HALVINGS halvings raises NonConvergence.
     """
+    if n < 1:
+        raise ValueError(f"order n must be >= 1, got {n}")
     power = phi
     for _ in range(n - 1):
         power = compose(phi, power)

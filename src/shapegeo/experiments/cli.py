@@ -7,9 +7,10 @@ output directory, which then holds that run's files only (error.txt alone
 after a numerical failure).  The manifest is itself a valid config file, so
 ``shapegeo <subcommand> --config OUT/manifest.txt`` reproduces the table
 exactly; ``sphere-bvp``, the one subcommand with random input, takes its
-seed from the config like any other key.  Exit codes: 0 success, 2 config
-error (also a value of the wrong type or one the experiment rejects), 3
-numerical failure.
+seed from the config like any other key.  Each config value is read as
+its default's type.  Exit codes: 0 success, 2 config error (also a value
+that does not read as that type, a non-finite value, a table without rows or
+a value the experiment rejects), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -370,25 +371,25 @@ EXPERIMENTS = {
 
 def _assemble_config(name, args):
     defaults = EXPERIMENTS[name][1]
-    config = dict(defaults)
-    if args.config is not None:
-        file_config = load_config_file(args.config)
-        file_experiment = file_config.pop("experiment", name)
-        if file_experiment != name:
-            raise ConfigError(f"config file is for {file_experiment}, not {name}")
-        config.update(file_config)
-    config.update(parse_overrides(args.set or []))
-    unknown = set(config) - set(defaults)
+    texts = load_config_file(args.config) if args.config is not None else {}
+    file_experiment = texts.pop("experiment", name)
+    if file_experiment != name:
+        raise ConfigError(f"config file is for {file_experiment}, not {name}")
+    texts.update(parse_overrides(args.set or []))
+    unknown = set(texts) - set(defaults)
     if unknown:
         raise ConfigError(
             f"unknown config keys for {name}: {', '.join(sorted(unknown))}"
         )
-    for key, value in config.items():
-        default = defaults[key]
-        # manifests write an integral float such as sigma = 1 as an int
-        accepted = (int, float) if isinstance(default, float) else type(default)
-        if not isinstance(value, accepted):
-            raise ConfigError(f"{key} = {value!r} for {name}: expected {type(default).__name__}")
+    config = dict(defaults)
+    for key, text in texts.items():
+        kind = type(defaults[key])
+        try:
+            config[key] = kind(text)
+        except ValueError:
+            raise ConfigError(f"{key} = {text!r} for {name}: expected {kind.__name__}") from None
+        if kind is float and not np.isfinite(config[key]):
+            raise ConfigError(f"{key} = {text!r} for {name}: expected a finite value")
     return config
 
 

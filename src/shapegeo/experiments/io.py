@@ -1,5 +1,8 @@
 """Artifact plumbing: flat key=value configs, reproducible CSV tables, hand-emitted SVG.
 
+Config readers return each value as its stripped text; the CLI gives it
+the type of the subcommand's default for that key.
+
 CSV dialect is fixed for bit-exact reproducibility: comma separators,
 '.' decimal point, 17 significant digits, header row, LF line endings.
 All files are written atomically (temp file + rename in the target
@@ -36,20 +39,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _coerce(text):
-    """Interpret a config value as int, float, or bare string."""
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def _parse_pair(text, where):
     """Split one ``key=value`` pair; ``where`` locates it in error messages."""
     if "=" not in text:
@@ -57,11 +46,11 @@ def _parse_pair(text, where):
     key, value = text.split("=", 1)
     if not key.strip():
         raise ConfigError(f"{where}: empty key in {text!r}")
-    return key.strip(), _coerce(value)
+    return key.strip(), value.strip()
 
 
 def parse_config_text(text):
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines into {key: text}; '#' starts a comment."""
     lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return dict(_parse_pair(line, f"line {n}") for n, line in enumerate(lines, start=1) if line)
 
@@ -76,7 +65,7 @@ def load_config_file(path):
 
 
 def parse_overrides(pairs):
-    """Parse repeated --set key=value overrides (later wins)."""
+    """Parse repeated --set key=value overrides into {key: text} (later wins)."""
     return dict(_parse_pair(pair, "--set") for pair in pairs)
 
 
@@ -112,7 +101,12 @@ def atomic_write_text(path, text):
 
 
 def write_csv(path, columns, rows):
-    """Rectangular CSV with header; entries formatted via format_value."""
+    """Rectangular CSV with header; entries formatted via format_value.
+
+    A table without rows is rejected before anything is written.
+    """
+    if len(rows) == 0:
+        raise ValueError("table has no rows")
     n_cols = len(columns)
     lines = [",".join(columns)]
     for row in rows:

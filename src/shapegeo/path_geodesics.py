@@ -204,7 +204,8 @@ class GeodesicReport:
     ``reason`` says why the solve stopped: ``tol`` (the gradient norm fell
     below the tolerance), ``max_iter`` (the iteration budget ran out) or
     ``line_search`` (no trial step of an iteration decreased the energy
-    enough).  ``energy_evals`` counts the path energies computed, the
+    enough).  ``grad_norm`` is the norm of the energy gradient at the
+    returned path.  ``energy_evals`` counts the path energies computed, the
     initial one included; ``backtracks`` counts the rejected trial steps.
     """
 
@@ -336,7 +337,6 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
     inverse_laplacian = _inverse_time_laplacian(path.n_steps) if sobolev else None
     max_step = SOBOLEV_MAX_STEP if sobolev else PLAIN_MAX_STEP
     step = 1.0
-    grad_norm = np.inf
     iterations = 0
     reason = "max_iter"
     for iterations in range(1, opts.max_iter + 1):
@@ -372,6 +372,12 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
         if not accepted:
             reason = "line_search"
             break
+    else:
+        # the budget ran out: report the gradient at the path that is returned
+        grad = energy_gradient(path, oracle)
+        grad_norm = float(np.sqrt(np.sum(grad * grad)))
+        if grad_norm < opts.tol:
+            reason = "tol"
 
     report = GeodesicReport(
         energy=energy,

@@ -1,4 +1,4 @@
-"""The output comparison tool's byte-for-byte directory check, on synthetic files."""
+"""The output comparison tool: its directory check on synthetic files, and one manifest rerun."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +47,15 @@ def test_one_byte_and_a_missing_file_are_reported(compare_outputs, tmp_path):
 def test_a_subcommand_without_outputs_is_missing_on_both_sides(compare_outputs, tmp_path):
     results = compare_outputs.compare_dirs(tmp_path / "parent", tmp_path / "change", ["c"])
     assert [status for _, status in results] == ["missing"] * 3
+
+
+def test_manifest_rerun_of_sobolev_props_is_identical(compare_outputs, tmp_path):
+    names = ["sobolev-props"]
+    first = compare_outputs.run_subcommands(compare_outputs.ROOT, tmp_path / "first", names)
+    rerun = compare_outputs.run_subcommands(compare_outputs.ROOT, tmp_path / "rerun", names,
+                                            manifests=tmp_path / "first")
+    assert first == rerun == {"sobolev-props": 0}
+    results = compare_outputs.compare_dirs(tmp_path / "first", tmp_path / "rerun", names,
+                                           compare_outputs.RERUN_FILES)
+    assert results == [("sobolev-props/table.csv", "identical"),
+                       ("sobolev-props/manifest.txt", "identical")]

@@ -170,6 +170,13 @@ class TestExpNonInjectivity:
         with pytest.raises(ValueError):
             df.exp_noninjectivity_demo(psi, 3)
 
+    def test_order_must_be_nonzero(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            df.exp_noninjectivity_demo(make_diffeo(64, lambda t: 0.0 * t), 0)
+        # a negative order rotates backwards
+        psi = make_diffeo(64, lambda t: 0.05 * np.sin(-3 * t))
+        assert df.exp_noninjectivity_demo(psi, -3)[1] < 1e-6
+
 
 class TestNonSurjectivity:
     @pytest.mark.parametrize("n_rot, eps, n_samples", [(5, 0.15, 2048), (3, 0.1, 256), (5, 0.05, 256)])
@@ -185,6 +192,16 @@ class TestNonSurjectivity:
     def test_eps_bound_enforced(self):
         with pytest.raises(ValueError):
             df.nonsurjectivity_candidate(5, 0.5)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_candidate_order_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=">= 1"):
+            df.nonsurjectivity_candidate(n, 0.1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_periodic_point_order_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=">= 1"):
+            df.isolated_periodic_points(df.nonsurjectivity_candidate(3, 0.1), n)
 
     def test_map_without_periodic_points(self):
         # the cube of the rotation by 1 rad is the rotation by 3 rad: no bracket to bisect

@@ -1,5 +1,6 @@
 """Experiment runner: configs, CSV/SVG artifacts, determinism, exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -10,20 +11,20 @@ import pytest
 
 import shapegeo
 from shapegeo.experiments import io
-from shapegeo.experiments.cli import EXPERIMENTS, main, run_experiment
+from shapegeo.experiments.cli import EXPERIMENTS, _assemble_config, main, run_experiment
 
 
 class TestConfigParsing:
     def test_key_value_with_comments(self):
         cfg = io.parse_config_text("# header\n a = 3 \nb = 2.5\nc = text # trailing\n")
-        assert cfg == {"a": 3, "b": 2.5, "c": "text"}
+        assert cfg == {"a": "3", "b": "2.5", "c": "text"}
 
     def test_malformed_line_rejected(self):
         with pytest.raises(io.ConfigError):
             io.parse_config_text("just words\n")
 
     def test_override_parsing(self):
-        assert io.parse_overrides(["a=1", "a=2"]) == {"a": 2}
+        assert io.parse_overrides(["a=1", "a=2"]) == {"a": "2"}
         with pytest.raises(io.ConfigError):
             io.parse_overrides(["novalue"])
 
@@ -59,6 +60,11 @@ class TestCsv:
     def test_ragged_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             io.write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0]])
+
+    def test_table_without_rows_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="no rows"):
+            io.write_csv(str(tmp_path / "t.csv"), ["a", "b"], [])
+        assert os.listdir(tmp_path) == []
 
 
 class TestSvg:
@@ -166,6 +172,18 @@ class TestRunner:
             with open(os.path.join(out2, name), "rb") as fh:
                 assert fh.read() == first, name
 
+    @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
+    def test_manifest_gives_back_the_default_types(self, tmp_path, name):
+        """A config read back from a manifest has exactly its defaults' types."""
+        out = tmp_path / "a"
+        sets = [arg for pair in SMALL_CONFIGS[name] for arg in ("--set", pair)]
+        assert main([name, *sets, "--out", str(out)]) == 0
+        config = _assemble_config(name, argparse.Namespace(config=str(out / "manifest.txt"), set=[]))
+        defaults = EXPERIMENTS[name][1]
+        assert config.keys() == defaults.keys()
+        for key in defaults:
+            assert type(config[key]) is type(defaults[key]), key
+
     def test_unknown_key_is_config_error(self, tmp_path):
         assert main(["grossman", "--set", "bogus=1", "--out", str(tmp_path / "x")]) == 2
 
@@ -195,16 +213,27 @@ class TestRunner:
         ("sobolev-props", "n_samples=abc"),
         ("sphere-bvp", "tol=fast"),
         ("grossman", "n_max=4.5"),
+        # non-finite values
+        ("sphere-bvp", "tol=inf n_pairs=2"),
+        ("sphere-bvp", "tol=nan max_iter=50 n_pairs=2"),
+        ("blowup", "x0=nan"),
+        # tables without rows
+        ("grossman", "n_max=0"),
+        ("sphere-bvp", "n_pairs=0"),
+        ("sobolev-props", "k_max=-1"),
+        # no rotation of order zero
+        ("exp-circle", "rotation_order=0 n_samples=64"),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, name, override):
         out = tmp_path / "x"
-        assert main([name, "--set", override, "--out", str(out)]) == 2
+        sets = [arg for pair in override.split() for arg in ("--set", pair)]
+        assert main([name, *sets, "--out", str(out)]) == 2
         assert not (out / "table.csv").exists()
 
     @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
     def test_runner_returns_its_outputs_and_writes_nothing(self, tmp_path, monkeypatch, name):
-        runner, defaults = EXPERIMENTS[name]
-        config = dict(defaults, **io.parse_overrides(SMALL_CONFIGS[name]))
+        runner = EXPERIMENTS[name][0]
+        config = _assemble_config(name, argparse.Namespace(config=None, set=SMALL_CONFIGS[name]))
         monkeypatch.chdir(tmp_path)
         result = runner(config)
         assert isinstance(result, tuple) and len(result) == 4

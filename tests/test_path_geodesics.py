@@ -369,6 +369,26 @@ class TestStopReason:
         assert (report.reason, report.converged, report.iterations) == ("max_iter", False, 2)
         assert report.energy_evals == 1 + 2 + report.backtracks
 
+    def test_budget_report_describes_the_returned_path(self):
+        """A solve stopped by its budget reports the gradient norm of the path it returns."""
+        rng = np.random.default_rng(42)
+        m = 10
+        oracle = hilbert_geometry.sphere_oracle(m)
+        x, y = sphere_point(rng, m), sphere_point(rng, m)
+        pts = pg.Path.linear(x, y, 48).points
+        init = pg.Path(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        opts = pg.SolverOptions(tol=1e-6, max_iter=5)
+        path, report = pg.bvp_minimize(x, y, oracle, init=init, opts=opts)
+        grad = pg.energy_gradient(path, oracle)
+        assert (report.reason, report.iterations) == ("max_iter", 5)
+        assert report.grad_norm == float(np.sqrt(np.sum(grad * grad)))
+
+    def test_last_step_that_meets_tol_converges(self):
+        """One Newton step solves the flat problem, so a budget of one iteration converges."""
+        _, report = self._bent_flat_solve(pg.SolverOptions(tol=1e-8, max_iter=1))
+        assert (report.reason, report.converged, report.iterations) == ("tol", True, 1)
+        assert report.grad_norm < 1e-8
+
     def test_line_search(self):
         """Every trial energy is inf, so the first iteration exhausts its backtracks."""
         calls = []
