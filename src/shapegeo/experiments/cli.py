@@ -234,6 +234,8 @@ def _run_landmark_geodesic(config):
 
 
 def _run_lddmm_flow(config):
+    if config["n_probe"] < 1:
+        raise ConfigError(f"n_probe = {config['n_probe']} for lddmm-flow: must be >= 1")
     grid = diffeo_flows.RealGrid(
         half_width=config["half_width"], n_nodes=config["n_nodes"]
     )

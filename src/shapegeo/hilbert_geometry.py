@@ -68,8 +68,13 @@ def sphere_oracle(m):
     unit sphere this restricts to the ambient inner product and great
     circles at r = 1 are geodesics.  The Gram is 1/r^2 across x and 1 along
     it, so ``sharp`` is r^2 xi - (r^2 - 1) <xi, x> x / r^2 and the condition
-    number is max(r^2, 1/r^2).  The per-point state is x itself.
+    number is max(r^2, 1/r^2).  ``sharp_derivative`` differentiates that
+    along l, and ``cometric_gradient`` is the x-gradient of
+    1/2 <xi, sharp(x, xi)> = 1/2 (r^2 |xi|^2 - <xi, x>^2 + <xi, x>^2 / r^2).
+    The per-point state is x itself.  m < 2 raises ValueError.
     """
+    if m < 2:
+        raise ValueError(f"sphere oracle needs m >= 2, got m = {m}")
 
     def at(x):
         return np.asarray(x)
@@ -91,26 +96,28 @@ def sphere_oracle(m):
         rows = rows + hx * kx * (-2.0 / r2**2 + 4.0 / r2**3) * x
         return rows
 
-    def flat_derivative(x, l, h):
-        r2 = np.sum(x * x, axis=-1)[..., None]
-        lx = np.sum(l * x, axis=-1)[..., None]
-        hx = np.sum(h * x, axis=-1)[..., None]
-        hl = np.sum(h * l, axis=-1)[..., None]
-        t = 1.0 / r2 - 1.0 / r2**2
-        # d/de of 1/r^2 and of t along l, with d(r^2) = 2 <x, l>
-        rows = lx * (-2.0 / r2**2) * h
-        rows = rows + t * (hl * x + hx * l)
-        rows = rows + hx * lx * (-2.0 / r2**2 + 4.0 / r2**3) * x
-        return rows
-
     def sharp(x, xi):
         r2 = np.sum(x * x, axis=-1)[..., None]
         _check_condition(np.max(np.maximum(r2, 1.0 / r2)))
         xix = np.sum(xi * x, axis=-1)[..., None]
         return r2 * xi - (r2 - 1.0) * xix * x / r2
 
+    def sharp_derivative(x, l, xi):
+        r2 = np.sum(x * x, axis=-1)[..., None]
+        lx = np.sum(l * x, axis=-1)[..., None]
+        xil = np.sum(xi * l, axis=-1)[..., None]
+        xix = np.sum(xi * x, axis=-1)[..., None]
+        return 2.0 * lx * (xi - xix * x / r2**2) - (1.0 - 1.0 / r2) * (xil * x + xix * l)
+
+    def cometric_gradient(x, xi):
+        r2 = np.sum(x * x, axis=-1)[..., None]
+        xi2 = np.sum(xi * xi, axis=-1)[..., None]
+        xix = np.sum(xi * x, axis=-1)[..., None]
+        return xi2 * x - xix**2 * x / r2**2 - (1.0 - 1.0 / r2) * xix * xi
+
     return MetricOracle.from_rows(
-        m, at, metric_rows, variation_rows, sharp, flat_derivative, name=f"sphere(m={m})"
+        m, at, metric_rows, variation_rows, sharp, sharp_derivative, cometric_gradient,
+        name=f"sphere(m={m})",
     )
 
 

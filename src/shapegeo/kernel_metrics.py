@@ -156,13 +156,26 @@ def _cho_solve(chol, rhs):
     return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs))
 
 
-def _kernel_gradient(kernel, diff, dist):
-    """Gradient of k(|q_a - q_b|) in q_a, shape (..., N, N, d); zero for a == b."""
+def _kernel_gradient(kernel, state):
+    """Gradient of k(|q_a - q_b|) in q_a at a ``_Factored`` state, shape (..., N, N, d); zero
+    for a == b."""
     if kernel.kind == "gaussian":
-        return -kernel.profile(dist)[..., None] * diff / kernel.scale**2
+        return -state.gram[..., None] * state.diff / kernel.scale**2
     # diff vanishes on the diagonal, where the Sobolev profile has a kink
-    r_safe = np.where(dist == 0.0, 1.0, dist)[..., None]
-    return _profile_derivative(kernel, r_safe) * diff / r_safe
+    r_safe = np.where(state.dist == 0.0, 1.0, state.dist)[..., None]
+    return _profile_derivative(kernel, r_safe) * state.diff / r_safe
+
+
+def _gram_derivative(kernel, state, p, p2):
+    """q-gradient (..., N, d) of p^T K(q) p2 = sum_ab (p_a . p2_b) k_ab at a ``_Factored`` state.
+
+    k_ab depends on q_a and q_b, and its q_b-gradient is the q_a-gradient of
+    k_ba, so the q_a row is sum_b (p_a . p2_b + p2_a . p_b) grad_{q_a} k_ab.
+    """
+    pp = np.einsum("...ad,...bd->...ab", p, p2)
+    sym = pp + np.swapaxes(pp, -1, -2)
+    grad = _kernel_gradient(kernel, state)
+    return np.einsum("...ab,...abd->...ad", sym, grad)
 
 
 def _scalar_gram(kernel, points_a, points_b=None):
@@ -214,14 +227,18 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
     the N x N scalar Gram K of every configuration in x's leading axes with
     one batched Cholesky (a ``_Factored`` state), and every other callable
     reads that state: the flat map h -> K^{-1} h solves the momenta (N, d)
-    with d right-hand sides; its x-gradient and ``flat_derivative``
-    -K^{-1} dK[l] K^{-1} h contract one analytic kernel-gradient tensor;
-    and ``sharp`` is K xi, with no solve (Miller-Trouve-Younes, *Geodesic
-    shooting for computational anatomy*, 2006), its condition number that
-    of K from ``eigvalsh``, since cond(K^{-1} ⊗ I_d) = cond(K).  h, k and
-    l broadcast against x without refactoring.  Non-finite positions raise
-    ValueError; landmarks closer than MIN_SEPARATION or a Gram that is not
-    positive definite, in any row, raise DegenerateConfig.
+    with d right-hand sides, and its x-gradient is minus the q-gradient of
+    p^T K(q) p2 at the momenta p, p2 of h and k (``_gram_derivative``).
+    ``sharp`` is K xi, its derivative ``sharp_derivative`` is dK[l] xi and
+    ``cometric_gradient`` is half that q-gradient at p = p2 = xi,
+    sum_b (xi_a . xi_b) grad_{q_a} k_ab, so none of the three solves, and a
+    geodesic acceleration solves only for its momentum xi = K^{-1} v
+    (Miller-Trouve-Younes, *Geodesic shooting for computational anatomy*,
+    2006).  ``sharp``'s condition number is that of K from ``eigvalsh``,
+    since cond(K^{-1} ⊗ I_d) = cond(K).  h, k, l and xi broadcast against x
+    without refactoring.  Non-finite positions raise ValueError; landmarks
+    closer than MIN_SEPARATION or a Gram that is not positive definite, in
+    any row, raise DegenerateConfig.
     """
     d = config_dim
     n = n_points
@@ -245,18 +262,7 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
         s = at(x)
         p = _cho_solve(s.chol, _split(h))
         p2 = p if k is h else _cho_solve(s.chol, _split(k))
-        pp = np.einsum("...ad,...bd->...ab", p, p2)
-        sym = pp + np.swapaxes(pp, -1, -2)
-        grad = _kernel_gradient(kernel, s.diff, s.dist)
-        return _flat(-np.einsum("...ab,...abd->...ad", sym, grad))
-
-    def flat_derivative(x, l, h):
-        """-K^{-1} dK[l] K^{-1} h, where dK[l]_ab = grad k_ab . (l_a - l_b)."""
-        s = at(x)
-        l = _split(l)
-        dk = np.einsum("...abd,...abd->...ab", _kernel_gradient(kernel, s.diff, s.dist),
-                       l[..., :, None, :] - l[..., None, :, :])
-        return _flat(-_cho_solve(s.chol, dk @ _cho_solve(s.chol, _split(h))))
+        return _flat(-_gram_derivative(kernel, s, p, p2))
 
     def sharp(x, xi):
         s = at(x)
@@ -264,8 +270,20 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
         _check_condition(np.max(np.max(eig, axis=-1) / np.min(eig, axis=-1)))
         return _flat(s.gram @ _split(xi))
 
+    def sharp_derivative(x, l, xi):
+        """dK[l] xi, where dK[l]_ab = grad k_ab . (l_a - l_b)."""
+        s = at(x)
+        l = _split(l)
+        dk = np.einsum("...abd,...abd->...ab", _kernel_gradient(kernel, s),
+                       l[..., :, None, :] - l[..., None, :, :])
+        return _flat(dk @ _split(xi))
+
+    def cometric_gradient(x, xi):
+        xi = _split(xi)
+        return _flat(0.5 * _gram_derivative(kernel, at(x), xi, xi))
+
     return MetricOracle.from_rows(
-        m, at, metric_rows, variation_rows, sharp, flat_derivative,
+        m, at, metric_rows, variation_rows, sharp, sharp_derivative, cometric_gradient,
         name=f"landmarks(N={n},d={d},{kernel.kind})",
     )
 

@@ -15,9 +15,12 @@ endpoints (Neuberger, *Sobolev Gradients and Differential Equations*,
 For a metric near the identity p is close to the Newton step, so plain
 descent's thousands of iterations become tens.  The initial-value solver
 takes fixed classical RK4 steps on the state (x, v).  Each stage gets the
-Christoffel term from one per-point oracle state: the derivative of the
-flat map ``metric_rows`` and its inverse ``sharp``, with no Gram matrix
-formed and nothing factored.
+acceleration from the cometric, read from one per-point oracle state: the
+momentum xi = metric_rows(x, v) follows Hamilton's equations of
+H = 1/2 <xi, sharp(x, xi)> (Miller-Trouve-Younes, *Geodesic shooting for
+computational anatomy*, 2006), and v = sharp(x, xi), so the acceleration
+takes the derivative ``sharp_derivative`` of the inverse flat map and the
+x-gradient ``cometric_gradient`` of H, with no Gram matrix formed.
 """
 
 from __future__ import annotations
@@ -56,12 +59,12 @@ __all__ = [
 
 @dataclass
 class MetricOracle:
-    """A weak Riemannian metric on R^dim: its flat map, that map's derivatives and inverse.
+    """A weak Riemannian metric on R^dim: its flat map, the inverse, and their derivatives.
 
-    An oracle writes five callables; all but ``at`` broadcast over leading
+    An oracle writes six callables; all but ``at`` broadcast over leading
     axes of their (..., dim) arguments:
 
-    - ``at(x)``, the per-point state that the other four read: c' and |c'|
+    - ``at(x)``, the per-point state that the other five read: c' and |c'|
       on curves, the pairwise geometry, scalar Gram K and its Cholesky
       factor on landmarks, and x itself on the sphere and the flat oracle.
       ``at(at(x)) is at(x)``, so every callable, the derived ones too,
@@ -70,11 +73,15 @@ class MetricOracle:
       (G(x, h, e_j))_j;
     - ``variation_rows(x, h, k)``, its x-gradient (DG(x, e_j, h, k))_j,
       where DG(x, l, h, k) = d/de G(x + e*l, h, k) at e = 0;
-    - ``flat_derivative(x, l, h)`` = d/de metric_rows(x + e*l, h) at e = 0;
     - ``sharp(x, xi)``, the inverse of the flat map, solving
       metric_rows(x, h) = xi for h.  It raises ``SingularGram`` when the
       2-norm condition number of the Gram, which each oracle knows in
-      closed form, is not finite or exceeds ``COND_LIMIT``.
+      closed form, is not finite or exceeds ``COND_LIMIT``;
+    - ``sharp_derivative(x, l, xi)`` = d/de sharp(x + e*l, xi) at e = 0;
+    - ``cometric_gradient(x, xi)``, the x-gradient of the Hamiltonian
+      1/2 <xi, sharp(x, xi)>.  Since the derivative of the inverse Gram is
+      -G^{-1} dG G^{-1}, it equals -1/2 variation_rows(x, h, h) for
+      h = sharp(x, xi), but each oracle writes it without the solve.
 
     ``from_rows`` derives the rest by contraction: ``metric`` is
     G(x, h, k) = h . metric_rows(x, k), ``variation`` is
@@ -94,11 +101,13 @@ class MetricOracle:
     gram: Callable
     at: Callable
     sharp: Callable
-    flat_derivative: Callable
+    sharp_derivative: Callable
+    cometric_gradient: Callable
     name: str = "oracle"
 
     @classmethod
-    def from_rows(cls, dim, at, metric_rows, variation_rows, sharp, flat_derivative, name):
+    def from_rows(cls, dim, at, metric_rows, variation_rows, sharp, sharp_derivative,
+                  cometric_gradient, name):
         def metric(x, h, k):
             return (h * metric_rows(x, k)).sum(axis=-1)
 
@@ -109,7 +118,7 @@ class MetricOracle:
             return metric_rows(x, np.eye(dim))
 
         return cls(dim, metric, variation, metric_rows, variation_rows, gram, at, sharp,
-                   flat_derivative, name)
+                   sharp_derivative, cometric_gradient, name)
 
     def G(self, x, h, k):
         return self.metric(x, h, k)
@@ -144,10 +153,14 @@ def euclidean_oracle(m, weight=1.0):
         _check_condition(cond)
         return np.broadcast_to(xi, np.broadcast_shapes(np.shape(x), np.shape(xi))) / weight
 
-    # the flat map does not depend on x, so its derivative is zero like its variation
-    return MetricOracle.from_rows(
-        m, at, metric_rows, variation_rows, sharp, variation_rows, name=f"euclidean(m={m})"
-    )
+    def sharp_derivative(x, l, xi):
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(l), np.shape(xi)))
+
+    def cometric_gradient(x, xi):
+        return sharp_derivative(x, xi, xi)
+
+    return MetricOracle.from_rows(m, at, metric_rows, variation_rows, sharp, sharp_derivative,
+                                  cometric_gradient, name=f"euclidean(m={m})")
 
 
 @dataclass(frozen=True)
@@ -320,10 +333,15 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
     the descent metric; its published table is the one plain descent
     reaches.
 
-    Returns the final path and a ``GeodesicReport``, whose ``reason`` says
-    why the solve stopped; a solve that stops short raises nothing.
+    An ``init`` of fewer than two steps has no interior point to move and
+    raises ValueError.  Returns the final path and a ``GeodesicReport``,
+    whose ``reason`` says why the solve stopped; a solve that stops short
+    raises nothing.
     """
     opts = opts or SolverOptions()
+    if init.n_steps < 2:
+        raise ValueError(f"initial path has n_steps = {init.n_steps}; the BVP needs at least 2 "
+                         "steps, so that the path has an interior point")
     pts = init.points.copy()
     if not (np.allclose(pts[0], x_start) and np.allclose(pts[-1], x_end)):
         raise ValueError("initial path does not respect the endpoints")
@@ -394,16 +412,18 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
 def geodesic_acceleration(x, v, oracle):
     """The acceleration -Gamma_x(v, v) of the geodesic through x with velocity v.
 
-    The geodesic equation d/dt metric_rows(x, v) = 1/2 variation_rows(x, v, v)
-    gives -Gamma_x(v, v) = -1/2 sharp(2 flat_derivative(v, v) - variation_rows(v, v)),
+    Along the geodesic the momentum xi = metric_rows(x, v) follows
+    d/dt xi = -cometric_gradient(x, xi) and v = sharp(x, xi), so the
+    acceleration is sharp_derivative(x, v, xi) - sharp(x, cometric_gradient(x, xi)),
     all read from one ``oracle.at(x)``.  Non-finite x or v raise ValueError,
     and a Gram past ``COND_LIMIT`` raises ``SingularGram`` from ``sharp``.
     """
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise ValueError("geodesic acceleration needs finite x and v")
     state = oracle.at(x)
-    rhs = 2.0 * oracle.flat_derivative(state, v, v) - oracle.variation_rows(state, v, v)
-    return -0.5 * oracle.sharp(state, rhs)
+    xi = oracle.metric_rows(state, v)
+    return (oracle.sharp_derivative(state, v, xi)
+            - oracle.sharp(state, oracle.cometric_gradient(state, xi)))
 
 
 def _rk4_step(f, x, dt, k1):
@@ -453,8 +473,11 @@ def curve_space_oracle(n_samples):
     immersed (the L^2 metric rewards degenerating curves); the rows are
     ``curves.l2_rows`` and ``curves.l2_variation_rows`` on that state.  The
     flat map (2 pi / n) h |c'| is diagonal, so ``sharp`` divides by it, its
-    condition number is max|c'| / min|c'|, and ``flat_derivative`` is the
-    flat map with |c'| replaced by its derivative <l', c'/|c'|>.
+    condition number is max|c'| / min|c'|, and ``sharp_derivative`` is
+    ``sharp`` with 1/|c'| replaced by its derivative -<l', c'>/|c'|^3.  The
+    Hamiltonian sum |xi|^2 / (2 (2 pi / n) |c'|) depends on c through c' = D c
+    alone, and D is skew, so ``cometric_gradient`` is
+    D(|xi|^2 c' / (2 (2 pi / n) |c'|^3)): one FFT pair.
     """
     m = 2 * n_samples
 
@@ -474,17 +497,23 @@ def curve_space_oracle(n_samples):
     def variation_rows(x, h, k):
         return _flat(l2_variation_rows(*at(x), _curve(h), _curve(k)))
 
-    def flat_derivative(x, l, h):
-        cp, speed = at(x)
-        return _flat(l2_rows(np.sum(differentiate(_curve(l)) * cp, axis=-2) / speed, _curve(h)))
-
     def sharp(x, xi):
         speed = at(x).speed
         _check_condition(np.max(np.max(speed, axis=-1) / np.min(speed, axis=-1)))
         return _flat(_curve(xi) / (2.0 * np.pi / n_samples * speed[..., None, :]))
 
+    def sharp_derivative(x, l, xi):
+        cp, speed = at(x)
+        inverse_speed_rate = -np.sum(differentiate(_curve(l)) * cp, axis=-2) / speed**3
+        return _flat(_curve(xi) * (inverse_speed_rate / (2.0 * np.pi / n_samples))[..., None, :])
+
+    def cometric_gradient(x, xi):
+        cp, speed = at(x)
+        weight = 0.5 * np.sum(_curve(xi) ** 2, axis=-2) / (2.0 * np.pi / n_samples * speed**3)
+        return _flat(differentiate(weight[..., None, :] * cp))
+
     return MetricOracle.from_rows(
-        m, at, metric_rows, variation_rows, sharp, flat_derivative,
+        m, at, metric_rows, variation_rows, sharp, sharp_derivative, cometric_gradient,
         name=f"l2-curves(n={n_samples},d=2)",
     )
 

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -228,6 +229,23 @@ class TestRunner:
         out = tmp_path / "x"
         sets = [arg for pair in override.split() for arg in ("--set", pair)]
         assert main([name, *sets, "--out", str(out)]) == 2
+        assert not (out / "table.csv").exists()
+
+    @pytest.mark.parametrize("name, override, message", [
+        # a path with no interior point has nothing for the BVP to move
+        ("sphere-bvp", "n_steps=1 n_pairs=2", "n_steps = 1"),
+        ("landmark-geodesic", "n_steps=1", "n_steps = 1"),
+        ("sphere-bvp", "m=0 n_pairs=2", "m >= 2, got m = 0"),
+        ("lddmm-flow", "n_probe=0", "n_probe = 0 for lddmm-flow: must be >= 1"),
+    ])
+    def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
+                                                           override, message):
+        out = tmp_path / "x"
+        sets = [arg for pair in override.split() for arg in ("--set", pair)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([name, *sets, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not (out / "table.csv").exists()
 
     @pytest.mark.parametrize("name", list(SMALL_CONFIGS))

@@ -39,6 +39,11 @@ def landmark_point(rng):
     return (sites + rng.uniform(-0.3, 0.3, size=sites.shape)).reshape(-1)
 
 
+def hamiltonian(oracle, x, xi):
+    """H(x, xi) = 1/2 <xi, sharp(x, xi)>, batched over leading axes."""
+    return 0.5 * np.sum(xi * oracle.sharp(x, xi), axis=-1)
+
+
 # every oracle family, with a sampler of points in its domain
 ORACLES = {
     "euclidean": (pg.euclidean_oracle(3), lambda rng: rng.normal(size=3)),
@@ -91,6 +96,7 @@ class TestOracleContract:
             "variation": oracle.variation(x, l, h, k),
             "metric_rows": oracle.metric_rows(x, h),
             "variation_rows": oracle.variation_rows(x, h, k),
+            "cometric_gradient": oracle.cometric_gradient(x, h),
         }
         for i, xi in enumerate(xs):
             single = {
@@ -98,6 +104,7 @@ class TestOracleContract:
                 "variation": oracle.variation(xi, l[i], h[i], k[i]),
                 "metric_rows": oracle.metric_rows(xi, h[i]),
                 "variation_rows": oracle.variation_rows(xi, h[i], k[i]),
+                "cometric_gradient": oracle.cometric_gradient(xi, h[i]),
             }
             assert isinstance(single["metric"], float)
             assert isinstance(single["variation"], float)
@@ -106,7 +113,8 @@ class TestOracleContract:
                 assert np.max(np.abs(batched[name][i] - value)) < 1e-12 * scale, name
 
     def test_state_calls_equal_array_calls(self, case):
-        """Rows, G, DG and the Gram read from ``at(x)`` are the calls on x, bit for bit."""
+        """Rows, G, DG, the cometric gradient and the Gram read from ``at(x)`` are the calls
+        on x, bit for bit."""
         oracle, point = case
         rng = np.random.default_rng(13)
         for x in (point(rng), np.stack([point(rng) for _ in range(4)])):
@@ -118,6 +126,7 @@ class TestOracleContract:
                 ("variation_rows", (h, k)),
                 ("G", (h, k)),
                 ("DG", (l, h, k)),
+                ("cometric_gradient", (h,)),
             ]:
                 call = getattr(oracle, name)
                 assert np.array_equal(call(state, *args), call(x, *args)), name
@@ -133,6 +142,8 @@ class TestOracleContract:
             assert np.max(np.abs(back - h)) <= 1e-12 * np.max(np.abs(h))
 
     def test_flat_derivative_matches_fd(self, case):
+        """The derivative of the flat map along l, read from the variation as DG(x, l, h, I),
+        matches central differences of ``metric_rows``."""
         oracle, point = case
         rng = np.random.default_rng(15)
         eps = 1e-6
@@ -141,8 +152,45 @@ class TestOracleContract:
             l, h = (rng.normal(size=x.shape) for _ in range(2))
             plus, minus = oracle.metric_rows(x + eps * l, h), oracle.metric_rows(x - eps * l, h)
             fd = (plus - minus) / (2 * eps)
-            exact = oracle.flat_derivative(oracle.at(x), l, h)
+            exact = oracle.DG(oracle.at(x), l, h, np.eye(oracle.dim))
             assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    def test_sharp_derivative_matches_fd(self, case):
+        oracle, point = case
+        rng = np.random.default_rng(18)
+        eps = 1e-6
+        for _ in range(5):
+            x = point(rng)
+            l, xi = (rng.normal(size=x.shape) for _ in range(2))
+            fd = (oracle.sharp(x + eps * l, xi) - oracle.sharp(x - eps * l, xi)) / (2 * eps)
+            exact = oracle.sharp_derivative(oracle.at(x), l, xi)
+            assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    def test_cometric_gradient_matches_fd(self, case):
+        """cometric_gradient(x, xi) is the x-gradient of 1/2 <xi, sharp(x, xi)>."""
+        oracle, point = case
+        rng = np.random.default_rng(17)
+        eps = 1e-6
+        for _ in range(5):
+            x = point(rng)
+            xi = rng.normal(size=x.shape)
+            steps = eps * np.eye(oracle.dim)
+            fd = (hamiltonian(oracle, x + steps, xi) - hamiltonian(oracle, x - steps, xi)) / (2 * eps)
+            exact = oracle.cometric_gradient(oracle.at(x), xi)
+            assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 10.0))
+    def test_cometric_gradient_is_minus_half_variation(self, case, seed, scale):
+        """cometric_gradient(x, xi) = -1/2 variation_rows(x, h, h), h = sharp(x, xi), to 1e-10."""
+        oracle, point = case
+        rng = np.random.default_rng(seed)
+        x = point(rng)
+        xi = scale * rng.normal(size=x.shape)
+        h = oracle.sharp(x, xi)
+        reference = -0.5 * oracle.variation_rows(x, h, h)
+        exact = oracle.cometric_gradient(x, xi)
+        assert np.max(np.abs(exact - reference)) <= 1e-10 * max(np.max(np.abs(reference)), 1e-300)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), speed=st.floats(0.01, 10.0))
@@ -163,6 +211,7 @@ class TestOracleContract:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["x", "v"])
     def test_acceleration_rejects_non_finite_input(self, case, bad, where):
+        """The acceleration, and so a shot from a non-finite x0 or v0, raises ValueError."""
         oracle, point = case
         rng = np.random.default_rng(16)
         x = point(rng)
@@ -170,6 +219,8 @@ class TestOracleContract:
         (x if where == "x" else v)[1] = bad
         with pytest.raises(ValueError, match="finite"):
             pg.geodesic_acceleration(x, v, oracle)
+        with pytest.raises(ValueError, match="finite"):
+            pg.ivp_shoot(x, v, oracle, 2)
 
 
 class TestEnergyAndLength:
@@ -290,6 +341,12 @@ class TestBVP:
                 oracle,
                 init=pg.Path.linear(np.zeros(2), 2 * np.ones(2), 8),
             )
+
+    def test_init_needs_an_interior_point(self):
+        oracle = pg.euclidean_oracle(2)
+        with pytest.raises(ValueError, match="n_steps = 1"):
+            pg.bvp_minimize(np.zeros(2), np.ones(2), oracle,
+                            init=pg.Path.linear(np.zeros(2), np.ones(2), 1))
 
     def test_sphere_random_pair_matches_arccos(self):
         rng = np.random.default_rng(42)
@@ -555,26 +612,91 @@ class TestIVP:
 
 
 class TestSingularGram:
-    """Where the metric is too ill-conditioned for the acceleration to be trusted."""
+    """Where the metric is too ill-conditioned for a shot to be trusted, and just short of it."""
 
     def test_sphere_near_the_origin(self):
         # the Gram is 1/r^2 across x and 1 along it: cond 1e14 at r = 1e-7
         with pytest.raises(SingularGram):
-            pg.geodesic_acceleration(np.array([1e-7, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                                     hilbert_geometry.sphere_oracle(3))
+            pg.ivp_shoot(np.array([1e-7, 0.0, 0.0]), np.array([0.0, 1e-7, 0.0]),
+                         hilbert_geometry.sphere_oracle(3), 64)
 
     def test_sphere_below_the_limit(self):
-        # cond 1e10 at r = 1e-5; the geodesic circles at radius r with acceleration -1/r
-        accel = pg.geodesic_acceleration(np.array([1e-5, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                                         hilbert_geometry.sphere_oracle(3))
-        assert abs(accel[0] + 1e5) < 1e-3 * 1e5
+        # cond 1e10 at r = 1e-5; the geodesic circles at radius r at unit angular speed
+        r = 1e-5
+        path = pg.ivp_shoot(np.array([r, 0.0, 0.0]), np.array([0.0, r, 0.0]),
+                            hilbert_geometry.sphere_oracle(3), 64)
+        t = path.times
+        circle = r * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+        assert np.max(np.abs(path.points - circle)) < 1e-6 * r
 
     def test_nearly_coincident_landmarks(self):
         # two Gaussian landmarks 1e-6 apart: K has eigenvalues 2 and 5e-13, cond 4e12
         oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 2, 2)
         x = np.array([0.0, 0.0, 1e-6, 0.0])
         with pytest.raises(SingularGram):
-            pg.geodesic_acceleration(x, np.array([1.0, 0.0, -1.0, 0.0]), oracle)
+            pg.ivp_shoot(x, np.array([1.0, 0.0, -1.0, 0.0]), oracle, 4)
+
+
+class TestLandmarkShooting:
+    """Geodesic shooting on Gaussian kernel landmarks."""
+
+    @staticmethod
+    def _eight_gaussian_landmarks():
+        """Eight planar landmarks on a jittered 4 x 2 grid of unit spacing and a velocity."""
+        rng = np.random.default_rng(7)
+        sites = np.array([[i, j] for i in range(4) for j in range(2)], dtype=float)
+        x0 = (sites + rng.uniform(-0.2, 0.2, size=sites.shape)).reshape(-1)
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 2, 8)
+        return oracle, x0, 0.5 * rng.normal(size=x0.shape)
+
+    def test_bvp_ivp_consistency(self):
+        """The pair of ``shapegeo landmark-geodesic`` at its defaults, shot from its BVP."""
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 1, 2)
+        a, b = np.array([-2.0, 2.0]), np.array([-1.0, 3.0])
+        opts = pg.SolverOptions(tol=1e-6, max_iter=20000)
+        path, report = pg.bvp_minimize(a, b, oracle, init=pg.Path.linear(a, b, 16), opts=opts)
+        assert report.converged
+        # second-order one-sided estimate of the initial velocity
+        p0, p1, p2 = path.points[0], path.points[1], path.points[2]
+        v0 = (4.0 * p1 - 3.0 * p0 - p2) * (path.n_steps / 2.0)
+        shot = pg.ivp_shoot(a, v0, oracle, 256)
+        assert np.linalg.norm(shot.points[-1] - b) < 1e-3
+
+    def test_hamiltonian_is_conserved(self):
+        """H = 1/2 <xi, sharp(x, xi)> stays at its start along an N = 8 Gaussian shot.
+
+        xi at each interior point is metric_rows of the velocity from a fourth-order
+        central difference of the shot's points.
+        """
+        oracle, x0, v0 = self._eight_gaussian_landmarks()
+        n_steps = 128
+        pts = pg.ivp_shoot(x0, v0, oracle, n_steps).points
+        vels = (pts[:-4] - 8.0 * pts[1:-3] + 8.0 * pts[3:-1] - pts[4:]) * (n_steps / 12.0)
+        start = hamiltonian(oracle, x0, oracle.metric_rows(x0, v0))
+        along = hamiltonian(oracle, pts[2:-2], oracle.metric_rows(pts[2:-2], vels))
+        assert np.max(np.abs(along - start)) < 1e-6 * start
+
+    def test_fourth_order(self):
+        """Halving the step divides the endpoint error by at least 12 (2^4 = 16 for RK4)."""
+        oracle, x0, v0 = self._eight_gaussian_landmarks()
+        reference = pg.ivp_shoot(x0, v0, oracle, 1024).points[-1]
+        err = [np.linalg.norm(pg.ivp_shoot(x0, v0, oracle, n).points[-1] - reference)
+               for n in (16, 32)]
+        assert err[0] / err[1] >= 12.0
+
+    def test_one_solve_per_stage(self, monkeypatch):
+        """Each RK4 stage solves once, for its momentum xi = metric_rows(x, v)."""
+        solves = []
+
+        def counted(chol, rhs):
+            solves.append(rhs.shape)
+            return cho_solve(chol, rhs)
+
+        cho_solve = km._cho_solve
+        monkeypatch.setattr(km, "_cho_solve", counted)
+        oracle, x0, v0 = self._eight_gaussian_landmarks()
+        pg.ivp_shoot(x0, v0, oracle, 3)
+        assert solves == [(8, 2)] * 4 * 3
 
 
 class TestDistance:
