@@ -1,5 +1,10 @@
 """shapegeo: a numerical laboratory for weak Riemannian geometry on
-curve spaces, landmark spaces and diffeomorphism groups."""
+curve spaces, landmark spaces and diffeomorphism groups.
+
+Run statistics go to the "shapegeo" logger at DEBUG; it has a NullHandler,
+so nothing is printed unless the application configures logging."""
+
+import logging
 
 from . import (
     curves,
@@ -20,6 +25,8 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger("shapegeo").addHandler(logging.NullHandler())
 
 __all__ = [
     "curves",

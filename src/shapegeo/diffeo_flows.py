@@ -16,7 +16,9 @@ halving budget raises NonConvergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_log = logging.getLogger("shapegeo")
 
 
 def _wrap_mean(values):
@@ -95,10 +98,16 @@ class CircleDiffeo:
         grid = PeriodicGrid(n_samples)
         return cls(PeriodicFunction(grid, np.full((1, n_samples), float(alpha))))
 
+    @cached_property
+    def _coeffs(self):
+        """Compressed coefficients of the displacement, one set (and one
+        evaluate_spectral plan) for every evaluation of this map."""
+        return compress(transform(self.disp))
+
     def __call__(self, x):
         """Evaluate the lift at arbitrary points."""
         x = np.asarray(x, dtype=float)
-        return x + evaluate_spectral(compress(transform(self.disp)), x)[0]
+        return x + evaluate_spectral(self._coeffs, x)[0]
 
 
 @dataclass(frozen=True)
@@ -119,16 +128,21 @@ class CircleField:
     def from_callable(cls, func, n_samples):
         return cls(PeriodicFunction.from_callable(func, n_samples, dim=1))
 
+    @cached_property
+    def _coeffs(self):
+        """Compressed coefficients of the field, one set for every evaluation."""
+        return compress(transform(self.u))
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return evaluate_spectral(compress(transform(self.u)), x)[0]
+        return evaluate_spectral(self._coeffs, x)[0]
 
 
 def compose(phi, psi):
     """Composition phi o psi of circle diffeomorphisms."""
     if phi.grid.n_samples != psi.grid.n_samples:
         raise ValueError("grids do not match")
-    f_at_psi = evaluate_spectral(compress(transform(phi.disp)), psi.values)[0]
+    f_at_psi = evaluate_spectral(phi._coeffs, psi.values)[0]
     disp = psi.disp.values[0] + f_at_psi
     return CircleDiffeo(PeriodicFunction(psi.grid, disp[None, :]))
 
@@ -162,7 +176,7 @@ def invert(phi):
     """
     nodes = phi.grid.nodes
     f = phi.disp.values[0]
-    coeffs = compress(transform(phi.disp))
+    coeffs = phi._coeffs
     lo = nodes - np.max(f) - 1e-9
     hi = nodes - np.min(f) + 1e-9
     g_lo, g_hi = np.stack([lo, hi]) + evaluate_spectral(coeffs, np.stack([lo, hi]))[0] - nodes
@@ -302,7 +316,8 @@ def flow_time_dependent(u, x0=None):
     window-exit time is refined by bisecting the same step.  A step still
     failing at MIN_STEP, more than MAX_SUBSTEPS steps, or an exit time not
     located to EXIT_TOL in EXIT_MAX_HALVINGS halvings raise NonConvergence:
-    an exhausted budget is not a blow-up.
+    an exhausted budget is not a blow-up.  Each flow that returns logs its
+    steps, rejected and max_err at DEBUG on the "shapegeo" logger.
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
@@ -337,14 +352,22 @@ def flow_time_dependent(u, x0=None):
                 lo, hi = _bisect(
                     lambda s: abs(_dp5_step(evaluate, xi, s, ki)[0][0]) > window,
                     0.0, dt, EXIT_TOL, EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
-                return FlowResult(None, blow_up=True, blow_up_time=t - dt + 0.5 * (lo + hi),
-                                  steps=steps, rejected=rejected, max_err=max_err)
+                exit_time = t - dt + 0.5 * (lo + hi)
+                return _logged(FlowResult(None, blow_up=True, blow_up_time=exit_time,
+                                          steps=steps, rejected=rejected, max_err=max_err))
             if steps > MAX_SUBSTEPS:
                 raise NonConvergence(
                     f"{steps} substeps exceed MAX_SUBSTEPS at t = {t:.6f} of "
                     f"{u.knots[-1]:.6f}; last embedded error estimate {err:.3e}"
                 )
-    return FlowResult(x, steps=steps, rejected=rejected, max_err=max_err)
+    return _logged(FlowResult(x, steps=steps, rejected=rejected, max_err=max_err))
+
+
+def _logged(result):
+    """Report a flow's steps, halvings and largest accepted error estimate at DEBUG."""
+    _log.debug("flow: %d steps, %d rejected, max embedded error %.3e",
+               result.steps, result.rejected, result.max_err)
+    return result
 
 
 def flow_autonomous(u, t):
@@ -404,12 +427,7 @@ def exp_noninjectivity_demo(psi, n):
     nodes = grid.nodes
     shift = TWO_PI / n
     # periodicity defect of psi: psi(x + 2*pi/n) - psi(x) - 2*pi/n
-    disp_coeffs = compress(transform(psi.disp))
-    defect = np.max(
-        np.abs(
-            evaluate_spectral(disp_coeffs, nodes + shift)[0] - psi.disp.values[0]
-        )
-    )
+    defect = np.max(np.abs(evaluate_spectral(psi._coeffs, nodes + shift)[0] - psi.disp.values[0]))
     if defect > 1e-8:
         raise ValueError(f"psi is not 2*pi/{n}-periodic (defect {defect:.3e})")
     psi_inv = invert(psi)
@@ -467,7 +485,7 @@ def isolated_periodic_points(phi, n):
     power = phi
     for _ in range(n - 1):
         power = compose(phi, power)
-    coeffs = compress(transform(power.disp))
+    coeffs = power._coeffs
     x = np.linspace(0.0, TWO_PI, PERIODIC_SCAN_SAMPLES + 1)
     vals = evaluate_spectral(coeffs, x)[0]
     fa, fb = vals[:-1], vals[1:]

@@ -436,7 +436,15 @@ def _rk4_step(f, x, dt, k1):
 
 def ivp_shoot(x0, v0, oracle, n_steps):
     """Integrate the geodesic equation over t in [0, 1] by n_steps classical RK4
-    steps on y = (x, v), at the fixed step 1/n_steps."""
+    steps on y = (x, v), at the fixed step 1/n_steps.
+
+    A fixed step has no error control, and nothing checks the shot's growth:
+    a diverged shot is returned as a path, without error.  An 8-step shot of
+    32 Gaussian (sigma = 1) landmarks from a jittered unit grid, at
+    velocities 0.3 * N(0, 1), can end with coordinates of order 1e16 (9.1e15
+    in one such shot).  Compare a shot with one of more steps before reading
+    it as a geodesic.
+    """
     x = np.asarray(x0, dtype=float)
     dim = x.size
 

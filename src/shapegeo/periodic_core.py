@@ -93,10 +93,16 @@ class PeriodicFunction:
 
 @dataclass(frozen=True)
 class SpectralCoeffs:
-    """Complex Fourier coefficients per component in fft storage order."""
+    """Complex Fourier coefficients per component in fft storage order.
+
+    The first ``evaluate_spectral`` call keeps its coefficient-only work on
+    the object (see ``_spectral_plan``), so ``coeffs`` must not be written
+    in place after that; every function here makes new coefficients.
+    """
 
     grid: PeriodicGrid
     coeffs: np.ndarray = field(repr=False)
+    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 def _check_compat(f, g):
@@ -120,7 +126,10 @@ def compress(c):
     taken as rounding noise and zeroed, with n = c.grid.n_samples.
     Band-limited data gains nothing, but off-grid evaluation of smooth
     functions becomes much cheaper: evaluate_spectral skips the zeroed
-    modes, and its phase table ends at the highest nonzero mode.
+    modes, and its phase table ends at the highest nonzero mode.  The
+    result is a new object with its own evaluate_spectral plan, so a caller
+    that evaluates one function many times keeps the result rather than
+    compressing again (CircleDiffeo and CircleField keep theirs).
     """
     mag = np.abs(c.coeffs)
     threshold = c.grid.n_samples * np.finfo(float).eps * np.max(mag)
@@ -143,6 +152,28 @@ def _powers(w, count):
     return table
 
 
+def _spectral_plan(c):
+    """The part of ``evaluate_spectral`` that depends on the coefficients alone.
+
+    Returns (rows, lead, m, giants, baby_index, giant_index): the folded
+    coefficients d_k of the selected modes as a (rows, K) array, the leading
+    shape coeffs.shape[:-1], the baby table size M, the giant count B and
+    each mode's k mod M and k div M.
+    """
+    n = c.grid.n_samples
+    coeffs = c.coeffs
+    folded = coeffs[..., : n // 2 + 1].astype(complex)
+    folded[..., 1 : n // 2] += np.conj(coeffs[..., : n // 2 : -1])
+    folded[..., n // 2] = coeffs[..., n // 2].real
+    modes = np.flatnonzero(np.any(folded != 0.0, axis=tuple(range(folded.ndim - 1))))
+    if modes.size == 0:
+        modes = np.zeros(1, dtype=int)  # keep one column so the shape is right
+    k_max = int(modes[-1])
+    m = math.isqrt(k_max) + 1  # ceil(sqrt(k_max + 1))
+    rows = folded[..., modes].reshape(-1, modes.size)
+    return rows, coeffs.shape[:-1], m, k_max // m + 1, modes % m, modes // m
+
+
 def evaluate_spectral(c, theta):
     """Evaluate the trigonometric interpolant of real data at angles theta.
 
@@ -162,24 +193,25 @@ def evaluate_spectral(c, theta):
     giant-step split of Paterson and Stockmeyer (1973).  A phase thus
     carries the rounding of up to M + B multiplications rather than that
     of one exp(ik theta); at k_max = 128, M + B = 23.
+
+    The fold, the mode selection and the index split depend on c alone.
+    The first call on c keeps them on it, so repeated calls on one c, such
+    as the stages of a flow, only build the phases and take one product.
     """
     theta = np.asarray(theta, dtype=float)
-    n = c.grid.n_samples
-    coeffs = c.coeffs
-    folded = coeffs[..., : n // 2 + 1].astype(complex)
-    folded[..., 1 : n // 2] += np.conj(coeffs[..., : n // 2 : -1])
-    folded[..., n // 2] = coeffs[..., n // 2].real
-    modes = np.flatnonzero(np.any(folded != 0.0, axis=tuple(range(folded.ndim - 1))))
-    if modes.size == 0:
-        modes = np.zeros(1, dtype=int)  # keep one column so the shape is right
-    k_max = int(modes[-1])
-    m = math.isqrt(k_max) + 1  # ceil(sqrt(k_max + 1))
+    plan = c._plan
+    if plan is None:
+        plan = _spectral_plan(c)
+        object.__setattr__(c, "_plan", plan)
+    rows, lead, m, giants, baby_index, giant_index = plan
     z = np.exp(1j * theta)
     baby = _powers(z, m)
-    giant = _powers(baby[-1] * z, k_max // m + 1)
-    phases = baby[modes % m] * giant[modes // m]
-    # copy the real part out, so the result is contiguous and the complex product is freed
-    return np.tensordot(folded[..., modes], phases, axes=1).real.copy()
+    giant = _powers(baby[-1] * z, giants)
+    phases = baby[baby_index] * giant[giant_index]
+    # the product tensordot(axes=1) takes on the flattened operands; copy the real
+    # part out, so the result is contiguous and the complex product is freed
+    out = np.dot(rows, phases.reshape(rows.shape[1], -1))
+    return out.reshape(lead + theta.shape).real.copy()
 
 
 def differentiate(values, order=1):

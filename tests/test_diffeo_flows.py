@@ -1,5 +1,7 @@
 """Circle diffeomorphisms, flows, and the exponential-map pathologies."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -296,6 +298,75 @@ class TestFlowTelemetry:
         back = pc.PeriodicFunction(u.grid, -0.5 * u.u.values)
         result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u, back], u.grid))
         assert len(calls) == 6 * result.steps + 2
+
+
+def circle_flow():
+    u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 64)
+    back = pc.PeriodicFunction(u.grid, -0.5 * u.u.values)
+    return df.flow_time_dependent(df.TimeDependentField.uniform([u.u, back], u.grid))
+
+
+def blow_up_flow():
+    grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
+    return df.flow_time_dependent(df.TimeDependentField.uniform([grid.nodes**2], grid),
+                                  x0=np.array([2.0]))
+
+
+class TestFlowLogging:
+    @pytest.mark.parametrize("flow", [circle_flow, blow_up_flow], ids=["circle", "blow-up"])
+    def test_one_debug_record_per_flow(self, caplog, flow):
+        """The record carries the steps, rejected and max_err of the returned FlowResult."""
+        with caplog.at_level(logging.DEBUG, logger="shapegeo"):
+            result = flow()
+        records = [r for r in caplog.records if r.name == "shapegeo"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert records[0].args == (result.steps, result.rejected, result.max_err)
+
+    def test_library_logger_has_a_null_handler(self):
+        """So an application that configures no logging prints nothing."""
+        handlers = logging.getLogger("shapegeo").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """The coefficient objects evaluate_spectral builds a plan for, in order."""
+    built = []
+    plan = pc._spectral_plan
+    monkeypatch.setattr(pc, "_spectral_plan", lambda c: built.append(c) or plan(c))
+    return built
+
+
+class TestSpectralPlans:
+    """Each coefficient object is folded once, however often it is evaluated."""
+
+    def test_one_plan_per_knot_interval(self, plans):
+        u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 64)
+        back = pc.PeriodicFunction(u.grid, -0.5 * u.u.values)
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u, back, u.u], u.grid))
+        assert result.steps > 3
+        assert len(plans) == 3 and len({id(c) for c in plans}) == 3
+
+    def test_invert_plans_once(self, plans):
+        phi = make_diffeo(64, lambda t: 0.2 * np.sin(t))
+        df.invert(phi)
+        assert len(plans) == 1 and plans[0] is phi._coeffs
+
+    def test_periodic_points_plan_once_per_map(self, plans):
+        phi = df.nonsurjectivity_candidate(3, 0.1)
+        assert df.isolated_periodic_points(phi, 3).size > 0
+        # phi's coefficients serve both compositions; phi^3's serve the scan and the bisection
+        assert len(plans) == 2 and plans[0] is phi._coeffs and plans[1] is not phi._coeffs
+
+    def test_maps_and_fields_keep_their_coefficients(self, plans):
+        phi = make_diffeo(64, lambda t: 0.2 * np.sin(t))
+        u = df.CircleField.from_callable(np.cos, 64)
+        x = np.linspace(0.0, 1.0, 5)
+        first = phi(x), u(x)
+        second = phi(x[:3]), u(x[:3])
+        assert len(plans) == 2 and plans == [phi._coeffs, u._coeffs]
+        for a, b in zip(first, second):
+            assert np.array_equal(a[:3], b)
 
 
 class TestIntegratorBudgets:

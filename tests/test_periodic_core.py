@@ -1,5 +1,7 @@
 """Spectral core: transforms, derivatives, Sobolev pairings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,75 @@ class TestEvaluateSpectral:
         full = pc.evaluate_spectral(pc.transform(f), theta)
         trimmed = pc.evaluate_spectral(pc.compress(pc.transform(f)), theta)
         assert np.max(np.abs(full - trimmed)) < 1e-12
+
+
+def folded_tensordot(c, theta):
+    """evaluate_spectral with no kept plan: fold, mode selection, index split and
+    one tensordot, all redone on every call."""
+    theta = np.asarray(theta, dtype=float)
+    n = c.grid.n_samples
+    coeffs = c.coeffs
+    folded = coeffs[..., : n // 2 + 1].astype(complex)
+    folded[..., 1 : n // 2] += np.conj(coeffs[..., : n // 2 : -1])
+    folded[..., n // 2] = coeffs[..., n // 2].real
+    modes = np.flatnonzero(np.any(folded != 0.0, axis=tuple(range(folded.ndim - 1))))
+    if modes.size == 0:
+        modes = np.zeros(1, dtype=int)
+    k_max = int(modes[-1])
+    m = math.isqrt(k_max) + 1
+
+    def powers(w, count):
+        table = np.empty((count,) + w.shape, dtype=complex)
+        table[0] = 1.0
+        for a in range(1, count):
+            table[a] = table[a - 1] * w
+        return table
+
+    z = np.exp(1j * theta)
+    baby = powers(z, m)
+    giant = powers(baby[-1] * z, k_max // m + 1)
+    phases = baby[modes % m] * giant[modes // m]
+    return np.tensordot(folded[..., modes], phases, axes=1).real.copy()
+
+
+@st.composite
+def plan_cases(draw):
+    """Coefficients of leading shape (), (1,), (2,) or (3, 2), and two angle arrays
+    of different shapes among (), (P,) and (2, P)."""
+    lead = draw(st.sampled_from([(), (1,), (2,), (3, 2)]))
+    n = 2 ** draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["general", "sparse", "zero", "nyquist"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.normal(size=lead + (n,)) + 1j * rng.normal(size=lead + (n,))
+    if kind == "sparse":
+        coeffs[rng.random(size=coeffs.shape) < 0.8] = 0.0
+    elif kind == "zero":
+        coeffs[:] = 0.0
+    elif kind == "nyquist":
+        coeffs[..., np.arange(n) != n // 2] = 0.0
+    points = draw(st.integers(1, 300))
+    first, second = draw(st.permutations([(), (points,), (2, points)]))[:2]
+    thetas = [rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=shape) for shape in (first, second)]
+    return pc.SpectralCoeffs(pc.PeriodicGrid(n), coeffs), thetas
+
+
+class TestSpectralPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(plan_cases())
+    def test_kept_plan_is_bitwise_the_folded_tensordot(self, case):
+        """The first call, a second call at the same angles and a third at angles of
+        another shape all equal the formula that folds on every call, bit for bit."""
+        c, (theta, other) = case
+        expect = folded_tensordot(c, theta)
+        first = pc.evaluate_spectral(c, theta)
+        plan = c._plan
+        assert plan is not None
+        assert np.array_equal(first, expect) and first.shape == expect.shape
+        assert np.array_equal(pc.evaluate_spectral(c, theta), expect)
+        got = pc.evaluate_spectral(c, other)
+        assert c._plan is plan
+        assert np.array_equal(got, folded_tensordot(c, other))
+        assert got.shape == c.coeffs.shape[:-1] + other.shape
 
 
 class TestDerivative:
