@@ -59,7 +59,7 @@ def l2_variation_rows(cp, speed, h, k):
     return -differentiate(2.0 * np.pi / speed.shape[-1] * (hk / speed)[..., None, :] * cp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     """Immersed closed curve; caches the nodal speed |c'(theta_j)|."""
 
@@ -87,7 +87,7 @@ class Curve:
         return cls(PeriodicFunction.from_callable(func, n_samples, dim=dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveTangent:
     """Tangent vector at a curve: a function on the same grid and codomain."""
 

@@ -11,7 +11,8 @@ ODEs I*, II.5).  Flows on the real line run on a finite window; a
 trajectory leaving the window is reported as blow-up data, not as an
 error.  The three root searches (inverse maps, periodic points,
 window-exit times) share one bisection, and every exhausted step or
-halving budget raises NonConvergence.
+halving budget raises NonConvergence.  The module needs numpy only:
+scipy's CubicSpline loads on the first flow on a real-line grid.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonConvergence, StepCollapse, VanishingField
 from .periodic_core import (
@@ -62,7 +62,7 @@ def _wrap_mean(values):
     return values - shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleDiffeo:
     """Orientation-preserving circle map via its lift displacement."""
 
@@ -110,7 +110,7 @@ class CircleDiffeo:
         return x + evaluate_spectral(self._coeffs, x)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleField:
     """Vector field on the circle (radians per unit time)."""
 
@@ -234,7 +234,7 @@ class RealGrid:
         return np.linspace(-self.half_width, self.half_width, self.n_nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeDependentField:
     """Piecewise-constant-in-time field: knots t_0 < ... < t_K and one
     field per interval [t_i, t_{i+1})."""
@@ -275,11 +275,14 @@ def _field_evaluator(field, grid):
     if isinstance(grid, PeriodicGrid):
         coeffs = compress(transform(field))
         return lambda x: evaluate_spectral(coeffs, x)[0]
+    # local: scipy.interpolate outweighs all other imports, and only real-line flows need it
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(grid.nodes, np.asarray(field, dtype=float))
     return spline
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowResult:
     """Final map samples, or blow-up data when a trajectory escapes; steps,
     rejected (halvings) and max_err (largest accepted embedded error estimate)."""

@@ -9,6 +9,9 @@ The ellipsoid is the image of the sphere under the diagonal scaling with
 semi-axes a_0 = 1, a_n = 1 + 2^{-n}; half great circles through e_0 and
 -e_0 in the (e_0, e_n)-plane have lengths squeezed between pi and
 (1 + 2^{-n}) * pi with no path attaining pi.
+
+The module needs numpy only: scipy's quad loads on the first call of
+``grossman_experiment``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonConvergence
 from .path_geodesics import MetricOracle, _check_condition
@@ -132,6 +134,9 @@ def grossman_experiment(spec, n_list):
     decrease in n, stay above pi, and respect the displayed bound.  Raises
     NonConvergence where quad's error estimate fails its own acceptance test.
     """
+    # local: scipy.integrate outweighs all other imports, and only this function needs it
+    from scipy.integrate import quad
+
     a = spec.semi_axes
     rows = []
     for n in n_list:

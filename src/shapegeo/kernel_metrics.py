@@ -4,7 +4,9 @@ A configuration of N distinct points in R^d carries the block Gram
 matrix K_q with blocks k(q_i, q_j) * I_d.  The induced metric is the
 cometric G(h, h') = h^T K_q^{-1} h'; the minimal-norm vector field
 inducing a tangent h is the kernel expansion with momenta p = K_q^{-1} h,
-and ``constrained_infimum`` realizes that infimum independently as a QP.
+and ``constrained_infimum`` realizes that infimum independently as a QP,
+solving its KKT system with ``np.linalg.solve``, so the module needs
+numpy only.
 
 Since K_q = K ⊗ I_d for the N x N scalar Gram K, every solve factors K
 alone (Cholesky, no regularization) and solves the momenta (N, d) with d
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve
 
 from .errors import DegenerateConfig
 from .path_geodesics import MetricOracle, _check_condition
@@ -85,7 +86,7 @@ def sobolev_kernel(order):
     return Kernel(kind="sobolev", order=int(order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandmarkConfig:
     """N pairwise-distinct points in R^d, stored as an (N, d) array."""
 
@@ -215,7 +216,7 @@ def constrained_infimum(kernel, config, h, extra_points):
     kkt[m_pts:, :m_pts] = kqz
     rhs = np.zeros((m_pts + n_pts, config.dim))
     rhs[m_pts:] = h
-    sol = solve(kkt, rhs)
+    sol = np.linalg.solve(kkt, rhs)
     mu = sol[:m_pts]
     return float(np.einsum("ad,ab,bd->", mu, kzz, mu))
 

@@ -163,7 +163,7 @@ def euclidean_oracle(m, weight=1.0):
                                   cometric_gradient, name=f"euclidean(m={m})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
     """Points x_0 .. x_T at uniform times t_i = i/T.
 
@@ -173,7 +173,7 @@ class Path:
     """
 
     points: np.ndarray = field(repr=False)
-    _midpoints: tuple = field(default=None, init=False, repr=False, compare=False)
+    _midpoints: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

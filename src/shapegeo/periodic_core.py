@@ -61,7 +61,7 @@ class PeriodicGrid:
         return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicFunction:
     """d-valued function on the circle stored as samples of shape (d, n)."""
 
@@ -91,7 +91,7 @@ class PeriodicFunction:
         return cls(grid, vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCoeffs:
     """Complex Fourier coefficients per component in fft storage order.
 
@@ -102,7 +102,7 @@ class SpectralCoeffs:
 
     grid: PeriodicGrid
     coeffs: np.ndarray = field(repr=False)
-    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
+    _plan: tuple = field(default=None, init=False, repr=False)
 
 
 def _check_compat(f, g):

@@ -54,7 +54,10 @@ def test_manifest_rerun_of_sobolev_props_is_identical(compare_outputs, tmp_path)
     first = compare_outputs.run_subcommands(compare_outputs.ROOT, tmp_path / "first", names)
     rerun = compare_outputs.run_subcommands(compare_outputs.ROOT, tmp_path / "rerun", names,
                                             manifests=tmp_path / "first")
-    assert first == rerun == {"sobolev-props": 0}
+    for runs in (first, rerun):
+        code, wall_s = runs["sobolev-props"]
+        assert code == 0
+        assert wall_s > 0
     results = compare_outputs.compare_dirs(tmp_path / "first", tmp_path / "rerun", names,
                                            compare_outputs.RERUN_FILES)
     assert results == [("sobolev-props/table.csv", "identical"),

@@ -1,6 +1,7 @@
 """Experiment runner: configs, CSV/SVG artifacts, determinism, exit codes."""
 
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -91,6 +92,13 @@ SMALL_CONFIGS = {
     "lddmm-flow": ["n_nodes=256", "n_probe=5"],
     "sobolev-props": ["k_max=3"],
 }
+
+
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(shapegeo.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 class TestRunner:
@@ -196,13 +204,10 @@ class TestRunner:
 
     def test_module_run_raises_no_runtime_warning(self, tmp_path):
         # runpy warns when the package has imported the module it is about to run
-        src = os.path.dirname(os.path.dirname(shapegeo.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "shapegeo.experiments.cli",
              "sobolev-props", "--set", "k_max=1", "--out", str(tmp_path / "s")],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -300,3 +305,46 @@ class TestRunner:
     def test_run_experiment_unknown_name(self):
         with pytest.raises(KeyError):
             run_experiment("nope", {}, "/tmp/never")
+
+
+# the scipy subpackages whose import outweighs everything else a run loads
+HEAVY_SCIPY = ("scipy.linalg", "scipy.integrate", "scipy.interpolate", "scipy.optimize",
+               "scipy.special", "scipy.sparse", "scipy.fft")
+
+
+def _scipy_loaded_by(code):
+    """The scipy modules a fresh interpreter holds after running code."""
+    probe = "import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def _heavy(modules):
+    return {m for m in modules if any(m == p or m.startswith(p + ".") for p in HEAVY_SCIPY)}
+
+
+class TestImportCost:
+    @pytest.mark.parametrize("module", ["shapegeo", "shapegeo.experiments.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert _scipy_loaded_by(f"import {module}") == set()
+
+    def _run(self, tmp_path, name):
+        sets = [arg for pair in SMALL_CONFIGS[name] for arg in ("--set", pair)]
+        argv = [name, *sets, "--out", str(tmp_path / name)]
+        return _scipy_loaded_by(
+            f"from shapegeo.experiments.cli import main\nassert main({argv!r}) == 0")
+
+    @pytest.mark.parametrize("name", ["landmark-geodesic", "sobolev-props"])
+    def test_numpy_only_runs_load_no_scipy_subpackage(self, tmp_path, name):
+        # the manifest's version line imports the bare scipy package, and only that
+        assert _heavy(self._run(tmp_path, name)) == set()
+
+    def test_grossman_loads_integrate_alone(self, tmp_path):
+        loaded = self._run(tmp_path, "grossman")
+        assert "scipy.integrate" in loaded
+        assert "scipy.interpolate" not in loaded
+
+    def test_blowup_loads_interpolate(self, tmp_path):
+        assert "scipy.interpolate" in self._run(tmp_path, "blowup")

@@ -12,6 +12,10 @@ byte for byte, one printed line per file.  The change side also reruns
 each subcommand from its own manifest.txt (``--config``), and the rerun's
 table.csv and manifest.txt must equal the first run's byte for byte.  The
 exit status is 1 when a file differs or is missing, or when a run fails.
+Each default run's process wall time, interpreter start included, is
+printed as one ``parent s / change s`` line per subcommand: one run per
+side, so a difference smaller than the machine's run-to-run spread means
+nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -36,17 +41,19 @@ RERUN_FILES = ("table.csv", "manifest.txt")
 
 def run_subcommands(checkout, out_root, names, manifests=None):
     """Run each subcommand into out_root/NAME, at its defaults or, given ``manifests``,
-    from manifests/NAME/manifest.txt; returns {name: exit code}."""
-    codes = {}
+    from manifests/NAME/manifest.txt; returns {name: (exit code, process wall seconds)}."""
+    runs = {}
     for name in names:
         cmd = [sys.executable, "-m", "shapegeo.experiments.cli", name,
                "--out", str(out_root / name)]
         if manifests is not None:
             cmd += ["--config", str(manifests / name / "manifest.txt")]
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-        codes[name] = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
-                                     timeout=RUN_TIMEOUT_S).returncode
-    return codes
+        start = time.perf_counter()
+        code = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                              timeout=RUN_TIMEOUT_S).returncode
+        runs[name] = (code, time.perf_counter() - start)
+    return runs
 
 
 def compare_dirs(parent_root, change_root, names, files=FILES):
@@ -73,20 +80,23 @@ def main(argv=None):
         tmp = Path(tmp)
         commit, parent_dir = export_revision(args.parent, tmp)
         checkouts = {"parent": parent_dir, "change": ROOT}
-        codes = {side: run_subcommands(checkouts[side], tmp / f"out-{side}", names)
-                 for side in SIDES}
-        codes["rerun"] = run_subcommands(ROOT, tmp / "out-rerun", names,
-                                         manifests=tmp / "out-change")
+        runs = {side: run_subcommands(checkouts[side], tmp / f"out-{side}", names)
+                for side in SIDES}
+        runs["rerun"] = run_subcommands(ROOT, tmp / "out-rerun", names,
+                                        manifests=tmp / "out-change")
         results = compare_dirs(tmp / "out-parent", tmp / "out-change", names)
         reruns = compare_dirs(tmp / "out-change", tmp / "out-rerun", names, RERUN_FILES)
-    failed = [(side, name, code) for side, side_codes in codes.items()
-              for name, code in side_codes.items() if code]
+    failed = [(side, name, code) for side, side_runs in runs.items()
+              for name, (code, _) in side_runs.items() if code]
     for side, name, code in failed:
         print(f"failed     {side} {name} (exit {code})")
     for path, status in results:
         print(f"{status:<10} {path}")
     for path, status in reruns:
         print(f"{status:<10} rerun {path}")
+    for name in names:
+        print(f"wall       {name}: parent {runs['parent'][name][1]:.2f} s / "
+              f"change {runs['change'][name][1]:.2f} s (one run per side)")
     same = sum(status == "identical" for _, status in results)
     rerun_same = sum(status == "identical" for _, status in reruns)
     print(f"{same}/{len(results)} files identical to {commit[:12]}")
