@@ -71,9 +71,8 @@ def sphere_oracle(m):
     circles at r = 1 are geodesics.  The Gram is 1/r^2 across x and 1 along
     it, so ``sharp`` is r^2 xi - (r^2 - 1) <xi, x> x / r^2 and the condition
     number is max(r^2, 1/r^2).  ``sharp_derivative`` differentiates that
-    along l, and ``cometric_gradient`` is the x-gradient of
-    1/2 <xi, sharp(x, xi)> = 1/2 (r^2 |xi|^2 - <xi, x>^2 + <xi, x>^2 / r^2).
-    The per-point state is x itself.  m < 2 raises ValueError.
+    along l, and ``speed_gradient`` is the x-gradient of G_x(v, v) at fixed
+    v.  The per-point state is x itself.  m < 2 raises ValueError.
     """
     if m < 2:
         raise ValueError(f"sphere oracle needs m >= 2, got m = {m}")
@@ -85,18 +84,6 @@ def sphere_oracle(m):
         r2 = np.sum(x * x, axis=-1)[..., None]
         hx = np.sum(h * x, axis=-1)[..., None]
         return h / r2 + hx * x * (r2 - 1.0) / r2**2
-
-    def variation_rows(x, h, k):
-        r2 = np.sum(x * x, axis=-1)[..., None]
-        hk = np.sum(h * k, axis=-1)[..., None]
-        hx = np.sum(h * x, axis=-1)[..., None]
-        kx = np.sum(k * x, axis=-1)[..., None]
-        t = 1.0 / r2 - 1.0 / r2**2
-        # gradients in l of ds, dt terms: ds = -2<x,l>/r^4 etc.
-        rows = hk * (-2.0 / r2**2) * x
-        rows = rows + t * (kx * h + hx * k)
-        rows = rows + hx * kx * (-2.0 / r2**2 + 4.0 / r2**3) * x
-        return rows
 
     def sharp(x, xi):
         r2 = np.sum(x * x, axis=-1)[..., None]
@@ -111,14 +98,19 @@ def sphere_oracle(m):
         xix = np.sum(xi * x, axis=-1)[..., None]
         return 2.0 * lx * (xi - xix * x / r2**2) - (1.0 - 1.0 / r2) * (xil * x + xix * l)
 
-    def cometric_gradient(x, xi):
+    def speed_gradient(x, v, xi):
         r2 = np.sum(x * x, axis=-1)[..., None]
-        xi2 = np.sum(xi * xi, axis=-1)[..., None]
-        xix = np.sum(xi * x, axis=-1)[..., None]
-        return xi2 * x - xix**2 * x / r2**2 - (1.0 - 1.0 / r2) * xix * xi
+        vv = np.sum(v * v, axis=-1)[..., None]
+        vx = np.sum(v * x, axis=-1)[..., None]
+        t = 1.0 / r2 - 1.0 / r2**2
+        # G = |v|^2 / r^2 + t <v, x>^2: |v|^2 d(1/r^2) + 2 t <v, x> v + <v, x>^2 dt
+        rows = vv * (-2.0 / r2**2) * x
+        rows = rows + t * (vx * v + vx * v)
+        rows = rows + vx * vx * (-2.0 / r2**2 + 4.0 / r2**3) * x
+        return rows
 
     return MetricOracle.from_rows(
-        m, at, metric_rows, variation_rows, sharp, sharp_derivative, cometric_gradient,
+        m, at, metric_rows, sharp, sharp_derivative, speed_gradient,
         name=f"sphere(m={m})",
     )
 

@@ -167,13 +167,13 @@ def _kernel_gradient(kernel, state):
     return _profile_derivative(kernel, r_safe) * state.diff / r_safe
 
 
-def _gram_derivative(kernel, state, p, p2):
-    """q-gradient (..., N, d) of p^T K(q) p2 = sum_ab (p_a . p2_b) k_ab at a ``_Factored`` state.
+def _gram_derivative(kernel, state, p):
+    """q-gradient (..., N, d) of p^T K(q) p = sum_ab (p_a . p_b) k_ab at a ``_Factored`` state.
 
     k_ab depends on q_a and q_b, and its q_b-gradient is the q_a-gradient of
-    k_ba, so the q_a row is sum_b (p_a . p2_b + p2_a . p_b) grad_{q_a} k_ab.
+    k_ba, so the q_a row is sum_b (p_a . p_b + p_b . p_a) grad_{q_a} k_ab.
     """
-    pp = np.einsum("...ad,...bd->...ab", p, p2)
+    pp = np.einsum("...ad,...bd->...ab", p, p)
     sym = pp + np.swapaxes(pp, -1, -2)
     grad = _kernel_gradient(kernel, state)
     return np.einsum("...ab,...abd->...ad", sym, grad)
@@ -228,12 +228,12 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
     the N x N scalar Gram K of every configuration in x's leading axes with
     one batched Cholesky (a ``_Factored`` state), and every other callable
     reads that state: the flat map h -> K^{-1} h solves the momenta (N, d)
-    with d right-hand sides, and its x-gradient is minus the q-gradient of
-    p^T K(q) p2 at the momenta p, p2 of h and k (``_gram_derivative``).
-    ``sharp`` is K xi, its derivative ``sharp_derivative`` is dK[l] xi and
-    ``cometric_gradient`` is half that q-gradient at p = p2 = xi,
-    sum_b (xi_a . xi_b) grad_{q_a} k_ab, so none of the three solves, and a
-    geodesic acceleration solves only for its momentum xi = K^{-1} v
+    with d right-hand sides.  ``speed_gradient`` reads the momentum
+    xi = K^{-1} v that its caller passes: since d(K^{-1}) = -K^{-1} dK K^{-1},
+    the x-gradient of v^T K^{-1} v is minus the q-gradient of xi^T K(q) xi
+    (``_gram_derivative``).  ``sharp`` is K xi and its derivative
+    ``sharp_derivative`` is dK[l] xi, so none of the three solves, and an
+    energy gradient or a geodesic acceleration solves only for its momentum
     (Miller-Trouve-Younes, *Geodesic shooting for computational anatomy*,
     2006).  ``sharp``'s condition number is that of K from ``eigvalsh``,
     since cond(K^{-1} ⊗ I_d) = cond(K).  h, k, l and xi broadcast against x
@@ -258,13 +258,6 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
     def metric_rows(x, h):
         return _flat(_cho_solve(at(x).chol, _split(h)))
 
-    def variation_rows(x, h, k):
-        """-sum_ab p_a.p2_b dk_ab/dx_j for the momenta p = K^{-1} h, p2 = K^{-1} k."""
-        s = at(x)
-        p = _cho_solve(s.chol, _split(h))
-        p2 = p if k is h else _cho_solve(s.chol, _split(k))
-        return _flat(-_gram_derivative(kernel, s, p, p2))
-
     def sharp(x, xi):
         s = at(x)
         eig = np.abs(np.linalg.eigvalsh(s.gram))
@@ -279,12 +272,11 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
                        l[..., :, None, :] - l[..., None, :, :])
         return _flat(dk @ _split(xi))
 
-    def cometric_gradient(x, xi):
-        xi = _split(xi)
-        return _flat(0.5 * _gram_derivative(kernel, at(x), xi, xi))
+    def speed_gradient(x, v, xi):
+        return _flat(-_gram_derivative(kernel, at(x), _split(xi)))
 
     return MetricOracle.from_rows(
-        m, at, metric_rows, variation_rows, sharp, sharp_derivative, cometric_gradient,
+        m, at, metric_rows, sharp, sharp_derivative, speed_gradient,
         name=f"landmarks(N={n},d={d},{kernel.kind})",
     )
 

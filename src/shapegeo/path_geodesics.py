@@ -20,7 +20,10 @@ momentum xi = metric_rows(x, v) follows Hamilton's equations of
 H = 1/2 <xi, sharp(x, xi)> (Miller-Trouve-Younes, *Geodesic shooting for
 computational anatomy*, 2006), and v = sharp(x, xi), so the acceleration
 takes the derivative ``sharp_derivative`` of the inverse flat map and the
-x-gradient ``cometric_gradient`` of H, with no Gram matrix formed.
+x-gradient of H, with no Gram matrix formed.  Both solvers read the metric's
+x-dependence from one derivative, the speed gradient grad_x G_x(v, v): the
+energy gradient sums it over midpoints, and grad_x H = -1/2 of it at
+v = sharp(x, xi), since the inverse Gram has derivative -G^{-1} dG G^{-1}.
 """
 
 from __future__ import annotations
@@ -61,31 +64,32 @@ __all__ = [
 class MetricOracle:
     """A weak Riemannian metric on R^dim: its flat map, the inverse, and their derivatives.
 
-    An oracle writes six callables; all but ``at`` broadcast over leading
+    An oracle writes five callables; all but ``at`` broadcast over leading
     axes of their (..., dim) arguments:
 
-    - ``at(x)``, the per-point state that the other five read: c' and |c'|
+    - ``at(x)``, the per-point state that the other four read: c' and |c'|
       on curves, the pairwise geometry, scalar Gram K and its Cholesky
       factor on landmarks, and x itself on the sphere and the flat oracle.
       ``at(at(x)) is at(x)``, so every callable, the derived ones too,
       takes either the array x or its state;
     - ``metric_rows(x, h)``, the flat map h -> G_x(h, .), as the vector
       (G(x, h, e_j))_j;
-    - ``variation_rows(x, h, k)``, its x-gradient (DG(x, e_j, h, k))_j,
-      where DG(x, l, h, k) = d/de G(x + e*l, h, k) at e = 0;
     - ``sharp(x, xi)``, the inverse of the flat map, solving
       metric_rows(x, h) = xi for h.  It raises ``SingularGram`` when the
       2-norm condition number of the Gram, which each oracle knows in
       closed form, is not finite or exceeds ``COND_LIMIT``;
     - ``sharp_derivative(x, l, xi)`` = d/de sharp(x + e*l, xi) at e = 0;
-    - ``cometric_gradient(x, xi)``, the x-gradient of the Hamiltonian
-      1/2 <xi, sharp(x, xi)>.  Since the derivative of the inverse Gram is
-      -G^{-1} dG G^{-1}, it equals -1/2 variation_rows(x, h, h) for
-      h = sharp(x, xi), but each oracle writes it without the solve.
+    - ``speed_gradient(x, v, xi)``, the x-gradient (DG(x, e_j, v, v))_j of
+      the squared speed, where DG(x, l, h, k) = d/de G(x + e*l, h, k) at
+      e = 0.  The caller passes v with its momentum xi = metric_rows(x, v),
+      so an oracle reads whichever side costs less: landmarks the momentum,
+      the others v.
 
-    ``from_rows`` derives the rest by contraction: ``metric`` is
-    G(x, h, k) = h . metric_rows(x, k), ``variation`` is
-    DG(x, l, h, k) = l . variation_rows(x, h, k), and ``gram(x)`` is the
+    ``from_rows`` derives the rest: ``variation_rows(x, h, k)``, the
+    x-gradient (DG(x, e_j, h, k))_j, by polarization,
+    1/4 [S(h + k) - S(h - k)] with S(w) = speed_gradient(x, w, metric_rows(x, w));
+    ``metric`` G(x, h, k) = h . metric_rows(x, k), ``variation``
+    DG(x, l, h, k) = l . variation_rows(x, h, k), and ``gram(x)``, the
     (dim, dim) matrix metric_rows(x, I).  Every callable is a field rather
     than a method so that ``dataclasses.replace`` can wrap or substitute
     each one on a copy (a per-call tracer does, and so do tests that fail
@@ -102,14 +106,19 @@ class MetricOracle:
     at: Callable
     sharp: Callable
     sharp_derivative: Callable
-    cometric_gradient: Callable
+    speed_gradient: Callable
     name: str = "oracle"
 
     @classmethod
-    def from_rows(cls, dim, at, metric_rows, variation_rows, sharp, sharp_derivative,
-                  cometric_gradient, name):
+    def from_rows(cls, dim, at, metric_rows, sharp, sharp_derivative, speed_gradient, name):
         def metric(x, h, k):
             return (h * metric_rows(x, k)).sum(axis=-1)
+
+        def variation_rows(x, h, k):
+            x = at(x)
+            plus, minus = h + k, h - k
+            return 0.25 * (speed_gradient(x, plus, metric_rows(x, plus))
+                           - speed_gradient(x, minus, metric_rows(x, minus)))
 
         def variation(x, l, h, k):
             return (l * variation_rows(x, h, k)).sum(axis=-1)
@@ -118,7 +127,7 @@ class MetricOracle:
             return metric_rows(x, np.eye(dim))
 
         return cls(dim, metric, variation, metric_rows, variation_rows, gram, at, sharp,
-                   sharp_derivative, cometric_gradient, name)
+                   sharp_derivative, speed_gradient, name)
 
     def G(self, x, h, k):
         return self.metric(x, h, k)
@@ -146,9 +155,6 @@ def euclidean_oracle(m, weight=1.0):
     def metric_rows(x, h):
         return weight * np.broadcast_to(h, np.broadcast_shapes(np.shape(x), np.shape(h)))
 
-    def variation_rows(x, h, k):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(h), np.shape(k)))
-
     def sharp(x, xi):
         _check_condition(cond)
         return np.broadcast_to(xi, np.broadcast_shapes(np.shape(x), np.shape(xi))) / weight
@@ -156,11 +162,11 @@ def euclidean_oracle(m, weight=1.0):
     def sharp_derivative(x, l, xi):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(l), np.shape(xi)))
 
-    def cometric_gradient(x, xi):
-        return sharp_derivative(x, xi, xi)
+    def speed_gradient(x, v, xi):
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
 
-    return MetricOracle.from_rows(m, at, metric_rows, variation_rows, sharp, sharp_derivative,
-                                  cometric_gradient, name=f"euclidean(m={m})")
+    return MetricOracle.from_rows(m, at, metric_rows, sharp, sharp_derivative, speed_gradient,
+                                  name=f"euclidean(m={m})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +280,8 @@ def energy_gradient(path, oracle):
     Returns an array of shape (T-1, m); endpoints are held fixed.
     """
     state, vels, dt = _midpoint_state(path, oracle)
-    g_rows = oracle.metric_rows(state, vels)             # (T, m): G(m_i, v_i, e_j)
-    dg_rows = oracle.variation_rows(state, vels, vels)   # (T, m): DG(m_i, e_j, v_i, v_i)
+    g_rows = oracle.metric_rows(state, vels)                 # (T, m): G(m_i, v_i, e_j)
+    dg_rows = oracle.speed_gradient(state, vels, g_rows)     # (T, m): DG(m_i, e_j, v_i, v_i)
     grad = g_rows[:-1] - g_rows[1:]
     grad = grad + 0.25 * dt * (dg_rows[:-1] + dg_rows[1:])
     return grad
@@ -413,8 +419,9 @@ def geodesic_acceleration(x, v, oracle):
     """The acceleration -Gamma_x(v, v) of the geodesic through x with velocity v.
 
     Along the geodesic the momentum xi = metric_rows(x, v) follows
-    d/dt xi = -cometric_gradient(x, xi) and v = sharp(x, xi), so the
-    acceleration is sharp_derivative(x, v, xi) - sharp(x, cometric_gradient(x, xi)),
+    d/dt xi = -grad_x H = 1/2 speed_gradient(x, v, xi) and v = sharp(x, xi),
+    so the acceleration is
+    sharp_derivative(x, v, xi) + sharp(x, 1/2 speed_gradient(x, v, xi)),
     all read from one ``oracle.at(x)``.  Non-finite x or v raise ValueError,
     and a Gram past ``COND_LIMIT`` raises ``SingularGram`` from ``sharp``.
     """
@@ -423,7 +430,7 @@ def geodesic_acceleration(x, v, oracle):
     state = oracle.at(x)
     xi = oracle.metric_rows(state, v)
     return (oracle.sharp_derivative(state, v, xi)
-            - oracle.sharp(state, oracle.cometric_gradient(state, xi)))
+            + oracle.sharp(state, 0.5 * oracle.speed_gradient(state, v, xi)))
 
 
 def _rk4_step(f, x, dt, k1):
@@ -478,14 +485,12 @@ def curve_space_oracle(n_samples):
 
     Points are plane curves flattened to vectors of length 2 * n_samples
     (component-major).  ``at`` runs ``curves.tangent``, which keeps iterates
-    immersed (the L^2 metric rewards degenerating curves); the rows are
-    ``curves.l2_rows`` and ``curves.l2_variation_rows`` on that state.  The
-    flat map (2 pi / n) h |c'| is diagonal, so ``sharp`` divides by it, its
-    condition number is max|c'| / min|c'|, and ``sharp_derivative`` is
-    ``sharp`` with 1/|c'| replaced by its derivative -<l', c'>/|c'|^3.  The
-    Hamiltonian sum |xi|^2 / (2 (2 pi / n) |c'|) depends on c through c' = D c
-    alone, and D is skew, so ``cometric_gradient`` is
-    D(|xi|^2 c' / (2 (2 pi / n) |c'|^3)): one FFT pair.
+    immersed (the L^2 metric rewards degenerating curves); the flat map is
+    ``curves.l2_rows`` and the speed gradient ``curves.l2_variation_rows``
+    at h = k = v on that state.  The flat map (2 pi / n) h |c'| is diagonal,
+    so ``sharp`` divides by it, its condition number is
+    max|c'| / min|c'|, and ``sharp_derivative`` is ``sharp`` with 1/|c'|
+    replaced by its derivative -<l', c'>/|c'|^3.
     """
     m = 2 * n_samples
 
@@ -502,9 +507,6 @@ def curve_space_oracle(n_samples):
     def metric_rows(x, h):
         return _flat(l2_rows(at(x).speed, _curve(h)))
 
-    def variation_rows(x, h, k):
-        return _flat(l2_variation_rows(*at(x), _curve(h), _curve(k)))
-
     def sharp(x, xi):
         speed = at(x).speed
         _check_condition(np.max(np.max(speed, axis=-1) / np.min(speed, axis=-1)))
@@ -515,13 +517,11 @@ def curve_space_oracle(n_samples):
         inverse_speed_rate = -np.sum(differentiate(_curve(l)) * cp, axis=-2) / speed**3
         return _flat(_curve(xi) * (inverse_speed_rate / (2.0 * np.pi / n_samples))[..., None, :])
 
-    def cometric_gradient(x, xi):
-        cp, speed = at(x)
-        weight = 0.5 * np.sum(_curve(xi) ** 2, axis=-2) / (2.0 * np.pi / n_samples * speed**3)
-        return _flat(differentiate(weight[..., None, :] * cp))
+    def speed_gradient(x, v, xi):
+        return _flat(l2_variation_rows(*at(x), _curve(v), _curve(v)))
 
     return MetricOracle.from_rows(
-        m, at, metric_rows, variation_rows, sharp, sharp_derivative, cometric_gradient,
+        m, at, metric_rows, sharp, sharp_derivative, speed_gradient,
         name=f"l2-curves(n={n_samples},d=2)",
     )
 

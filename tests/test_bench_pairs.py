@@ -1,6 +1,7 @@
-"""The bench record tool's comparison rules, on synthetic run lists."""
+"""The bench record tool: its comparison rules on synthetic run lists, and its working-tree copy."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,34 @@ def test_line_counts(bench_pairs, tmp_path):
     (tmp_path / "src" / "notes.txt").write_text("not code\n")
     (tmp_path / "tests" / "test_a.py").write_text("def test():\n    pass\n\n")
     assert bench_pairs.line_counts(tmp_path) == {"src": 3, "tests": 3}
+
+
+def test_snapshot_worktree(bench_pairs, tmp_path):
+    """The copy holds tracked and untracked files as on disk, and no ignored or deleted file."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "tracked.py").write_text("old\n")
+    (repo / "deleted.py").write_text("gone\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    (repo / "pkg" / "tracked.py").write_text("edited\n")
+    (repo / "deleted.py").unlink()
+    (repo / "untracked.py").write_text("new\n")
+    (repo / "ignored.txt").write_text("build output\n")
+
+    head, copy = bench_pairs.snapshot_worktree(repo, tmp_path / "snap")
+    (repo / "pkg" / "tracked.py").write_text("edited after the snapshot\n")
+
+    assert head == git("rev-parse", "HEAD").strip()
+    assert copy == tmp_path / "snap" / "change"
+    assert sorted(str(f.relative_to(copy)) for f in copy.rglob("*") if f.is_file()) == [
+        ".gitignore", "pkg/tracked.py", "untracked.py"]
+    assert (copy / "pkg" / "tracked.py").read_text() == "edited\n"

@@ -182,7 +182,7 @@ class TestLandmarkOracle:
 
     @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
     def test_variation_rows_same_tangent_twice(self, kernel):
-        """Passing h as both tangents (one solve) equals passing an equal copy (two solves)."""
+        """Passing h as both tangents equals passing an equal copy, bit for bit."""
         rng = np.random.default_rng(15)
         oracle = km.landmark_metric_oracle(kernel, 2, 4)
         for x in (random_config(rng, 4, 2).points.reshape(-1),

@@ -96,7 +96,7 @@ class TestOracleContract:
             "variation": oracle.variation(x, l, h, k),
             "metric_rows": oracle.metric_rows(x, h),
             "variation_rows": oracle.variation_rows(x, h, k),
-            "cometric_gradient": oracle.cometric_gradient(x, h),
+            "speed_gradient": oracle.speed_gradient(x, h, oracle.metric_rows(x, h)),
         }
         for i, xi in enumerate(xs):
             single = {
@@ -104,7 +104,7 @@ class TestOracleContract:
                 "variation": oracle.variation(xi, l[i], h[i], k[i]),
                 "metric_rows": oracle.metric_rows(xi, h[i]),
                 "variation_rows": oracle.variation_rows(xi, h[i], k[i]),
-                "cometric_gradient": oracle.cometric_gradient(xi, h[i]),
+                "speed_gradient": oracle.speed_gradient(xi, h[i], oracle.metric_rows(xi, h[i])),
             }
             assert isinstance(single["metric"], float)
             assert isinstance(single["variation"], float)
@@ -113,8 +113,8 @@ class TestOracleContract:
                 assert np.max(np.abs(batched[name][i] - value)) < 1e-12 * scale, name
 
     def test_state_calls_equal_array_calls(self, case):
-        """Rows, G, DG, the cometric gradient and the Gram read from ``at(x)`` are the calls
-        on x, bit for bit."""
+        """Rows, G, DG, the speed gradient and the Gram read from ``at(x)`` are the calls on x,
+        bit for bit."""
         oracle, point = case
         rng = np.random.default_rng(13)
         for x in (point(rng), np.stack([point(rng) for _ in range(4)])):
@@ -126,7 +126,7 @@ class TestOracleContract:
                 ("variation_rows", (h, k)),
                 ("G", (h, k)),
                 ("DG", (l, h, k)),
-                ("cometric_gradient", (h,)),
+                ("speed_gradient", (h, oracle.metric_rows(x, h))),
             ]:
                 call = getattr(oracle, name)
                 assert np.array_equal(call(state, *args), call(x, *args)), name
@@ -166,8 +166,21 @@ class TestOracleContract:
             exact = oracle.sharp_derivative(oracle.at(x), l, xi)
             assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
+    def test_speed_gradient_matches_fd(self, case):
+        """speed_gradient(x, v, metric_rows(x, v)) is the x-gradient of G(x, v, v)."""
+        oracle, point = case
+        rng = np.random.default_rng(19)
+        eps = 1e-6
+        for _ in range(5):
+            x = point(rng)
+            v = rng.normal(size=x.shape)
+            steps = eps * np.eye(oracle.dim)
+            fd = (oracle.G(x + steps, v, v) - oracle.G(x - steps, v, v)) / (2 * eps)
+            exact = oracle.speed_gradient(oracle.at(x), v, oracle.metric_rows(x, v))
+            assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
     def test_cometric_gradient_matches_fd(self, case):
-        """cometric_gradient(x, xi) is the x-gradient of 1/2 <xi, sharp(x, xi)>."""
+        """The x-gradient of 1/2 <xi, sharp(x, xi)> is -1/2 speed_gradient(x, sharp(x, xi), xi)."""
         oracle, point = case
         rng = np.random.default_rng(17)
         eps = 1e-6
@@ -176,21 +189,21 @@ class TestOracleContract:
             xi = rng.normal(size=x.shape)
             steps = eps * np.eye(oracle.dim)
             fd = (hamiltonian(oracle, x + steps, xi) - hamiltonian(oracle, x - steps, xi)) / (2 * eps)
-            exact = oracle.cometric_gradient(oracle.at(x), xi)
+            state = oracle.at(x)
+            exact = -0.5 * oracle.speed_gradient(state, oracle.sharp(state, xi), xi)
             assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 10.0))
-    def test_cometric_gradient_is_minus_half_variation(self, case, seed, scale):
-        """cometric_gradient(x, xi) = -1/2 variation_rows(x, h, h), h = sharp(x, xi), to 1e-10."""
+    def test_variation_rows_polarize_speed_gradient(self, case, seed, scale):
+        """The derived variation_rows(x, h, h) = speed_gradient(x, h, metric_rows(x, h)), to 1e-12."""
         oracle, point = case
         rng = np.random.default_rng(seed)
         x = point(rng)
-        xi = scale * rng.normal(size=x.shape)
-        h = oracle.sharp(x, xi)
-        reference = -0.5 * oracle.variation_rows(x, h, h)
-        exact = oracle.cometric_gradient(x, xi)
-        assert np.max(np.abs(exact - reference)) <= 1e-10 * max(np.max(np.abs(reference)), 1e-300)
+        h = scale * rng.normal(size=x.shape)
+        reference = oracle.speed_gradient(x, h, oracle.metric_rows(x, h))
+        derived = oracle.variation_rows(x, h, h)
+        assert np.max(np.abs(derived - reference)) <= 1e-12 * max(np.max(np.abs(reference)), 1e-300)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), speed=st.floats(0.01, 10.0))
@@ -697,6 +710,20 @@ class TestLandmarkShooting:
         oracle, x0, v0 = self._eight_gaussian_landmarks()
         pg.ivp_shoot(x0, v0, oracle, 3)
         assert solves == [(8, 2)] * 4 * 3
+
+    def test_energy_gradient_solves_once(self, monkeypatch):
+        """A landmark energy gradient solves once, for the momenta of all its midpoints."""
+        solves = []
+
+        def counted(chol, rhs):
+            solves.append(rhs.shape)
+            return cho_solve(chol, rhs)
+
+        cho_solve = km._cho_solve
+        monkeypatch.setattr(km, "_cho_solve", counted)
+        oracle, x0, v0 = self._eight_gaussian_landmarks()
+        pg.energy_gradient(pg.Path.linear(x0, x0 + 0.3 * v0, 5), oracle)
+        assert solves == [(5, 8, 2)]
 
 
 class TestDistance:

@@ -3,12 +3,14 @@
     python3 tools/bench_pairs.py --parent REV --out BENCH_3.json [--first-seed 1]
 
 The parent side is a ``git archive`` of REV unpacked into a temporary
-directory; the change side is this working tree.  Both run their own
-unchanged ``perfbench/run.py``, one run at a time, for every workload of
-BENCHMARK.json and with its ``run_seconds``.  Pair i of ten uses seed
-first_seed + i on both sides (``--first-seed`` moves the seeds to held-out
-ones), and the side that runs first alternates from pair to pair, so slow
-drift of the machine's speed hits both sides alike.  After the pairs, each
+directory; the change side is a copy of this working tree taken into the
+same directory before the first run (``snapshot_worktree``), so an edit
+made during the record reaches neither the timings nor the line counts.
+Both run their own unchanged ``perfbench/run.py``, one run at a time, for
+every workload of BENCHMARK.json and with its ``run_seconds``.  Pair i of
+ten uses seed first_seed + i on both sides (``--first-seed`` moves the
+seeds to held-out ones), and the side that runs first alternates from pair
+to pair, so slow drift of the machine's speed hits both sides alike.  After the pairs, each
 side runs one traced pass with seed 42 for the exact work counts.
 
 For every end-to-end metric of BENCHMARK.json the record holds both sides'
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -60,6 +63,29 @@ def export_revision(rev, dest):
         tar.extractall(checkout, filter="data")
     archive.unlink()
     return commit, checkout
+
+
+def snapshot_worktree(root, dest):
+    """Copy the working tree of the git checkout ``root`` into ``dest``/change.
+
+    The copy holds the files git tracks or would track
+    (``git ls-files --cached --others --exclude-standard``) as they are on
+    disk, so it leaves out ignored files and tracked files deleted from the
+    tree.  Returns (HEAD's full commit id, the copy).
+    """
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, check=True).stdout
+
+    head = git("rev-parse", "HEAD").decode().strip()
+    checkout = dest / "change"
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in listed.split("\0"):
+        source = root / name
+        if name and source.is_file():
+            target = checkout / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+    return head, checkout
 
 
 def line_counts(checkout):
@@ -131,7 +157,8 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit, parent_dir = export_revision(args.parent, Path(tmp))
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        head, change_dir = snapshot_worktree(ROOT, Path(tmp))
+        checkouts = {"parent": parent_dir, "change": change_dir}
         lines = {side: line_counts(checkouts[side]) for side in SIDES}
         values = {w: {s: {m: [] for m in end_to_end} for s in SIDES} for w in workloads}
         runs = {w: {"runs": 0, "all_correct": True, "failed": 0, "attempted": 0} for w in workloads}
@@ -165,7 +192,7 @@ def main(argv=None):
 
     record = {
         "description": (
-            f"Parent {commit[:7]} against the working tree. Each end-to-end entry is {PAIRS} "
+            f"Parent {commit[:7]} against a copy of the working tree. Each end-to-end entry is {PAIRS} "
             f"alternating parent/change pairs of `python3 perfbench/run.py --workload W --seed S "
             f"--trace 0 --seconds {seconds:g}`, seeds {args.first_seed}-{args.first_seed + PAIRS - 1} "
             "(one pair per seed, the side that runs first alternating), one run at a time, each side "
@@ -193,7 +220,7 @@ def main(argv=None):
             **{k: v for k, v in provenance["change"].items() if k not in ("commit", "source_sha256", "seed")},
             "parent": {"commit": commit, "source_sha256": provenance["parent"]["source_sha256"]},
             # the working tree: HEAD plus any uncommitted edits, identified by its sources' hash
-            "change": {"head": provenance["change"]["commit"],
+            "change": {"head": head,
                        "source_sha256": provenance["change"]["source_sha256"]},
         },
     }

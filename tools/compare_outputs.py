@@ -3,9 +3,10 @@
     python3 tools/compare_outputs.py --parent REV
 
 The parent side is a ``git archive`` of REV unpacked into a temporary
-directory (``bench_pairs.export_revision``); the change side is this
-working tree.  Each side runs every subcommand of this tree's
-``EXPERIMENTS`` at its defaults, one at a time, as
+directory (``bench_pairs.export_revision``); the change side is a copy of
+this working tree taken into the same directory before the first run
+(``bench_pairs.snapshot_worktree``).  Each side runs every subcommand of
+this tree's ``EXPERIMENTS`` at its defaults, one at a time, as
 ``python -m shapegeo.experiments.cli NAME --out DIR`` on its own ``src/``.
 Then each subcommand's table.csv, plot.svg and manifest.txt are compared
 byte for byte, one printed line per file.  The change side also reruns
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT, RUN_TIMEOUT_S, SIDES, export_revision  # noqa: E402
+from bench_pairs import ROOT, RUN_TIMEOUT_S, SIDES, export_revision, snapshot_worktree  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "src"))
 from shapegeo.experiments.cli import EXPERIMENTS  # noqa: E402
@@ -79,10 +80,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
         commit, parent_dir = export_revision(args.parent, tmp)
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        _, change_dir = snapshot_worktree(ROOT, tmp)
+        checkouts = {"parent": parent_dir, "change": change_dir}
         runs = {side: run_subcommands(checkouts[side], tmp / f"out-{side}", names)
                 for side in SIDES}
-        runs["rerun"] = run_subcommands(ROOT, tmp / "out-rerun", names,
+        runs["rerun"] = run_subcommands(change_dir, tmp / "out-rerun", names,
                                         manifests=tmp / "out-change")
         results = compare_dirs(tmp / "out-parent", tmp / "out-change", names)
         reruns = compare_dirs(tmp / "out-change", tmp / "out-rerun", names, RERUN_FILES)
