@@ -3,16 +3,17 @@
 Circle maps are stored as lifts phi(x) = x + f(x) with periodic
 displacement f and 1 + f' > 0; the displacement is wrapped by a multiple
 of 2*pi so its mean lies in [-pi, pi).  Flows integrate per node with
-one embedded Dormand-Prince 5(4) loop: steps of at most 1/256, each
-halved until its error estimate is at most 1e-8 * (max|x| + 1), with the
-last stage of a step reused as the first stage of the next (Dormand &
-Prince, J. Comput. Appl. Math. 6, 1980; Hairer-Norsett-Wanner, *Solving
-ODEs I*, II.5).  Flows on the real line run on a finite window; a
-trajectory leaving the window is reported as blow-up data, not as an
-error.  The three root searches (inverse maps, periodic points,
-window-exit times) share one bisection, and every exhausted step or
-halving budget raises NonConvergence.  The module needs numpy only:
-scipy's CubicSpline loads on the first flow on a real-line grid.
+one embedded Dormand-Prince 5(4) loop.  A step is accepted when its error
+estimate is at most 1e-11 * (max|x| + 1); every trial step sizes the next
+from that estimate, and the last stage of a step is reused as the first
+stage of the next (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+Hairer-Norsett-Wanner, *Solving ODEs I*, II.4-II.5).  Flows on the real
+line run on a finite window; a trajectory leaving the window is reported
+as blow-up data, not as an error.  The three root searches (inverse
+maps, periodic points, window-exit times) share one bisection, and every
+exhausted step or bisection budget raises NonConvergence.  The module
+needs numpy only: scipy's CubicSpline loads on the first flow on a
+real-line grid.
 """
 
 from __future__ import annotations
@@ -284,8 +285,8 @@ def _field_evaluator(field, grid):
 
 @dataclass(eq=False)
 class FlowResult:
-    """Final map samples, or blow-up data when a trajectory escapes; steps,
-    rejected (halvings) and max_err (largest accepted embedded error estimate)."""
+    """Final map samples, or blow-up data when a trajectory escapes; accepted
+    steps, rejected steps and max_err (largest accepted embedded error estimate)."""
 
     final_map: Optional[np.ndarray]
     blow_up: bool = False
@@ -298,9 +299,10 @@ class FlowResult:
 MAX_SUBSTEPS = 2**20
 # smallest substep tried before the embedded error check gives up
 MIN_STEP = 1e-12
-# largest substep; each accepted step's embedded error estimate is at most TOL * (max|x| + 1)
+# first trial step of a flow; later steps are sized from the embedded error estimate
 BASE_STEP = 1.0 / 256.0
-TOL = 1e-8
+# each accepted step's embedded error estimate is at most TOL * (max|x| + 1)
+TOL = 1e-11
 # bracket width in time the window-exit bisection stops at, and its budget of halvings
 EXIT_TOL = 1e-9
 EXIT_MAX_HALVINGS = 60
@@ -309,14 +311,19 @@ EXIT_MAX_HALVINGS = 60
 def flow_time_dependent(u, x0=None):
     """Integrate the non-autonomous flow d/dt phi = u(t) o phi.
 
-    Starts at x0 or the nodes of u.grid.  A Dormand-Prince 5(4) step (at
-    most BASE_STEP, and short enough that no point moves more than
-    0.05 * (max|x| + 1)) is halved until its embedded error estimate
-    |y5 - y4| is at most TOL * (max|x| + 1); the 5th-order solution y5 is
-    kept, and its last stage is the next step's first.  Each knot interval
-    evaluates its own field afresh.  On real-line grids a trajectory
-    leaving the working window marks the result as blown up and the
-    window-exit time is refined by bisecting the same step.  A step still
+    Starts at x0 or the nodes of u.grid, with a first trial step of
+    BASE_STEP.  A Dormand-Prince 5(4) step is accepted when its embedded
+    error estimate err = |y5 - y4| is at most TOL * scale, scale =
+    max|x| + 1; the 5th-order solution y5 is kept, and its last stage is the
+    next step's first.  Every trial step of size dt proposes the next,
+    dt * min(5, max(0.2, 0.9 * (TOL * scale / err)^(1/5))) (5 * dt when
+    err = 0); a rejected step retries at the smaller of that and dt / 2.  An
+    accepted step is followed by the smallest of the proposal, the time left
+    in its knot interval, and the step that moves no point more than
+    0.05 * scale.  Each knot interval evaluates its own field afresh.  On
+    real-line grids a trajectory leaving the working window marks the
+    result as blown up and the window-exit time is refined by bisecting the
+    same step.  A step still
     failing at MIN_STEP, more than MAX_SUBSTEPS steps, or an exit time not
     located to EXIT_TOL in EXIT_MAX_HALVINGS halvings raise NonConvergence:
     an exhausted budget is not a blow-up.  Each flow that returns logs its
@@ -326,15 +333,17 @@ def flow_time_dependent(u, x0=None):
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
     window = None if isinstance(grid, PeriodicGrid) else grid.half_width
     t = float(u.knots[0])
-    steps, rejected, max_err = 0, 0, 0.0
+    steps, rejected, max_err, proposal = 0, 0, 0.0, BASE_STEP
     for u_i, t_next in zip(u.fields, u.knots[1:]):
         evaluate = _field_evaluator(u_i, grid)
         k1 = evaluate(x)
         while t < t_next - 1e-14:
             scale = np.max(np.abs(x)) + 1.0
-            dt = min(t_next - t, BASE_STEP, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
+            dt = min(t_next - t, proposal, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
             while True:
                 y, k_last, err = _dp5_step(evaluate, x, dt, k1)
+                growth = 0.9 * (TOL * scale / err) ** 0.2 if err > 0.0 else 5.0
+                proposal = dt * min(5.0, max(0.2, growth))
                 if err <= TOL * scale:
                     break
                 if dt <= MIN_STEP:
@@ -342,7 +351,7 @@ def flow_time_dependent(u, x0=None):
                         f"embedded error estimate {err:.3e} > {TOL * scale:.3e} "
                         f"at step {dt:.1e} <= MIN_STEP, t = {t:.6f}"
                     )
-                dt *= 0.5
+                dt = min(proposal, 0.5 * dt)
                 rejected += 1
             x_prev, k1_prev = x, k1
             x, k1 = y, k_last
@@ -367,7 +376,7 @@ def flow_time_dependent(u, x0=None):
 
 
 def _logged(result):
-    """Report a flow's steps, halvings and largest accepted error estimate at DEBUG."""
+    """Report a flow's accepted and rejected steps and largest accepted error estimate at DEBUG."""
     _log.debug("flow: %d steps, %d rejected, max embedded error %.3e",
                result.steps, result.rejected, result.max_err)
     return result
@@ -377,8 +386,9 @@ def flow_autonomous(u, t):
     """Time-t flow of an autonomous circle field (the exponential map at t).
 
     This is flow_time_dependent on the one-interval field u over [0, |t|],
-    time-reversed when t < 0, so every step's embedded Dormand-Prince error
-    estimate is at most TOL * (max|x| + 1) on the lifted node positions x.
+    time-reversed when t < 0, so every accepted step's embedded
+    Dormand-Prince error estimate is at most TOL * (max|x| + 1) on the
+    lifted node positions x, and each step is sized from the last estimate.
     """
     t = float(t)
     if t == 0.0:

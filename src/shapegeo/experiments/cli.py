@@ -174,6 +174,12 @@ def _run_exp_circle(config):
     return columns, rows, {}, plot
 
 
+def _flow_stats(result, prefix=""):
+    """A FlowResult's step statistics as manifest comments."""
+    return {f"{prefix}steps": result.steps, f"{prefix}rejected": result.rejected,
+            f"{prefix}max_err": result.max_err}
+
+
 def _run_blowup(config):
     grid = diffeo_flows.RealGrid(
         half_width=config["half_width"], n_nodes=config["n_nodes"]
@@ -184,13 +190,17 @@ def _run_blowup(config):
     if not result.blow_up:
         raise ShapeGeoError("expected blow-up was not observed")
     exact = 1.0 / config["x0"]
-    columns = ["x0", "blow_up_time", "exact", "abs_err"]
+    # exact time at which x0 / (1 - x0 t) leaves the window, so solver_err is the integrator's
+    window_exit = exact - 1.0 / config["half_width"]
+    columns = ["x0", "blow_up_time", "exact", "abs_err", "window_exit", "solver_err"]
     rows = [
         [
             config["x0"],
             result.blow_up_time,
             exact,
             abs(result.blow_up_time - exact),
+            window_exit,
+            abs(result.blow_up_time - window_exit),
         ]
     ]
     # trajectory of the analytic solution up to the window exit
@@ -203,7 +213,7 @@ def _run_blowup(config):
         ylabel="x",
         logy=True,
     )
-    return columns, rows, {}, plot
+    return columns, rows, _flow_stats(result), plot
 
 
 def _run_landmark_geodesic(config):
@@ -269,7 +279,9 @@ def _run_lddmm_flow(config):
         xlabel="x0",
         ylabel="position",
     )
-    return columns, rows, {"membership_check": membership}, plot
+    extras = {"membership_check": membership,
+              **_flow_stats(fwd, "forward_"), **_flow_stats(back, "return_")}
+    return columns, rows, extras, plot
 
 
 def _run_sobolev_props(config):

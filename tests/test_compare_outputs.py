@@ -62,3 +62,16 @@ def test_manifest_rerun_of_sobolev_props_is_identical(compare_outputs, tmp_path)
                                            compare_outputs.RERUN_FILES)
     assert results == [("sobolev-props/table.csv", "identical"),
                        ("sobolev-props/manifest.txt", "identical")]
+
+
+def test_column_differences_of_tables(compare_outputs, tmp_path):
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("x,t,err\n1,0.5,0\n2,0.25,0\n")
+    change.write_text("x,t,err,extra\n1,0.5,0,7\n2,0.2501,1e-12,7\n")
+    diffs = compare_outputs.column_differences(parent, change)
+    assert list(diffs) == ["x", "t", "err"]  # the change side's new column is not compared
+    assert diffs["x"] == (0.0, 0.0)
+    assert diffs["t"] == pytest.approx((1e-4, 1e-4 / 0.2501))
+    assert diffs["err"] == (1e-12, 1.0)
+    change.write_text("x,t,err\n1,0.5,0\n")
+    assert compare_outputs.column_differences(parent, change) is None

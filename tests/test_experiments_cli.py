@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import shapegeo
+from shapegeo import diffeo_flows
 from shapegeo.experiments import io
 from shapegeo.experiments.cli import EXPERIMENTS, _assemble_config, main, run_experiment
 
@@ -285,6 +286,31 @@ class TestRunner:
         assert main(["blowup", "--out", out]) == 0
         _, rows = io.read_csv(os.path.join(out, "table.csv"))
         assert abs(rows[0][1] - 0.5) < 1e-3
+
+    def test_blowup_solver_err_within_exit_tol(self, tmp_path):
+        """solver_err measures the integrator against the exact window exit, not the window."""
+        out = str(tmp_path / "b")
+        assert main(["blowup", "--out", out]) == 0
+        columns, rows = io.read_csv(os.path.join(out, "table.csv"))
+        row = dict(zip(columns, rows[0]))
+        assert row["window_exit"] == 1.0 / 2.0 - 1.0 / 10000.0
+        assert row["solver_err"] == abs(row["blow_up_time"] - row["window_exit"])
+        assert row["solver_err"] <= diffeo_flows.EXIT_TOL
+        assert row["abs_err"] == abs(row["blow_up_time"] - row["exact"])
+
+    @pytest.mark.parametrize("name, prefixes", [("blowup", [""]),
+                                                ("lddmm-flow", ["forward_", "return_"])])
+    def test_flow_manifest_reports_steps(self, tmp_path, name, prefixes):
+        out = str(tmp_path / "f")
+        sets = [arg for pair in SMALL_CONFIGS[name] for arg in ("--set", pair)]
+        assert main([name, *sets, "--out", out]) == 0
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            comments = dict(line[2:].split(" = ") for line in fh.read().splitlines()
+                            if line.startswith("# ") and " = " in line)
+        for prefix in prefixes:
+            assert int(comments[f"{prefix}steps"]) > 0
+            assert int(comments[f"{prefix}rejected"]) >= 0
+            assert 0.0 < float(comments[f"{prefix}max_err"])
 
     def test_exp_circle_default(self, tmp_path):
         out = str(tmp_path / "e")

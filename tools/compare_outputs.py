@@ -9,7 +9,9 @@ this working tree taken into the same directory before the first run
 this tree's ``EXPERIMENTS`` at its defaults, one at a time, as
 ``python -m shapegeo.experiments.cli NAME --out DIR`` on its own ``src/``.
 Then each subcommand's table.csv, plot.svg and manifest.txt are compared
-byte for byte, one printed line per file.  The change side also reruns
+byte for byte, one printed line per file; under each table.csv that
+differs, one line per column both tables share gives the largest absolute
+and relative difference of its entries.  The change side also reruns
 each subcommand from its own manifest.txt (``--config``), and the rerun's
 table.csv and manifest.txt must equal the first run's byte for byte.  The
 exit status is 1 when a file differs or is missing, or when a run fails.
@@ -29,11 +31,14 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, RUN_TIMEOUT_S, SIDES, export_revision, snapshot_worktree  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "src"))
 from shapegeo.experiments.cli import EXPERIMENTS  # noqa: E402
+from shapegeo.experiments.io import read_csv  # noqa: E402
 
 FILES = ("table.csv", "plot.svg", "manifest.txt")
 # what a rerun from a manifest reproduces; the plot is drawn from the same table
@@ -71,6 +76,23 @@ def compare_dirs(parent_root, change_root, names, files=FILES):
     return results
 
 
+def column_differences(parent_table, change_table):
+    """{column: (largest absolute, largest relative difference)} over the columns both
+    tables share, entry by entry, relative to the larger magnitude of the two entries;
+    None when the row counts differ."""
+    (cols_a, rows_a), (cols_b, rows_b) = read_csv(parent_table), read_csv(change_table)
+    if len(rows_a) != len(rows_b):
+        return None
+    a, b = np.array(rows_a), np.array(rows_b)
+    diffs = {}
+    for name in (c for c in cols_a if c in cols_b):
+        x, y = a[:, cols_a.index(name)], b[:, cols_b.index(name)]
+        gap, scale = np.abs(x - y), np.maximum(np.abs(x), np.abs(y))
+        rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0)
+        diffs[name] = (float(gap.max()), float(rel.max()))
+    return diffs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -88,12 +110,19 @@ def main(argv=None):
                                         manifests=tmp / "out-change")
         results = compare_dirs(tmp / "out-parent", tmp / "out-change", names)
         reruns = compare_dirs(tmp / "out-change", tmp / "out-rerun", names, RERUN_FILES)
+        moved = {path: column_differences(tmp / "out-parent" / path, tmp / "out-change" / path)
+                 for path, status in results
+                 if status == "differs" and path.endswith("/table.csv")}
     failed = [(side, name, code) for side, side_runs in runs.items()
               for name, (code, _) in side_runs.items() if code]
     for side, name, code in failed:
         print(f"failed     {side} {name} (exit {code})")
     for path, status in results:
         print(f"{status:<10} {path}")
+        if path in moved and moved[path] is None:
+            print("             row counts differ")
+        for column, (gap, rel) in (moved.get(path) or {}).items():
+            print(f"             {column}: abs {gap:.3e}, rel {rel:.3e}")
     for path, status in reruns:
         print(f"{status:<10} rerun {path}")
     for name in names:
