@@ -220,6 +220,7 @@ class TestRunner:
         ("sobolev-props", "n_samples=abc"),
         ("sphere-bvp", "tol=fast"),
         ("grossman", "n_max=4.5"),
+        ("grossman", "m=60 n_max=59"),  # past double precision
         # non-finite values
         ("sphere-bvp", "tol=inf n_pairs=2"),
         ("sphere-bvp", "tol=nan max_iter=50 n_pairs=2"),
@@ -312,6 +313,43 @@ class TestRunner:
             assert int(comments[f"{prefix}rejected"]) >= 0
             assert 0.0 < float(comments[f"{prefix}max_err"])
 
+    def test_landmark_geodesic_against_hamiltonian_reference(self):
+        """The length against solve_bvp on the two-landmark Hamiltonian system.
+
+        In u = q1 + q2, r = q1 - q2 the metric is u'^2/(2(1 + k)) + r'^2/(2(1 - k)),
+        k = exp(-r^2/2), so H = (1 + k) p_u^2 + (1 - k) p_r^2 and the length over
+        t in [0, 1] is sqrt(2H).  The path's midpoint length is second order in n_steps.
+        """
+        from scipy.integrate import solve_bvp
+
+        def hamilton(t, y):
+            u, r, p_u, p_r = y
+            k = np.exp(-0.5 * r**2)
+            return np.vstack([2 * (1 + k) * p_u, 2 * (1 - k) * p_r, np.zeros_like(u),
+                              r * k * (p_u**2 - p_r**2)])
+
+        def ends(y0, y1):  # (q1, q2) from (-2, 2) to (-1, 3)
+            return np.array([y0[0], y0[1] + 4.0, y1[0] - 2.0, y1[1] + 4.0])
+
+        t = np.linspace(0.0, 1.0, 11)
+        guess = np.vstack([2 * t, np.full_like(t, -4.0), np.ones_like(t), np.zeros_like(t)])
+        sol = solve_bvp(hamilton, ends, t, guess, tol=1e-12)
+        assert sol.success, sol.message
+        u, r, p_u, p_r = sol.y[:, 0]
+        k = np.exp(-0.5 * r**2)
+        reference = np.sqrt(2 * ((1 + k) * p_u**2 + (1 - k) * p_r**2))
+
+        runner = EXPERIMENTS["landmark-geodesic"][0]
+        errors = []
+        for n_steps in (16, 32):  # 16 is the default
+            config = _assemble_config("landmark-geodesic", argparse.Namespace(
+                config=None, set=[f"n_steps={n_steps}"]))
+            extras = runner(config)[2]
+            assert extras["converged"]
+            errors.append(abs(extras["geodesic_length"] - reference))
+        assert errors[0] <= 5e-10
+        assert abs(errors[0] / errors[1] - 4.0) <= 0.05
+
     def test_exp_circle_default(self, tmp_path):
         out = str(tmp_path / "e")
         assert main(["exp-circle", "--out", out]) == 0
@@ -362,15 +400,10 @@ class TestImportCost:
         return _scipy_loaded_by(
             f"from shapegeo.experiments.cli import main\nassert main({argv!r}) == 0")
 
-    @pytest.mark.parametrize("name", ["landmark-geodesic", "sobolev-props"])
+    @pytest.mark.parametrize("name", ["grossman", "landmark-geodesic", "sobolev-props"])
     def test_numpy_only_runs_load_no_scipy_subpackage(self, tmp_path, name):
         # the manifest's version line imports the bare scipy package, and only that
         assert _heavy(self._run(tmp_path, name)) == set()
-
-    def test_grossman_loads_integrate_alone(self, tmp_path):
-        loaded = self._run(tmp_path, "grossman")
-        assert "scipy.integrate" in loaded
-        assert "scipy.interpolate" not in loaded
 
     def test_blowup_loads_interpolate(self, tmp_path):
         assert "scipy.interpolate" in self._run(tmp_path, "blowup")

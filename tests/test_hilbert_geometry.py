@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shapegeo import hilbert_geometry as hg
-from shapegeo.errors import NonConvergence
 
 
 def gauss_legendre_length_oracle(a_n, order=60):
@@ -87,9 +86,16 @@ class TestEllipsoid:
         with pytest.raises(ValueError):
             hg.grossman_experiment(spec, [4])
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_grossman_quadrature_budget(self, monkeypatch):
-        # 1e-17 is below double-precision roundoff, so quad's error estimate cannot meet it
-        monkeypatch.setattr(hg, "QUAD_TOL", 1e-17)
-        with pytest.raises(NonConvergence, match="QUAD_TOL"):
-            hg.grossman_experiment(hg.EllipsoidSpec(), [5])
+    def test_grossman_lengths_against_exact_elliptic_integral(self):
+        """Every allowed row against 2a E(1 - a^-2) evaluated at 40 digits."""
+        import mpmath
+
+        table = hg.grossman_experiment(hg.EllipsoidSpec(m=49), range(1, 49))
+        for n, length, _ in table:
+            with mpmath.workdps(40):
+                a = 1 + mpmath.mpf(2) ** -n
+                exact = 2 * a * mpmath.ellipe(1 - a**-2)
+                assert abs(float((length - exact) / exact)) <= 4e-16, n
+            assert np.pi < length <= (1 + 2.0**-n) * np.pi
+        lengths = [row[1] for row in table]
+        assert all(a > b for a, b in zip(lengths, lengths[1:]))
