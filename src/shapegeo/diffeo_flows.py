@@ -12,8 +12,9 @@ line run on a finite window; a trajectory leaving the window is reported
 as blow-up data, not as an error.  The three root searches (inverse
 maps, periodic points, window-exit times) share one bisection, and every
 exhausted step or bisection budget raises NonConvergence.  The module
-needs numpy only: scipy's CubicSpline loads on the first flow on a
-real-line grid.
+needs numpy only: a field on a real-line grid is the not-a-knot cubic
+spline through its samples, scipy's default CubicSpline, built here by
+cyclic reduction.
 """
 
 from __future__ import annotations
@@ -230,6 +231,13 @@ class RealGrid:
     half_width: float = 10.0
     n_nodes: int = 2048
 
+    def __post_init__(self):
+        # fields on the grid are not-a-knot cubic splines, which need 4 nodes
+        if self.n_nodes < 4:
+            raise ValueError(f"n_nodes = {self.n_nodes}: a real-line grid needs >= 4 nodes")
+        if not 0.0 < self.half_width < np.inf:
+            raise ValueError(f"half_width = {self.half_width}: must be positive and finite")
+
     @property
     def nodes(self):
         return np.linspace(-self.half_width, self.half_width, self.n_nodes)
@@ -272,15 +280,85 @@ def _negate_field(f):
     return -np.asarray(f, dtype=float)
 
 
+def _solve_tridiagonal(diag, off, rhs):
+    """Solve the symmetric tridiagonal system of size 2^k - 1 whose off[i] couples
+    x_i and x_{i+1}, by cyclic reduction (Buzbee-Golub-Nielson, SIAM J. Numer.
+    Anal. 7, 1970).
+
+    Each odd row, less multiples of its two even neighbours, loses the even
+    unknowns; those rows form the symmetric system in the odd unknowns, of
+    size 2^(k-1) - 1, and the even unknowns then follow from their own rows.
+    Stable without pivoting when the matrix is diagonally dominant.
+    """
+    if diag.size == 1:
+        return rhs / diag
+    lower, upper = -off[0::2] / diag[:-1:2], -off[1::2] / diag[2::2]
+    x = np.empty_like(rhs)
+    x[1::2] = _solve_tridiagonal(diag[1::2] + lower * off[0::2] + upper * off[1::2],
+                                 upper[:-1] * off[2::2],
+                                 rhs[1::2] + lower * rhs[:-1:2] + upper * rhs[2::2])
+    even = rhs[::2].copy()
+    even[1:] -= off[1::2] * x[1::2]
+    even[:-1] -= off[0::2] * x[1::2]
+    x[::2] = even / diag[::2]
+    return x
+
+
+def _cubic_spline(grid, samples):
+    """The not-a-knot cubic spline through samples on the RealGrid, as a callable.
+
+    This is scipy's CubicSpline with its default end conditions (de Boor,
+    *A Practical Guide to Splines*, ch. IV).  On the uniform grid of step h,
+    with secant slopes m_i and node slopes s_i, the interior rows divided
+    by h are s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i) and the end rows
+    s_0 + 2 s_1 = (5 m_0 + m_1) / 2 and its mirror.  Substituting the end
+    rows into their neighbours leaves a diagonally dominant system in
+    s_1 .. s_{n-2}, padded with identity rows to size 2^k - 1 for
+    _solve_tridiagonal.  The secants and each cell's cubic use the cell's
+    stored width nodes[i+1] - nodes[i], within rounding of h, so every cubic
+    meets its two samples at the nodes as stored.  A call finds each
+    point's cell from (x - x_0) / h, clamped to the end cells so that points
+    outside the window evaluate the end cubics, and runs Horner on that
+    cell's coefficients.
+    """
+    y = np.asarray(samples, dtype=float)
+    n = grid.n_nodes
+    if y.shape != (n,) or not np.all(np.isfinite(y)):
+        raise ValueError(f"field samples must be {n} finite values, one per grid node")
+    nodes = grid.nodes
+    x0, h, width = nodes[0], 2.0 * grid.half_width / (n - 1), np.diff(nodes)
+    m = np.diff(y) / width
+    left, right = 0.5 * (5.0 * m[0] + m[1]), 0.5 * (m[-2] + 5.0 * m[-1])  # end rows
+    size = (1 << (n - 2).bit_length()) - 1
+    diag, off, rhs = np.ones(size), np.zeros(size - 1), np.zeros(size)
+    diag[:n - 2] = 4.0
+    diag[[0, n - 3]] = 2.0
+    off[:n - 3] = 1.0
+    rhs[:n - 2] = 3.0 * (m[:-1] + m[1:])
+    rhs[0] -= left
+    rhs[n - 3] -= right
+    inner = _solve_tridiagonal(diag, off, rhs)[:n - 2]
+    s = np.concatenate(([left - 2.0 * inner[0]], inner, [right - 2.0 * inner[-1]]))
+    t = (s[:-1] + s[1:] - 2.0 * m) / width
+    # per cell: its left node, then the coefficients of (x - node)^3, ^2, ^1, ^0
+    table = np.stack([nodes[:-1], t / width, (m - s[:-1]) / width - t, s[:-1], y[:-1]])
+    last_cell = float(n - 2)
+
+    def spline(x):
+        # take's clip mode puts the points left of the window in the first cell
+        cell = np.fmin((x - x0) / h, last_cell).astype(np.intp)
+        node, c3, c2, c1, c0 = table.take(cell, axis=1, mode="clip")
+        u = x - node
+        return c0 + u * (c1 + u * (c2 + u * c3))
+
+    return spline
+
+
 def _field_evaluator(field, grid):
     if isinstance(grid, PeriodicGrid):
         coeffs = compress(transform(field))
         return lambda x: evaluate_spectral(coeffs, x)[0]
-    # local: scipy.interpolate outweighs all other imports, and only real-line flows need it
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(grid.nodes, np.asarray(field, dtype=float))
-    return spline
+    return _cubic_spline(grid, field)
 
 
 @dataclass(eq=False)
@@ -334,11 +412,12 @@ def flow_time_dependent(u, x0=None):
     window = None if isinstance(grid, PeriodicGrid) else grid.half_width
     t = float(u.knots[0])
     steps, rejected, max_err, proposal = 0, 0, 0.0, BASE_STEP
+    reach = np.max(np.abs(x))  # of the current x: the window test and the next step's scale
     for u_i, t_next in zip(u.fields, u.knots[1:]):
         evaluate = _field_evaluator(u_i, grid)
         k1 = evaluate(x)
         while t < t_next - 1e-14:
-            scale = np.max(np.abs(x)) + 1.0
+            scale = reach + 1.0
             dt = min(t_next - t, proposal, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
             while True:
                 y, k_last, err = _dp5_step(evaluate, x, dt, k1)
@@ -358,7 +437,8 @@ def flow_time_dependent(u, x0=None):
             t += dt
             steps += 1
             max_err = max(max_err, err)
-            if window is not None and np.max(np.abs(x)) > window:
+            reach = np.max(np.abs(x))
+            if window is not None and reach > window:
                 i = int(np.argmax(np.abs(x)))  # the farthest point; bisect the step for its exit
                 xi, ki = x_prev[i:i + 1], k1_prev[i:i + 1]
                 lo, hi = _bisect(

@@ -247,6 +247,81 @@ class TestTimeDependentFlow:
             df.TimeDependentField([0.0, 1.0], [grid.nodes, grid.nodes], grid)
 
 
+@st.composite
+def real_grids(draw):
+    return df.RealGrid(draw(st.floats(0.1, 100.0)), draw(st.integers(4, 300)))
+
+
+def probe_points(grid, seed):
+    """The nodes, 200 random points of the window widened by one cell on each
+    side, and the widened window's ends."""
+    nodes = grid.nodes
+    reach = grid.half_width + (nodes[1] - nodes[0])
+    inside = np.random.default_rng(seed).uniform(-reach, reach, 200)
+    return np.concatenate([nodes, inside, [-reach, reach]])
+
+
+# a polynomial coefficient: zero or of magnitude 1e-3 .. 1, either sign
+coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+def smooth_field(grid, seed):
+    """A random sum of three Gaussian-windowed sines, smooth on the scale of the
+    window: in x / half_width, frequencies up to 3 and widths from 0.2 to 1."""
+    rng = np.random.default_rng(seed)
+    xi = grid.nodes / grid.half_width
+    amp, freq, phase, centre, spread = rng.uniform(
+        [-1.0, 0.0, 0.0, -1.0, 0.2], [1.0, 3.0, 2 * np.pi, 1.0, 1.0], (3, 5)).T
+    return sum(a * np.sin(f * xi + p) * np.exp(-(((xi - c) / s) ** 2))
+               for a, f, p, c, s in zip(amp, freq, phase, centre, spread))
+
+
+class TestCubicSpline:
+    @settings(max_examples=60, deadline=None)
+    @given(real_grids(), st.lists(coefficients, min_size=4, max_size=4), st.integers(0, 2**32 - 1))
+    def test_reproduces_cubics_inside_and_one_cell_outside(self, grid, coeffs, seed):
+        # not-a-knot conditions hold for every cubic, so the spline is the cubic itself
+        poly = np.polynomial.Polynomial(coeffs)
+        spline = df._cubic_spline(grid, poly(grid.nodes))
+        x = probe_points(grid, seed)
+        assert np.max(np.abs(spline(x) - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(real_grids(), st.integers(0, 2**32 - 1))
+    def test_passes_through_every_sample(self, grid, seed):
+        samples = np.random.default_rng(seed).normal(size=grid.n_nodes)
+        spline = df._cubic_spline(grid, samples)
+        assert np.max(np.abs(spline(grid.nodes) - samples)) <= 1e-14 * np.max(np.abs(samples))
+
+    @settings(max_examples=40, deadline=None)
+    @given(real_grids(), st.integers(0, 2**32 - 1))
+    def test_matches_scipy_on_smooth_fields(self, grid, seed):
+        from scipy.interpolate import CubicSpline
+
+        samples = smooth_field(grid, seed)
+        x = probe_points(grid, seed)
+        spline, reference = df._cubic_spline(grid, samples), CubicSpline(grid.nodes, samples)
+        assert np.max(np.abs(spline(x) - reference(x))) <= 1e-13 * np.max(np.abs(samples))
+
+    @pytest.mark.parametrize("name", ["blowup", "lddmm-flow"])
+    def test_matches_scipy_on_default_fields(self, name):
+        from scipy.interpolate import CubicSpline
+
+        from shapegeo.experiments.cli import EXPERIMENTS
+
+        config = EXPERIMENTS[name][1]
+        grid = df.RealGrid(config["half_width"], config["n_nodes"])
+        x = grid.nodes
+        # the fields _run_blowup and _run_lddmm_flow flow along
+        fields = ([x**2] if name == "blowup" else
+                  [np.sin(x) * np.exp(-0.1 * x**2), np.cos(2.0 * x) * np.exp(-0.1 * x**2)])
+        for samples in fields:
+            spline, reference = df._cubic_spline(grid, samples), CubicSpline(x, samples)
+            points = probe_points(grid, 0)
+            assert np.max(np.abs(spline(points) - reference(points))) <= (
+                1e-13 * np.max(np.abs(samples)))
+
+
 def noninjectivity_field(amp):
     """exp_noninjectivity_demo's field for psi = x + amp*sin(3x), as exp-circle builds it.
 

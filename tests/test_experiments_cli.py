@@ -244,6 +244,9 @@ class TestRunner:
         ("landmark-geodesic", "n_steps=1", "n_steps = 1"),
         ("sphere-bvp", "m=0 n_pairs=2", "m >= 2, got m = 0"),
         ("lddmm-flow", "n_probe=0", "n_probe = 0 for lddmm-flow: must be >= 1"),
+        # a not-a-knot cubic spline needs 4 nodes, and a window a positive width
+        ("lddmm-flow", "n_nodes=3", "n_nodes = 3"),
+        ("lddmm-flow", "half_width=-5", "half_width = -5.0"),
     ])
     def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
                                                            override, message):
@@ -400,10 +403,7 @@ class TestImportCost:
         return _scipy_loaded_by(
             f"from shapegeo.experiments.cli import main\nassert main({argv!r}) == 0")
 
-    @pytest.mark.parametrize("name", ["grossman", "landmark-geodesic", "sobolev-props"])
+    @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
     def test_numpy_only_runs_load_no_scipy_subpackage(self, tmp_path, name):
         # the manifest's version line imports the bare scipy package, and only that
         assert _heavy(self._run(tmp_path, name)) == set()
-
-    def test_blowup_loads_interpolate(self, tmp_path):
-        assert "scipy.interpolate" in self._run(tmp_path, "blowup")
