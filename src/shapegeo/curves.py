@@ -42,9 +42,10 @@ IMMERSION_TOL = 1e-10
 def tangent(values):
     """c' and |c'| of curves (..., d, n); raises NotImmersed at |c'| <= IMMERSION_TOL."""
     cp = differentiate(values)
-    speed = np.linalg.norm(cp, axis=-2)
-    if np.min(speed) <= IMMERSION_TOL:
-        raise NotImmersed(f"speed minimum {np.min(speed):.3e} <= {IMMERSION_TOL:.0e}")
+    speed = np.sqrt(np.add.reduce(cp * cp, axis=-2))  # np.linalg.norm's own operations
+    slowest = speed.min()
+    if slowest <= IMMERSION_TOL:
+        raise NotImmersed(f"speed minimum {slowest:.3e} <= {IMMERSION_TOL:.0e}")
     return cp, speed
 
 

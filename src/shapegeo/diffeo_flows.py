@@ -401,11 +401,12 @@ def flow_time_dependent(u, x0=None):
     0.05 * scale.  Each knot interval evaluates its own field afresh.  On
     real-line grids a trajectory leaving the working window marks the
     result as blown up and the window-exit time is refined by bisecting the
-    same step.  A step still
-    failing at MIN_STEP, more than MAX_SUBSTEPS steps, or an exit time not
-    located to EXIT_TOL in EXIT_MAX_HALVINGS halvings raise NonConvergence:
-    an exhausted budget is not a blow-up.  Each flow that returns logs its
-    steps, rejected and max_err at DEBUG on the "shapegeo" logger.
+    same step; a start point outside the window |x| <= half_width raises
+    ValueError.  A step still failing at MIN_STEP, more than MAX_SUBSTEPS
+    steps, or an exit time not located to EXIT_TOL in EXIT_MAX_HALVINGS
+    halvings raise NonConvergence: an exhausted budget is not a blow-up.
+    Each flow that returns logs its steps, rejected and max_err at DEBUG on
+    the "shapegeo" logger.
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
@@ -413,6 +414,10 @@ def flow_time_dependent(u, x0=None):
     t = float(u.knots[0])
     steps, rejected, max_err, proposal = 0, 0, 0.0, BASE_STEP
     reach = np.max(np.abs(x))  # of the current x: the window test and the next step's scale
+    if window is not None and not reach <= window:
+        start = x[int(np.argmax(np.abs(x)))]
+        raise ValueError(f"start point x0 = {float(start)} lies outside the window "
+                         f"|x| <= half_width = {float(window)}")
     for u_i, t_next in zip(u.fields, u.knots[1:]):
         evaluate = _field_evaluator(u_i, grid)
         k1 = evaluate(x)

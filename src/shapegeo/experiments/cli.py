@@ -184,6 +184,10 @@ def _run_blowup(config):
     grid = diffeo_flows.RealGrid(
         half_width=config["half_width"], n_nodes=config["n_nodes"]
     )
+    # a product of Python floats overflows to inf without the warning that numpy gives
+    if not np.isfinite(grid.half_width * grid.half_width):
+        raise ConfigError(f"half_width = {grid.half_width} for blowup: the field x^2 "
+                          "overflows at the window's ends")
     field = grid.nodes**2
     tf = diffeo_flows.TimeDependentField.uniform([field], grid, config["t_end"])
     result = diffeo_flows.flow_time_dependent(tf, x0=np.array([config["x0"]]))

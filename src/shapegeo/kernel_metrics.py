@@ -20,7 +20,7 @@ DegenerateConfig.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -111,27 +111,42 @@ def _pairwise(pts):
 
     ``pts`` holds configurations of shape (..., N, d).  Non-finite positions
     raise ValueError; two points of one configuration no further apart
-    than MIN_SEPARATION raise DegenerateConfig.
+    than MIN_SEPARATION raise DegenerateConfig.  The distances are
+    ``np.linalg.norm``'s own operations, so they equal its result bitwise.
     """
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("landmark positions must be finite")
     diff = pts[..., :, None, :] - pts[..., None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    off_diagonal = dist[..., ~np.eye(pts.shape[-2], dtype=bool)]
-    if off_diagonal.size and np.min(off_diagonal) <= MIN_SEPARATION:
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    # the off-diagonal distances as a view, with no mask: past entry (0, 0) of a
+    # row-major N x N block, rows of N + 1 entries end in the diagonal ones
+    lead, n = dist.shape[:-2], dist.shape[-1]
+    flat = dist.reshape(lead + (n * n,))[..., 1:]
+    off_diagonal = flat.reshape(lead + (n - 1, n + 1))[..., :-1]
+    if off_diagonal.size and (separation := off_diagonal.min()) <= MIN_SEPARATION:
         raise DegenerateConfig(
-            f"minimum landmark separation {np.min(off_diagonal):.3e} <= {MIN_SEPARATION:.0e}"
+            f"minimum landmark separation {separation:.3e} <= {MIN_SEPARATION:.0e}"
         )
     return diff, dist
 
 
-class _Factored(NamedTuple):
-    """Checked geometry, scalar Gram K and its Cholesky factor of configurations (..., N, d)."""
+@dataclass(frozen=True, eq=False)
+class _Factored:
+    """Checked geometry, scalar Gram K and its Cholesky factor of configurations (..., N, d).
 
+    The state keeps its kernel, so it builds ``kernel_gradient`` on first
+    use and at most once: a trial energy never reads it.
+    """
+
+    kernel: Kernel
     diff: np.ndarray
     dist: np.ndarray
     gram: np.ndarray
     chol: np.ndarray
+
+    @cached_property
+    def kernel_gradient(self):
+        return _kernel_gradient(self)
 
 
 def _factor(kernel, pts):
@@ -146,7 +161,7 @@ def _factor(kernel, pts):
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise DegenerateConfig(f"Gram matrix not positive definite: {exc}") from exc
-    return _Factored(diff, dist, gram, chol)
+    return _Factored(kernel, diff, dist, gram, chol)
 
 
 def _cho_solve(chol, rhs):
@@ -157,9 +172,10 @@ def _cho_solve(chol, rhs):
     return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs))
 
 
-def _kernel_gradient(kernel, state):
+def _kernel_gradient(state):
     """Gradient of k(|q_a - q_b|) in q_a at a ``_Factored`` state, shape (..., N, N, d); zero
     for a == b."""
+    kernel = state.kernel
     if kernel.kind == "gaussian":
         return -state.gram[..., None] * state.diff / kernel.scale**2
     # diff vanishes on the diagonal, where the Sobolev profile has a kink
@@ -167,7 +183,7 @@ def _kernel_gradient(kernel, state):
     return _profile_derivative(kernel, r_safe) * state.diff / r_safe
 
 
-def _gram_derivative(kernel, state, p):
+def _gram_derivative(state, p):
     """q-gradient (..., N, d) of p^T K(q) p = sum_ab (p_a . p_b) k_ab at a ``_Factored`` state.
 
     k_ab depends on q_a and q_b, and its q_b-gradient is the q_a-gradient of
@@ -175,8 +191,7 @@ def _gram_derivative(kernel, state, p):
     """
     pp = np.einsum("...ad,...bd->...ab", p, p)
     sym = pp + np.swapaxes(pp, -1, -2)
-    grad = _kernel_gradient(kernel, state)
-    return np.einsum("...ab,...abd->...ad", sym, grad)
+    return np.einsum("...ab,...abd->...ad", sym, state.kernel_gradient)
 
 
 def _scalar_gram(kernel, points_a, points_b=None):
@@ -235,11 +250,14 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
     ``sharp_derivative`` is dK[l] xi, so none of the three solves, and an
     energy gradient or a geodesic acceleration solves only for its momentum
     (Miller-Trouve-Younes, *Geodesic shooting for computational anatomy*,
-    2006).  ``sharp``'s condition number is that of K from ``eigvalsh``,
-    since cond(K^{-1} ⊗ I_d) = cond(K).  h, k, l and xi broadcast against x
-    without refactoring.  Non-finite positions raise ValueError; landmarks
-    closer than MIN_SEPARATION or a Gram that is not positive definite, in
-    any row, raise DegenerateConfig.
+    2006).  Both derivatives read the kernel gradient (..., N, N, d), which
+    the state builds on demand, once: an acceleration builds it once for
+    both, and an energy, which reads neither, never.  ``sharp``'s condition
+    number is that of K from ``eigvalsh``, since cond(K^{-1} ⊗ I_d) =
+    cond(K).  h, k, l and xi broadcast against x without refactoring.
+    Non-finite positions raise ValueError; landmarks closer than
+    MIN_SEPARATION or a Gram that is not positive definite, in any row,
+    raise DegenerateConfig.
     """
     d = config_dim
     n = n_points
@@ -261,19 +279,19 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
     def sharp(x, xi):
         s = at(x)
         eig = np.abs(np.linalg.eigvalsh(s.gram))
-        _check_condition(np.max(np.max(eig, axis=-1) / np.min(eig, axis=-1)))
+        _check_condition((eig.max(axis=-1) / eig.min(axis=-1)).max())
         return _flat(s.gram @ _split(xi))
 
     def sharp_derivative(x, l, xi):
         """dK[l] xi, where dK[l]_ab = grad k_ab . (l_a - l_b)."""
         s = at(x)
         l = _split(l)
-        dk = np.einsum("...abd,...abd->...ab", _kernel_gradient(kernel, s),
+        dk = np.einsum("...abd,...abd->...ab", s.kernel_gradient,
                        l[..., :, None, :] - l[..., None, :, :])
         return _flat(dk @ _split(xi))
 
     def speed_gradient(x, v, xi):
-        return _flat(-_gram_derivative(kernel, at(x), _split(xi)))
+        return _flat(-_gram_derivative(at(x), _split(xi)))
 
     return MetricOracle.from_rows(
         m, at, metric_rows, sharp, sharp_derivative, speed_gradient,

@@ -328,10 +328,12 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
     Each iteration takes the Euclidean energy gradient g over the interior
     points and, with ``sobolev`` (the default), steps along the H^1-in-time
     gradient p = L^{-1} g (see ``_inverse_time_laplacian``); the Armijo test
-    uses the slope g . p, and trial steps start from twice the last accepted
-    step, capped at ``SOBOLEV_MAX_STEP``.  With ``sobolev=False`` the
-    direction is g itself, the slope |g|^2 and the cap ``PLAIN_MAX_STEP``.
-    Either way the solve converges when |g| < ``opts.tol``.
+    uses the slope g . p, and trial steps start from the last accepted step,
+    doubled only when the iteration before accepted its first trial, capped
+    at ``SOBOLEV_MAX_STEP``.  With ``sobolev=False`` the direction is g
+    itself, the slope |g|^2, the cap ``PLAIN_MAX_STEP``, and trial steps
+    start from twice the last accepted step.  Either way the solve converges
+    when |g| < ``opts.tol``.
 
     Only ``vanishing_distance_experiment`` turns ``sobolev`` off.  The L^2
     curve energy has no minimizer, so the solve stops at the iteration
@@ -361,6 +363,7 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
     inverse_laplacian = _inverse_time_laplacian(path.n_steps) if sobolev else None
     max_step = SOBOLEV_MAX_STEP if sobolev else PLAIN_MAX_STEP
     step = 1.0
+    first_trial_accepted = True
     iterations = 0
     reason = "max_iter"
     for iterations in range(1, opts.max_iter + 1):
@@ -374,10 +377,12 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
             slope = float(np.sum(grad * direction))
         else:
             direction, slope = grad, grad_norm**2
-        # Armijo backtracking, warm-started from the previous step size.
-        step = min(step * 2.0, max_step)
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
+        # Armijo backtracking, warm-started from the last accepted step.  The
+        # Sobolev descent doubles it only after an iteration that accepted its
+        # first trial: doubling a step that was just halved is rejected again.
+        if first_trial_accepted or not sobolev:
+            step = min(step * 2.0, max_step)
+        for attempt in range(MAX_BACKTRACKS):
             trial = path.points.copy()
             trial[1:-1] -= step * direction
             trial_path = Path(trial)
@@ -389,13 +394,13 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
                 trial_energy = np.inf
             if trial_energy <= energy - ARMIJO_C1 * step * slope:
                 path, energy = trial_path, trial_energy
-                accepted = True
                 break
             backtracks += 1
             step *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             reason = "line_search"
             break
+        first_trial_accepted = attempt == 0
     else:
         # the budget ran out: report the gradient at the path that is returned
         grad = energy_gradient(path, oracle)
@@ -425,7 +430,7 @@ def geodesic_acceleration(x, v, oracle):
     all read from one ``oracle.at(x)``.  Non-finite x or v raise ValueError,
     and a Gram past ``COND_LIMIT`` raises ``SingularGram`` from ``sharp``.
     """
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise ValueError("geodesic acceleration needs finite x and v")
     state = oracle.at(x)
     xi = oracle.metric_rows(state, v)

@@ -12,6 +12,7 @@ fhat_0 = 1 and <1,1>_{H^q} = 1 for every q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -226,12 +227,21 @@ def differentiate(values, order=1):
         raise ValueError("order must be a nonzero integer")
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
+    spectrum = np.fft.rfft(values, axis=-1)
+    spectrum *= _multiplier(n, order)
+    return np.fft.irfft(spectrum, n, axis=-1)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _multiplier(n, order):
+    """The read-only rfft multiplier of ``differentiate`` on n samples, one per (n, order)."""
     k = np.arange(n // 2 + 1, dtype=float)
     factor = np.zeros(k.size, dtype=complex)
     factor[1:] = 1j**order * k[1:] ** order
     if order % 2 == 1 and n % 2 == 0:
         factor[-1] = 0.0
-    return np.fft.irfft(np.fft.rfft(values, axis=-1) * factor, n, axis=-1)
+    factor.flags.writeable = False
+    return factor
 
 
 def derivative(f, order=1):

@@ -239,6 +239,14 @@ class TestTimeDependentFlow:
         back = df.flow_time_dependent(tf.reversed(), x0=fwd.final_map)
         assert np.max(np.abs(back.final_map - probe)) < 1e-6
 
+    @pytest.mark.parametrize("start", [-10.5, 12.0, np.nan])
+    def test_start_outside_window_rejected(self, start):
+        """A start past half_width would be read as a window exit at its first step."""
+        grid = df.RealGrid()
+        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
+        with pytest.raises(ValueError, match=rf"x0 = {start} .* half_width = 10\.0"):
+            df.flow_time_dependent(tf, x0=np.array([0.5, start]))
+
     def test_knots_validated(self):
         grid = df.RealGrid()
         with pytest.raises(ValueError):

@@ -247,6 +247,9 @@ class TestRunner:
         # a not-a-knot cubic spline needs 4 nodes, and a window a positive width
         ("lddmm-flow", "n_nodes=3", "n_nodes = 3"),
         ("lddmm-flow", "half_width=-5", "half_width = -5.0"),
+        # a start outside the window, and a window whose field x^2 overflows
+        ("blowup", "x0=20000 n_nodes=1024", "x0 = 20000.0"),
+        ("blowup", "half_width=1e200", "half_width = 1e+200"),
     ])
     def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
                                                            override, message):

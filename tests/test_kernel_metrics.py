@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -155,6 +155,35 @@ class TestLiftAndMetric:
             if prev is not None:
                 assert val > prev
             prev = val
+
+
+@st.composite
+def landmark_stacks(draw):
+    """Configurations (..., N, d), 1 <= N <= 5, whose points may lie within MIN_SEPARATION."""
+    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    coords = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 5e-9, 1e-8, 1.5e-8, 1.0]))
+    return draw(arrays(float, lead + (n, d), elements=coords))
+
+
+class TestPairwise:
+    @settings(max_examples=200, deadline=None)
+    @given(landmark_stacks())
+    @example(np.ones((4, 1, 3)))  # one landmark per configuration
+    @example(np.array([[0.0], [km.MIN_SEPARATION], [1.0]]))  # the bound itself is degenerate
+    def test_distances_and_separation(self, pts):
+        """Distances equal np.linalg.norm's bit for bit; DegenerateConfig exactly when the
+        smallest off-diagonal distance is <= MIN_SEPARATION."""
+        diff = pts[..., :, None, :] - pts[..., None, :, :]
+        norm = np.linalg.norm(diff, axis=-1)
+        off_diagonal = norm[..., ~np.eye(pts.shape[-2], dtype=bool)]
+        if off_diagonal.size and off_diagonal.min() <= km.MIN_SEPARATION:
+            with pytest.raises(DegenerateConfig):
+                km._pairwise(pts)
+        else:
+            got_diff, dist = km._pairwise(pts)
+            assert got_diff.tobytes() == diff.tobytes()
+            assert dist.tobytes() == norm.tobytes()
 
 
 class TestLandmarkOracle:

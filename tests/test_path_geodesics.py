@@ -725,6 +725,35 @@ class TestLandmarkShooting:
         pg.energy_gradient(pg.Path.linear(x0, x0 + 0.3 * v0, 5), oracle)
         assert solves == [(5, 8, 2)]
 
+    def test_kernel_gradient_once_per_state(self, monkeypatch):
+        """An acceleration builds the kernel gradient once for its two readers; an energy never."""
+        built = []
+
+        def counted(state):
+            built.append(state.diff.shape)
+            return kernel_gradient(state)
+
+        kernel_gradient = km._kernel_gradient
+        monkeypatch.setattr(km, "_kernel_gradient", counted)
+        oracle, x0, v0 = self._eight_gaussian_landmarks()
+        pg.geodesic_acceleration(x0, v0, oracle)
+        assert built == [(8, 8, 2)]
+        pg.path_energy(pg.Path.linear(x0, x0 + 0.3 * v0, 5), oracle)
+        assert built == [(8, 8, 2)]
+
+    def test_sobolev_line_search_keeps_its_step(self):
+        """Trials start from the last accepted step, doubled only after a first-trial accept.
+
+        Doubling after every iteration rejected 63 trials in these 60 iterations.
+        """
+        oracle, x0, v0 = self._eight_gaussian_landmarks()
+        a, b = x0, x0 + 0.5 * v0
+        _, report = pg.bvp_minimize(a, b, oracle, init=pg.Path.linear(a, b, 16),
+                                    opts=pg.SolverOptions(max_iter=60))
+        assert (report.reason, report.iterations) == ("max_iter", 60)
+        assert report.backtracks <= 50
+        assert report.energy_evals == 1 + report.iterations + report.backtracks
+
 
 class TestDistance:
     def test_zero_distance_to_self(self):
@@ -794,6 +823,16 @@ class TestRefineCurvePath:
 
 
 class TestVanishingDistanceSetup:
+    def test_plain_descent_trial_sequence(self):
+        """Plain descent doubles its step every iteration, so the level-0 L^2 solve of
+        ``vanishing_distance_experiment`` keeps its published work counts."""
+        n, steps = 64, 16
+        init = pg._sawtooth_homotopy(n, steps, 1, 0.25)
+        opts = pg.SolverOptions(tol=1e-6, max_iter=50)
+        _, report = pg.bvp_minimize(init.points[0], init.points[-1], pg.curve_space_oracle(n),
+                                    init=init, opts=opts, sobolev=False)
+        assert (report.iterations, report.energy_evals, report.backtracks) == (50, 106, 55)
+
     def test_levels_validated(self):
         with pytest.raises(ValueError):
             pg.vanishing_distance_experiment(levels=2)
