@@ -25,7 +25,7 @@ import numpy as np
 from .. import curves, diffeo_flows, hilbert_geometry, kernel_metrics
 from .. import path_geodesics as pg
 from .. import periodic_core as pc
-from ..errors import ShapeGeoError
+from ..errors import DegenerateConfig, ShapeGeoError
 from .io import ConfigError, atomic_write_text, load_config_file, parse_overrides
 from .io import svg_plot, write_csv, write_manifest
 
@@ -225,6 +225,13 @@ def _run_landmark_geodesic(config):
     start = np.array([config["q1_start"], config["q2_start"]])
     end = np.array([config["q1_end"], config["q2_end"]])
     oracle = kernel_metrics.landmark_metric_oracle(kernel, 1, 2)
+    # coincident landmarks are no point of landmark space, so such an endpoint is bad input
+    for side, point in (("start", start), ("end", end)):
+        try:
+            oracle.at(point)
+        except DegenerateConfig as exc:
+            raise ConfigError(f"q1_{side} = {point[0]}, q2_{side} = {point[1]} for "
+                              f"landmark-geodesic: {exc}") from None
     opts = pg.SolverOptions(tol=config["tol"], max_iter=config["max_iter"])
     init = pg.Path.linear(start, end, config["n_steps"])
     path, report = pg.bvp_minimize(start, end, oracle, init=init, opts=opts)

@@ -5,15 +5,18 @@ uses midpoint quadrature,
 
     E = 1/2 * sum_i G((x_i + x_{i+1})/2, v_i, v_i) * dt,   v_i = (x_{i+1} - x_i)/dt,
 
-length the square-rooted integrand.  The boundary-value solver is
-Sobolev gradient descent with Armijo backtracking: it steps along the
-H^1-in-time gradient p = L^{-1} g of the energy, where g is the Euclidean
-gradient over the interior points and L = (1/dt) tridiag(-1, 2, -1) is
-the Gram matrix of the H^1 inner product <u', w'> dt on paths with fixed
-endpoints (Neuberger, *Sobolev Gradients and Differential Equations*,
-1997; Sundaramoorthi-Yezzi-Mennucci, *Sobolev active contours*, 2007).
-For a metric near the identity p is close to the Newton step, so plain
-descent's thousands of iterations become tens.  The initial-value solver
+length the square-rooted integrand.  The boundary-value solver minimizes
+E over the interior points by limited-memory BFGS with Armijo
+backtracking (Nocedal, *Updating quasi-Newton matrices with limited
+storage*, Math. Comp. 1980), in the H^1-in-time inner product: its initial
+inverse Hessian is gamma L^{-1}, where L = (1/dt) tridiag(-1, 2, -1) is the
+Gram matrix of the H^1 inner product <u', w'> dt on paths with fixed
+endpoints.  Alone, L^{-1} g of the Euclidean gradient g is the Sobolev
+gradient (Neuberger, *Sobolev Gradients and Differential Equations*, 1997;
+Sundaramoorthi-Yezzi-Mennucci, *Sobolev active contours*, 2007), the Newton
+step for a metric near the identity.  The last few gradient changes
+correct it for the metric's dependence on x, which L^{-1} cannot see, and
+gamma rescales it to the metric's size.  The initial-value solver
 takes fixed classical RK4 steps on the state (x, v).  Each stage gets the
 acceleration from the cometric, read from one per-point oracle state: the
 momentum xi = metric_rows(x, v) follows Hamilton's equations of
@@ -28,6 +31,8 @@ v = sharp(x, xi), since the inverse Gram has derivative -G^{-1} dG G^{-1}.
 
 from __future__ import annotations
 
+import logging
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -58,6 +63,8 @@ __all__ = [
     "curve_space_oracle",
     "vanishing_distance_experiment",
 ]
+
+_log = logging.getLogger("shapegeo")
 
 
 @dataclass
@@ -292,14 +299,11 @@ def energy_gradient(path, oracle):
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 40
-# Largest trial step of the Sobolev and of the plain descent.  The Sobolev
-# direction is Newton-scaled for a metric near unit weight.  A step of 2
-# reflects the iterate through the minimizer of a nearly quadratic energy
-# to nearly the same energy, which the Armijo test can still accept, and
-# the iterates then oscillate: the two-landmark solve took 3360 iterations
-# with a cap of 1e6, against 2 with a cap of 1.
-SOBOLEV_MAX_STEP = 1.0
+# Largest trial step of the plain descent, which starts each iteration from
+# twice its last accepted step.
 PLAIN_MAX_STEP = 1e6
+# Step and gradient-change pairs (s, y) that the L-BFGS direction remembers.
+LBFGS_MEMORY = 8
 # Each oracle's sharp rejects a Gram whose condition number exceeds this.
 COND_LIMIT = 1e12
 
@@ -322,18 +326,43 @@ def _inverse_time_laplacian(n_steps):
     return np.minimum.outer(i, i) * (n_steps - np.maximum.outer(i, i)) / float(n_steps) ** 2
 
 
+def _lbfgs_direction(grad, pairs, inverse_laplacian):
+    """H g by the two-loop recursion over ``pairs`` (Nocedal-Wright, *Numerical
+    Optimization*, 2006, algorithm 7.4), from H_0 = gamma L^{-1} of the newest pair.
+
+    Each pair is (s, y, 1 / s.y, gamma), oldest first; with none, H g = L^{-1} g.
+    """
+    q = grad
+    alphas = []
+    for s, y, rho, _ in reversed(pairs):
+        alpha = rho * np.vdot(s, q)
+        q = q - alpha * y
+        alphas.append(alpha)
+    direction = inverse_laplacian @ q
+    if pairs:
+        direction *= pairs[-1][3]
+    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
+        direction += (alpha - rho * np.vdot(y, direction)) * s
+    return direction
+
+
 def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
-    """Minimize path energy with fixed endpoints by Armijo gradient descent.
+    """Minimize path energy with fixed endpoints by Armijo line searches.
 
     Each iteration takes the Euclidean energy gradient g over the interior
-    points and, with ``sobolev`` (the default), steps along the H^1-in-time
-    gradient p = L^{-1} g (see ``_inverse_time_laplacian``); the Armijo test
-    uses the slope g . p, and trial steps start from the last accepted step,
-    doubled only when the iteration before accepted its first trial, capped
-    at ``SOBOLEV_MAX_STEP``.  With ``sobolev=False`` the direction is g
-    itself, the slope |g|^2, the cap ``PLAIN_MAX_STEP``, and trial steps
-    start from twice the last accepted step.  Either way the solve converges
-    when |g| < ``opts.tol``.
+    points, once, at the accepted path.  With ``sobolev`` (the default) it
+    steps along the L-BFGS direction p = H g of the last ``LBFGS_MEMORY``
+    pairs (s, y) of accepted steps and gradient changes, kept only where
+    s . y > 1e-12 |s| |y|, so H stays positive definite.  H starts from
+    gamma L^{-1}, the inverse H^1-in-time Gram (see
+    ``_inverse_time_laplacian``) scaled by gamma = s.y / y.L^{-1}y of the
+    newest pair, so the first iteration steps along the Sobolev gradient
+    L^{-1} g.  A direction whose slope g . p is not positive clears the
+    pairs and falls back to L^{-1} g.  Every iteration's first trial step is
+    1, a quasi-Newton step.  With ``sobolev=False`` the direction is g
+    itself, the slope |g|^2, and trial steps start from twice the last
+    accepted step, capped at ``PLAIN_MAX_STEP``.  Either way the solve
+    converges when |g| < ``opts.tol``.
 
     Only ``vanishing_distance_experiment`` turns ``sobolev`` off.  The L^2
     curve energy has no minimizer, so the solve stops at the iteration
@@ -341,8 +370,13 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
     the descent metric; its published table is the one plain descent
     reaches.
 
-    An ``init`` of fewer than two steps has no interior point to move and
-    raises ValueError.  Returns the final path and a ``GeodesicReport``,
+    Before the first iteration both endpoints pass through ``oracle.at``,
+    so an endpoint outside the space raises the oracle's typed error, such
+    as ``DegenerateConfig`` for coincident landmarks or ``NotImmersed`` for
+    a collapsed curve.  An ``init`` of fewer than two steps has no interior
+    point to move and raises ValueError.  With the "shapegeo" logger at
+    DEBUG, each iteration logs its energy, |g|, accepted step, backtracks
+    and the pairs held.  Returns the final path and a ``GeodesicReport``,
     whose ``reason`` says why the solve stopped; a solve that stops short
     raises nothing.
     """
@@ -355,33 +389,37 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
         raise ValueError("initial path does not respect the endpoints")
     pts[0] = x_start
     pts[-1] = x_end
+    # an endpoint outside the space raises the oracle's typed error
+    oracle.at(pts[0])
+    oracle.at(pts[-1])
 
     path = Path(pts)
     energy = path_energy(path, oracle)
     energy_evals = 1
     backtracks = 0
     inverse_laplacian = _inverse_time_laplacian(path.n_steps) if sobolev else None
-    max_step = SOBOLEV_MAX_STEP if sobolev else PLAIN_MAX_STEP
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    trace = _log.isEnabledFor(logging.DEBUG)
     step = 1.0
-    first_trial_accepted = True
     iterations = 0
     reason = "max_iter"
+    grad = energy_gradient(path, oracle)
     for iterations in range(1, opts.max_iter + 1):
-        grad = energy_gradient(path, oracle)
         grad_norm = float(np.sqrt(np.sum(grad * grad)))
         if grad_norm < opts.tol:
             reason = "tol"
             break
         if sobolev:
-            direction = inverse_laplacian @ grad
-            slope = float(np.sum(grad * direction))
+            direction = _lbfgs_direction(grad, pairs, inverse_laplacian)
+            slope = float(np.vdot(grad, direction))
+            if not slope > 0.0:
+                pairs.clear()
+                direction = inverse_laplacian @ grad
+                slope = float(np.vdot(grad, direction))
+            step = 1.0
         else:
             direction, slope = grad, grad_norm**2
-        # Armijo backtracking, warm-started from the last accepted step.  The
-        # Sobolev descent doubles it only after an iteration that accepted its
-        # first trial: doubling a step that was just halved is rejected again.
-        if first_trial_accepted or not sobolev:
-            step = min(step * 2.0, max_step)
+            step = min(step * 2.0, PLAIN_MAX_STEP)
         for attempt in range(MAX_BACKTRACKS):
             trial = path.points.copy()
             trial[1:-1] -= step * direction
@@ -400,10 +438,19 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
         else:
             reason = "line_search"
             break
-        first_trial_accepted = attempt == 0
+        new_grad = energy_gradient(path, oracle)
+        if sobolev:
+            # s = x - x_new and y = g - g_new: the usual pair negated, which H g does not see
+            s, y = step * direction, grad - new_grad
+            sy = np.vdot(s, y)
+            if sy > 1e-12 * np.sqrt(np.vdot(s, s) * np.vdot(y, y)):
+                pairs.append((s, y, 1.0 / sy, sy / np.vdot(y, inverse_laplacian @ y)))
+        if trace:
+            _log.debug("bvp iteration %d: energy %.17g, |g| %.3e, step %.3e, %d backtracks, "
+                       "%d pairs", iterations, energy, grad_norm, step, attempt, len(pairs))
+        grad = new_grad
     else:
         # the budget ran out: report the gradient at the path that is returned
-        grad = energy_gradient(path, oracle)
         grad_norm = float(np.sqrt(np.sum(grad * grad)))
         if grad_norm < opts.tol:
             reason = "tol"

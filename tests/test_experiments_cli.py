@@ -136,10 +136,14 @@ class TestRunner:
         assert "# bvp_iterations = 10" in lines
 
     def test_sphere_bvp_defaults_converge(self, tmp_path):
+        """All 20 default pairs converge, in at most 250 L-BFGS iterations together."""
         out = str(tmp_path / "s")
         assert main(["sphere-bvp", "--out", out]) == 0
         with open(os.path.join(out, "manifest.txt")) as fh:
-            assert "# unconverged_pairs = 0" in fh.read().splitlines()
+            lines = fh.read().splitlines()
+        assert "# unconverged_pairs = 0" in lines
+        (iterations,) = [line for line in lines if line.startswith("# bvp_iterations = ")]
+        assert int(iterations.split(" = ")[1]) <= 250
 
     def test_vanishing_l2_manifest_reports_levels(self, tmp_path):
         # five iterations cannot converge, so every level stops at the budget
@@ -250,6 +254,9 @@ class TestRunner:
         # a start outside the window, and a window whose field x^2 overflows
         ("blowup", "x0=20000 n_nodes=1024", "x0 = 20000.0"),
         ("blowup", "half_width=1e200", "half_width = 1e+200"),
+        # two coincident landmarks are no point of landmark space
+        ("landmark-geodesic", "q1_start=2.0", "q1_start = 2.0, q2_start = 2.0"),
+        ("landmark-geodesic", "q2_end=-1.0", "q1_end = -1.0, q2_end = -1.0"),
     ])
     def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
                                                            override, message):

@@ -1,6 +1,7 @@
 """Generic geodesic machinery: energy, gradients, BVP/IVP solvers."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from shapegeo import hilbert_geometry, kernel_metrics as km, path_geodesics as pg
 from shapegeo import periodic_core as pc
-from shapegeo.errors import DegenerateConfig, SingularGram
+from shapegeo.errors import DegenerateConfig, NotImmersed, SingularGram
 
 
 def sphere_point(rng, m):
@@ -397,9 +398,75 @@ class TestBVP:
         pts[1:-1] += np.outer(s**2 * (1 - s), [1.0, 0.0, 2.0])
         opts = pg.SolverOptions(tol=1e-10)
         _, report = pg.bvp_minimize(a, b, oracle, init=pg.Path(pts), opts=opts)
-        assert report.converged
-        assert report.iterations <= 2
+        # the Hessian is exactly L: the first step lands, the second iteration meets tol
+        assert (report.reason, report.iterations, report.backtracks) == ("tol", 2, 0)
         assert abs(report.energy - 0.5 * np.dot(b, b)) < 1e-12
+
+    def test_trace_logs_each_step_at_debug(self, caplog):
+        """One DEBUG record per accepted step, with energy, |g|, step, backtracks and pairs."""
+        oracle = hilbert_geometry.sphere_oracle(4)
+        rng = np.random.default_rng(3)
+        x, y = sphere_point(rng, 4), sphere_point(rng, 4)
+        init = pg.Path.linear(x, y, 8)
+        opts = pg.SolverOptions(tol=1e-8)
+        with caplog.at_level(logging.INFO, logger="shapegeo"):
+            pg.bvp_minimize(x, y, oracle, init=init, opts=opts)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="shapegeo"):
+            _, report = pg.bvp_minimize(x, y, oracle, init=init, opts=opts)
+        assert report.converged
+        messages = [r.getMessage() for r in caplog.records if r.name == "shapegeo"]
+        assert len(messages) == report.iterations - 1
+        assert messages[0].startswith("bvp iteration 1: energy ")
+        assert "|g|" in messages[0] and "step" in messages[0]
+        assert messages[0].endswith("backtracks, 1 pairs")
+        assert messages[-1].endswith(f"{min(report.iterations - 1, pg.LBFGS_MEMORY)} pairs")
+
+
+class TestEndpoints:
+    """Both endpoints pass through ``oracle.at`` before the first iteration."""
+
+    @staticmethod
+    def _problem(kind):
+        rng = np.random.default_rng(11)
+        if kind == "euclidean":
+            return pg.euclidean_oracle(3), rng.normal(size=3), rng.normal(size=3)
+        if kind == "sphere":
+            return hilbert_geometry.sphere_oracle(5), sphere_point(rng, 5), sphere_point(rng, 5)
+        if kind == "curve":
+            return pg.curve_space_oracle(16), curve_point(rng), curve_point(rng)
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 2, 4)
+        return oracle, landmark_point(rng), landmark_point(rng)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "sphere", "curve", "landmark"])
+    def test_endpoints_reach_at_first(self, kind):
+        oracle, a, b = self._problem(kind)
+        seen = []
+
+        def at(x):
+            seen.append(np.array(x, dtype=float))
+            return oracle.at(x)
+
+        traced = dataclasses.replace(oracle, at=at)
+        pg.bvp_minimize(a, b, traced, init=pg.Path.linear(a, b, 4),
+                        opts=pg.SolverOptions(max_iter=1))
+        assert np.array_equal(seen[0], a) and np.array_equal(seen[1], b)
+
+    def test_coincident_landmarks_raise(self):
+        """Two landmarks at one site: the interior of the path is fine, the start is not."""
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 1, 2)
+        a, b = np.array([2.0, 2.0]), np.array([-1.0, 3.0])
+        with pytest.raises(DegenerateConfig, match="separation"):
+            pg.bvp_minimize(a, b, oracle, init=pg.Path.linear(a, b, 16))
+
+    def test_collapsed_curve_raises(self):
+        """A curve shrunk to a point is not immersed; the path from it is, past its start."""
+        n = 16
+        oracle = pg.curve_space_oracle(n)
+        a = np.zeros(2 * n)
+        b = curve_point(np.random.default_rng(2), n)
+        with pytest.raises(NotImmersed):
+            pg.bvp_minimize(a, b, oracle, init=pg.Path.linear(a, b, 8))
 
 
 class TestInverseTimeLaplacian:
@@ -741,18 +808,15 @@ class TestLandmarkShooting:
         pg.path_energy(pg.Path.linear(x0, x0 + 0.3 * v0, 5), oracle)
         assert built == [(8, 8, 2)]
 
-    def test_sobolev_line_search_keeps_its_step(self):
-        """Trials start from the last accepted step, doubled only after a first-trial accept.
-
-        Doubling after every iteration rejected 63 trials in these 60 iterations.
-        """
+    def test_bvp_stops_on_tol(self):
+        """The N = 8 solve meets the default tol 1e-8 in at most 150 L-BFGS iterations."""
         oracle, x0, v0 = self._eight_gaussian_landmarks()
         a, b = x0, x0 + 0.5 * v0
-        _, report = pg.bvp_minimize(a, b, oracle, init=pg.Path.linear(a, b, 16),
-                                    opts=pg.SolverOptions(max_iter=60))
-        assert (report.reason, report.iterations) == ("max_iter", 60)
-        assert report.backtracks <= 50
-        assert report.energy_evals == 1 + report.iterations + report.backtracks
+        _, report = pg.bvp_minimize(a, b, oracle, init=pg.Path.linear(a, b, 16))
+        assert report.reason == "tol"
+        assert report.iterations <= 150
+        # every iteration but the last accepts one trial
+        assert report.energy_evals == 1 + (report.iterations - 1) + report.backtracks
 
 
 class TestDistance:
