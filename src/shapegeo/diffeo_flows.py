@@ -2,19 +2,19 @@
 
 Circle maps are stored as lifts phi(x) = x + f(x) with periodic
 displacement f and 1 + f' > 0; the displacement is wrapped by a multiple
-of 2*pi so its mean lies in [-pi, pi).  Flows integrate per node with
-one embedded Dormand-Prince 5(4) loop.  A step is accepted when its error
-estimate is at most 1e-11 * (max|x| + 1); every trial step sizes the next
-from that estimate, and the last stage of a step is reused as the first
-stage of the next (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
-Hairer-Norsett-Wanner, *Solving ODEs I*, II.4-II.5).  Flows on the real
-line run on a finite window; a trajectory leaving the window is reported
-as blow-up data, not as an error.  The three root searches (inverse
-maps, periodic points, window-exit times) share one bisection, and every
-exhausted step or bisection budget raises NonConvergence.  The module
-needs numpy only: a field on a real-line grid is the not-a-knot cubic
-spline through its samples, scipy's default CubicSpline, built here by
-cyclic reduction.
+of 2*pi so its mean lies in [-pi, pi).  One embedded Dormand-Prince 5(4)
+loop integrates any 1-D state, the node positions of a flow: a step is
+accepted when its error estimate is at most 1e-11 * (max|x| + 1), every
+trial step sizes the next from that estimate, and the last stage of a step
+is the first of the next (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+Hairer-Norsett-Wanner, *Solving ODEs I*, II.4-II.5).  Real-line flows run
+on a finite window, and leaving it is the loop's event, reported as blow-up
+data at the time the first point leaves, not as an error.  The three root
+searches (inverse maps, periodic points, event times) share one bisection,
+and every exhausted step or bisection budget raises NonConvergence.  The
+module needs numpy only: a field on a real-line grid is the not-a-knot
+cubic spline through its samples, scipy's default CubicSpline, built here
+by cyclic reduction.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 
 
 def _dp5_step(f, x, dt, k1):
-    """One Dormand-Prince 5(4) step of size dt from the 1-D points x, given
+    """One Dormand-Prince 5(4) step of size dt from the 1-D state x, given
     its first stage k1 = f(x).
 
     Returns the 5th-order solution y, its stage f(y) (the next step's first
@@ -381,87 +381,87 @@ MIN_STEP = 1e-12
 BASE_STEP = 1.0 / 256.0
 # each accepted step's embedded error estimate is at most TOL * (max|x| + 1)
 TOL = 1e-11
-# bracket width in time the window-exit bisection stops at, and its budget of halvings
+# bracket width in time the event bisection stops at, and its budget of halvings
 EXIT_TOL = 1e-9
 EXIT_MAX_HALVINGS = 60
+
+
+def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
+    """Integrate d/dt x = rate(x) on the 1-D state x from t towards t_end, adding
+    its steps, rejected steps and largest accepted error estimate to result.
+
+    A Dormand-Prince 5(4) step is accepted when its embedded error estimate
+    err = |y5 - y4| is at most TOL * scale, scale = max|x| + 1; the 5th-order
+    solution is kept, and its last stage is the next step's first.  Every
+    trial step of size dt proposes dt * min(5, max(0.2, 0.9 * (TOL * scale /
+    err)^(1/5))) (5 * dt when err = 0) for the next; a rejected step retries
+    at the smaller of that and dt / 2, and no step passes t_end or moves a
+    component more than 0.05 * scale.  Where the event predicate leaves
+    first holds at the end of an accepted step, bisecting that step locates
+    the time it starts to hold.  Returns (x, t, proposal) at t_end, or
+    (None, event time, proposal).  A step failing at MIN_STEP, more than
+    MAX_SUBSTEPS steps in result, or an event time not located to EXIT_TOL
+    in EXIT_MAX_HALVINGS halvings raise NonConvergence: an exhausted budget
+    is not an event.
+    """
+    k1 = rate(x)
+    while t < t_end - 1e-14:
+        scale = np.max(np.abs(x)) + 1.0
+        dt = min(t_end - t, proposal, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
+        while True:
+            y, k_last, err = _dp5_step(rate, x, dt, k1)
+            growth = 0.9 * (TOL * scale / err) ** 0.2 if err > 0.0 else 5.0
+            proposal = dt * min(5.0, max(0.2, growth))
+            if err <= TOL * scale:
+                break
+            if dt <= MIN_STEP:
+                raise NonConvergence(f"embedded error estimate {err:.3e} > {TOL * scale:.3e} "
+                                     f"at step {dt:.1e} <= MIN_STEP, t = {t:.6f}")
+            dt = min(proposal, 0.5 * dt)
+            result.rejected += 1
+        t += dt
+        result.steps += 1
+        result.max_err = max(result.max_err, err)
+        if leaves is not None and leaves(y):
+            lo, hi = _bisect(lambda s: leaves(_dp5_step(rate, x, s, k1)[0]),
+                             0.0, dt, EXIT_TOL, EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
+            return None, t - dt + 0.5 * (lo + hi), proposal
+        x, k1 = y, k_last
+        if result.steps > MAX_SUBSTEPS:
+            raise NonConvergence(f"{result.steps} substeps exceed MAX_SUBSTEPS at t = {t:.6f} "
+                                 f"of {t_end:.6f}; last embedded error estimate {err:.3e}")
+    return x, t, proposal
 
 
 def flow_time_dependent(u, x0=None):
     """Integrate the non-autonomous flow d/dt phi = u(t) o phi.
 
-    Starts at x0 or the nodes of u.grid, with a first trial step of
-    BASE_STEP.  A Dormand-Prince 5(4) step is accepted when its embedded
-    error estimate err = |y5 - y4| is at most TOL * scale, scale =
-    max|x| + 1; the 5th-order solution y5 is kept, and its last stage is the
-    next step's first.  Every trial step of size dt proposes the next,
-    dt * min(5, max(0.2, 0.9 * (TOL * scale / err)^(1/5))) (5 * dt when
-    err = 0); a rejected step retries at the smaller of that and dt / 2.  An
-    accepted step is followed by the smallest of the proposal, the time left
-    in its knot interval, and the step that moves no point more than
-    0.05 * scale.  Each knot interval evaluates its own field afresh.  On
-    real-line grids a trajectory leaving the working window marks the
-    result as blown up and the window-exit time is refined by bisecting the
-    same step; a start point outside the window |x| <= half_width raises
-    ValueError.  A step still failing at MIN_STEP, more than MAX_SUBSTEPS
-    steps, or an exit time not located to EXIT_TOL in EXIT_MAX_HALVINGS
-    halvings raise NonConvergence: an exhausted budget is not a blow-up.
-    Each flow that returns logs its steps, rejected and max_err at DEBUG on
-    the "shapegeo" logger.
+    Starts at x0 or the nodes of u.grid with a first trial step of
+    BASE_STEP, and runs _integrate on each knot interval's field in turn;
+    the time and the step proposal carry across knots.  On real-line grids
+    the event is leaving the working window |x| <= half_width, which marks
+    the result as blown up, and a start point outside the window raises
+    ValueError.  Each flow that returns logs its steps, rejected and max_err
+    at DEBUG on the "shapegeo" logger.
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
-    window = None if isinstance(grid, PeriodicGrid) else grid.half_width
-    t = float(u.knots[0])
-    steps, rejected, max_err, proposal = 0, 0, 0.0, BASE_STEP
-    reach = np.max(np.abs(x))  # of the current x: the window test and the next step's scale
-    if window is not None and not reach <= window:
-        start = x[int(np.argmax(np.abs(x)))]
-        raise ValueError(f"start point x0 = {float(start)} lies outside the window "
-                         f"|x| <= half_width = {float(window)}")
+    leaves = None
+    if not isinstance(grid, PeriodicGrid):
+        leaves = lambda y: not np.max(np.abs(y)) <= grid.half_width
+        if leaves(x):
+            start = x[int(np.argmax(np.abs(x)))]
+            raise ValueError(f"start point x0 = {float(start)} lies outside the window "
+                             f"|x| <= half_width = {float(grid.half_width)}")
+    result = FlowResult(None)
+    t, proposal = float(u.knots[0]), BASE_STEP
     for u_i, t_next in zip(u.fields, u.knots[1:]):
-        evaluate = _field_evaluator(u_i, grid)
-        k1 = evaluate(x)
-        while t < t_next - 1e-14:
-            scale = reach + 1.0
-            dt = min(t_next - t, proposal, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
-            while True:
-                y, k_last, err = _dp5_step(evaluate, x, dt, k1)
-                growth = 0.9 * (TOL * scale / err) ** 0.2 if err > 0.0 else 5.0
-                proposal = dt * min(5.0, max(0.2, growth))
-                if err <= TOL * scale:
-                    break
-                if dt <= MIN_STEP:
-                    raise NonConvergence(
-                        f"embedded error estimate {err:.3e} > {TOL * scale:.3e} "
-                        f"at step {dt:.1e} <= MIN_STEP, t = {t:.6f}"
-                    )
-                dt = min(proposal, 0.5 * dt)
-                rejected += 1
-            x_prev, k1_prev = x, k1
-            x, k1 = y, k_last
-            t += dt
-            steps += 1
-            max_err = max(max_err, err)
-            reach = np.max(np.abs(x))
-            if window is not None and reach > window:
-                i = int(np.argmax(np.abs(x)))  # the farthest point; bisect the step for its exit
-                xi, ki = x_prev[i:i + 1], k1_prev[i:i + 1]
-                lo, hi = _bisect(
-                    lambda s: abs(_dp5_step(evaluate, xi, s, ki)[0][0]) > window,
-                    0.0, dt, EXIT_TOL, EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
-                exit_time = t - dt + 0.5 * (lo + hi)
-                return _logged(FlowResult(None, blow_up=True, blow_up_time=exit_time,
-                                          steps=steps, rejected=rejected, max_err=max_err))
-            if steps > MAX_SUBSTEPS:
-                raise NonConvergence(
-                    f"{steps} substeps exceed MAX_SUBSTEPS at t = {t:.6f} of "
-                    f"{u.knots[-1]:.6f}; last embedded error estimate {err:.3e}"
-                )
-    return _logged(FlowResult(x, steps=steps, rejected=rejected, max_err=max_err))
-
-
-def _logged(result):
-    """Report a flow's accepted and rejected steps and largest accepted error estimate at DEBUG."""
+        x, t, proposal = _integrate(_field_evaluator(u_i, grid), x, t, t_next, proposal,
+                                    result, leaves)
+        if x is None:
+            result.blow_up, result.blow_up_time = True, t
+            break
+    result.final_map = x
     _log.debug("flow: %d steps, %d rejected, max embedded error %.3e",
                result.steps, result.rejected, result.max_err)
     return result

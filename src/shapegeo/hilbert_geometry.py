@@ -16,9 +16,11 @@ The module needs numpy only: ``grossman_experiment`` has a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import SingularGram
 from .path_geodesics import MetricOracle, _check_condition
 
 __all__ = [
@@ -61,6 +63,13 @@ def sphere_distance_analytic(x, y):
     return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
 
 
+class _SphereState(NamedTuple):
+    """Points x (..., m) and their r^2 = |x|^2 (..., 1)."""
+
+    x: np.ndarray
+    r2: np.ndarray
+
+
 def sphere_oracle(m):
     """Oracle for the polar product metric dr^2 + g_{S^{m-1}} on R^m \\ {0}.
 
@@ -70,34 +79,43 @@ def sphere_oracle(m):
     it, so ``sharp`` is r^2 xi - (r^2 - 1) <xi, x> x / r^2 and the condition
     number is max(r^2, 1/r^2).  ``sharp_derivative`` differentiates that
     along l, and ``speed_gradient`` is the x-gradient of G_x(v, v) at fixed
-    v.  The per-point state is x itself.  m < 2 raises ValueError.
+    v.  The per-point state holds x and r^2; ``at`` raises ``SingularGram``
+    at the origin, where the condition number is infinite and the polar
+    metric is not defined.  m < 2 raises ValueError.
     """
     if m < 2:
         raise ValueError(f"sphere oracle needs m >= 2, got m = {m}")
 
     def at(x):
-        return np.asarray(x)
+        if isinstance(x, _SphereState):
+            return x
+        x = np.asarray(x)
+        r2 = np.sum(x * x, axis=-1)[..., None]
+        if np.any(r2 == 0.0):
+            raise SingularGram("metric Gram condition number inf at the origin, "
+                               "where the polar metric dr^2 + g_S is not defined")
+        return _SphereState(x, r2)
 
     def metric_rows(x, h):
-        r2 = np.sum(x * x, axis=-1)[..., None]
+        x, r2 = at(x)
         hx = np.sum(h * x, axis=-1)[..., None]
         return h / r2 + hx * x * (r2 - 1.0) / r2**2
 
     def sharp(x, xi):
-        r2 = np.sum(x * x, axis=-1)[..., None]
+        x, r2 = at(x)
         _check_condition(np.max(np.maximum(r2, 1.0 / r2)))
         xix = np.sum(xi * x, axis=-1)[..., None]
         return r2 * xi - (r2 - 1.0) * xix * x / r2
 
     def sharp_derivative(x, l, xi):
-        r2 = np.sum(x * x, axis=-1)[..., None]
+        x, r2 = at(x)
         lx = np.sum(l * x, axis=-1)[..., None]
         xil = np.sum(xi * l, axis=-1)[..., None]
         xix = np.sum(xi * x, axis=-1)[..., None]
         return 2.0 * lx * (xi - xix * x / r2**2) - (1.0 - 1.0 / r2) * (xil * x + xix * l)
 
     def speed_gradient(x, v, xi):
-        r2 = np.sum(x * x, axis=-1)[..., None]
+        x, r2 = at(x)
         vv = np.sum(v * v, axis=-1)[..., None]
         vx = np.sum(v * x, axis=-1)[..., None]
         t = 1.0 / r2 - 1.0 / r2**2

@@ -76,9 +76,9 @@ class MetricOracle:
 
     - ``at(x)``, the per-point state that the other four read: c' and |c'|
       on curves, the pairwise geometry, scalar Gram K and its Cholesky
-      factor on landmarks, and x itself on the sphere and the flat oracle.
-      ``at(at(x)) is at(x)``, so every callable, the derived ones too,
-      takes either the array x or its state;
+      factor on landmarks, x and |x|^2 on the sphere, and x itself on the
+      flat oracle.  ``at(at(x)) is at(x)``, so every callable, the derived
+      ones too, takes either the array x or its state;
     - ``metric_rows(x, h)``, the flat map h -> G_x(h, .), as the vector
       (G(x, h, e_j))_j;
     - ``sharp(x, xi)``, the inverse of the flat map, solving
@@ -372,8 +372,8 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
 
     Before the first iteration both endpoints pass through ``oracle.at``,
     so an endpoint outside the space raises the oracle's typed error, such
-    as ``DegenerateConfig`` for coincident landmarks or ``NotImmersed`` for
-    a collapsed curve.  An ``init`` of fewer than two steps has no interior
+    as ``DegenerateConfig`` for coincident landmarks, ``NotImmersed`` for a
+    collapsed curve or ``SingularGram`` for the sphere's origin.  An ``init`` of fewer than two steps has no interior
     point to move and raises ValueError.  With the "shapegeo" logger at
     DEBUG, each iteration logs its energy, |g|, accepted step, backtracks
     and the pairs held.  Returns the final path and a ``GeodesicReport``,

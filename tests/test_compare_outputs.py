@@ -75,3 +75,41 @@ def test_column_differences_of_tables(compare_outputs, tmp_path):
     assert diffs["err"] == (1e-12, 1.0)
     change.write_text("x,t,err\n1,0.5,0\n")
     assert compare_outputs.column_differences(parent, change) is None
+
+
+def _checkout(root, names):
+    """A checkout whose src/ holds only a cli module with these EXPERIMENTS names."""
+    package = root / "src" / "shapegeo"
+    (package / "experiments").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "experiments" / "__init__.py").write_text("")
+    (package / "experiments" / "cli.py").write_text(f"EXPERIMENTS = {dict.fromkeys(names)!r}\n")
+    return root
+
+
+def test_subcommand_names_come_from_the_checkout(compare_outputs, tmp_path):
+    assert compare_outputs.subcommand_names(_checkout(tmp_path, ["b", "a"])) == ["b", "a"]
+
+
+def test_a_subcommand_the_parent_lacks_runs_on_the_change_side_only(
+        compare_outputs, tmp_path, monkeypatch, capsys):
+    parent, change = _checkout(tmp_path / "parent", ["a"]), tmp_path / "change"
+    monkeypatch.setattr(compare_outputs, "EXPERIMENTS", dict.fromkeys(["a", "new"]))
+    monkeypatch.setattr(compare_outputs, "export_revision", lambda rev, dest: ("0" * 40, parent))
+    monkeypatch.setattr(compare_outputs, "snapshot_worktree", lambda root, dest: ("1" * 40, change))
+    ran = []
+
+    def run_subcommands(checkout, out_root, names, manifests=None):
+        ran.append((checkout, names))
+        for name in names:
+            _fill(out_root, name, compare_outputs.FILES)
+        return {name: (0, 0.5) for name in names}
+
+    monkeypatch.setattr(compare_outputs, "run_subcommands", run_subcommands)
+    assert compare_outputs.main(["--parent", "REV"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ran == [(parent, ["a"]), (change, ["a", "new"]), (change, ["a", "new"])]
+    assert "only-change new" in lines
+    assert not any(line.startswith("wall") and "new" in line for line in lines)
+    assert "3/3 files identical to 000000000000" in lines
+    assert "4/4 manifest rerun files identical to the first run" in lines

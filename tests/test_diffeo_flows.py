@@ -239,6 +239,19 @@ class TestTimeDependentFlow:
         back = df.flow_time_dependent(tf.reversed(), x0=fwd.final_map)
         assert np.max(np.abs(back.final_map - probe)) < 1e-6
 
+    @pytest.mark.parametrize("x0", [[9.9975, -9.25], [-9.25, 9.9975]], ids=["first", "second"])
+    def test_first_point_to_leave_sets_the_exit_time(self, x0):
+        """Near x = 10 the field is 0.1, near x = -10 it is -10: the point at 9.9975 leaves
+        at 0.025, the one at -9.25 at 0.075, and both are outside at the end of one step."""
+        grid = df.RealGrid(10, 2048)
+        field = 0.05 * (1 + np.tanh(grid.nodes)) - 5 * (1 - np.tanh(grid.nodes))
+        tf = df.TimeDependentField.uniform([field], grid)
+        alone = df.flow_time_dependent(tf, x0=np.array([9.9975]))
+        both = df.flow_time_dependent(tf, x0=np.array(x0))
+        assert alone.blow_up and both.blow_up
+        assert abs(alone.blow_up_time - 0.025) < 1e-6
+        assert abs(both.blow_up_time - alone.blow_up_time) < 1e-8
+
     @pytest.mark.parametrize("start", [-10.5, 12.0, np.nan])
     def test_start_outside_window_rejected(self, start):
         """A start past half_width would be read as a window exit at its first step."""
@@ -454,6 +467,42 @@ class TestSpectralPlans:
         assert len(plans) == 2 and plans == [phi._coeffs, u._coeffs]
         for a, b in zip(first, second):
             assert np.array_equal(a[:3], b)
+
+
+def oscillator(y):
+    """The rate (v, -x) of the harmonic oscillator y = (x, v)."""
+    return np.array([y[1], -y[0]])
+
+
+class TestIntegrate:
+    """The flows' error-controlled loop on a state that is not a flow."""
+
+    def test_oscillator_end_state(self):
+        result = df.FlowResult(None)
+        y, t, _ = df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, df.BASE_STEP,
+                                result)
+        assert t == pytest.approx(3.0, abs=1e-13)
+        assert np.max(np.abs(y - [np.cos(3.0), -np.sin(3.0)])) < 1e-9
+        assert result.steps > 0 and 0.0 < result.max_err <= 2.0 * df.TOL
+
+    def test_oscillator_event_time(self):
+        result = df.FlowResult(None)
+        y, t, _ = df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, df.BASE_STEP,
+                                result, leaves=lambda y: y[0] < 0.0)
+        assert y is None
+        assert abs(t - 0.5 * np.pi) < 1e-8
+        assert result.steps > 0 and 0.0 < result.max_err <= 2.0 * df.TOL
+
+    def test_tallies_land_in_the_result_passed_in(self):
+        """A first trial step of 1 is rejected once; the call adds its steps and rejected
+        steps to those the result already holds, and raises max_err to its own."""
+        fresh = df.FlowResult(None)
+        df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, 1.0, fresh)
+        held = df.FlowResult(None, steps=7, rejected=2, max_err=1e-20)
+        df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, 1.0, held)
+        assert fresh.steps > 0 and fresh.rejected == 1 and fresh.max_err > 1e-20
+        assert (held.steps, held.rejected, held.max_err) == (
+            fresh.steps + 7, fresh.rejected + 2, fresh.max_err)
 
 
 class TestIntegratorBudgets:

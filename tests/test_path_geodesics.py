@@ -469,6 +469,14 @@ class TestEndpoints:
             pg.bvp_minimize(a, b, oracle, init=pg.Path.linear(a, b, 8))
 
 
+    def test_sphere_origin_raises(self):
+        """The polar metric dr^2 + g_S is not defined at r = 0, where every direction
+        is a different point; the segment from it has r > 0 past its start."""
+        e1 = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(SingularGram, match="origin"):
+            pg.bvp_minimize(np.zeros(3), e1, hilbert_geometry.sphere_oracle(3),
+                            init=pg.Path.linear(np.zeros(3), e1, 8))
+
 class TestInverseTimeLaplacian:
     @pytest.mark.parametrize("n_steps", [2, 3, 16, 48])
     def test_closed_form_matches_dense_inverse(self, n_steps):

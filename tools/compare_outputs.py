@@ -6,19 +6,21 @@ The parent side is a ``git archive`` of REV unpacked into a temporary
 directory (``bench_pairs.export_revision``); the change side is a copy of
 this working tree taken into the same directory before the first run
 (``bench_pairs.snapshot_worktree``).  Each side runs every subcommand of
-this tree's ``EXPERIMENTS`` at its defaults, one at a time, as
-``python -m shapegeo.experiments.cli NAME --out DIR`` on its own ``src/``.
-Then each subcommand's table.csv, plot.svg and manifest.txt are compared
-byte for byte, one printed line per file; under each table.csv that
-differs, one line per column both tables share gives the largest absolute
-and relative difference of its entries.  The change side also reruns
+this tree's ``EXPERIMENTS`` that it has itself at its defaults, one at a
+time, as ``python -m shapegeo.experiments.cli NAME --out DIR`` on its own
+``src/``; a subcommand the parent lacks runs on the change side only, and
+prints one ``only-change NAME`` line.  Then each shared subcommand's
+table.csv, plot.svg and manifest.txt are compared byte for byte, one
+printed line per file; under each table.csv that differs, one line per
+column both tables share gives the largest absolute and relative
+difference of its entries.  The change side also reruns
 each subcommand from its own manifest.txt (``--config``), and the rerun's
 table.csv and manifest.txt must equal the first run's byte for byte.  The
 exit status is 1 when a file differs or is missing, or when a run fails.
 Each default run's process wall time, interpreter start included, is
-printed as one ``parent s / change s`` line per subcommand: one run per
-side, so a difference smaller than the machine's run-to-run spread means
-nothing.
+printed as one ``parent s / change s`` line per shared subcommand: one run
+per side, so a difference smaller than the machine's run-to-run spread
+means nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT, RUN_TIMEOUT_S, SIDES, export_revision, snapshot_worktree  # noqa: E402
+from bench_pairs import ROOT, RUN_TIMEOUT_S, export_revision, snapshot_worktree  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "src"))
 from shapegeo.experiments.cli import EXPERIMENTS  # noqa: E402
@@ -43,6 +45,15 @@ from shapegeo.experiments.io import read_csv  # noqa: E402
 FILES = ("table.csv", "plot.svg", "manifest.txt")
 # what a rerun from a manifest reproduces; the plot is drawn from the same table
 RERUN_FILES = ("table.csv", "manifest.txt")
+
+
+def subcommand_names(checkout):
+    """The ``EXPERIMENTS`` names of the checkout's own ``src/``, asked of a fresh interpreter."""
+    code = "from shapegeo.experiments.cli import EXPERIMENTS; print(*EXPERIMENTS, sep='\\n')"
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=RUN_TIMEOUT_S).stdout.split()
 
 
 def run_subcommands(checkout, out_root, names, manifests=None):
@@ -103,12 +114,14 @@ def main(argv=None):
         tmp = Path(tmp)
         commit, parent_dir = export_revision(args.parent, tmp)
         _, change_dir = snapshot_worktree(ROOT, tmp)
-        checkouts = {"parent": parent_dir, "change": change_dir}
-        runs = {side: run_subcommands(checkouts[side], tmp / f"out-{side}", names)
-                for side in SIDES}
+        in_parent = set(subcommand_names(parent_dir))
+        shared = [name for name in names if name in in_parent]
+        sides = {"parent": (parent_dir, shared), "change": (change_dir, names)}
+        runs = {side: run_subcommands(checkout, tmp / f"out-{side}", side_names)
+                for side, (checkout, side_names) in sides.items()}
         runs["rerun"] = run_subcommands(change_dir, tmp / "out-rerun", names,
                                         manifests=tmp / "out-change")
-        results = compare_dirs(tmp / "out-parent", tmp / "out-change", names)
+        results = compare_dirs(tmp / "out-parent", tmp / "out-change", shared)
         reruns = compare_dirs(tmp / "out-change", tmp / "out-rerun", names, RERUN_FILES)
         moved = {path: column_differences(tmp / "out-parent" / path, tmp / "out-change" / path)
                  for path, status in results
@@ -126,6 +139,9 @@ def main(argv=None):
     for path, status in reruns:
         print(f"{status:<10} rerun {path}")
     for name in names:
+        if name not in in_parent:
+            print(f"only-change {name}")
+    for name in shared:
         print(f"wall       {name}: parent {runs['parent'][name][1]:.2f} s / "
               f"change {runs['change'][name][1]:.2f} s (one run per side)")
     same = sum(status == "identical" for _, status in results)
