@@ -10,11 +10,11 @@ is the first of the next (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
 Hairer-Norsett-Wanner, *Solving ODEs I*, II.4-II.5).  Real-line flows run
 on a finite window, and leaving it is the loop's event, reported as blow-up
 data at the time the first point leaves, not as an error.  The three root
-searches (inverse maps, periodic points, event times) share one bisection,
-and every exhausted step or bisection budget raises NonConvergence.  The
-module needs numpy only: a field on a real-line grid is the not-a-knot
-cubic spline through its samples, scipy's default CubicSpline, built here
-by cyclic reduction.
+searches (inverse maps, periodic points, event times) share one bisection.
+An exhausted step budget, or a bisection whose brackets stop narrowing
+above its tolerance, raises NonConvergence.  The module needs numpy only:
+a field on a real-line grid is the not-a-knot cubic spline through its
+samples, scipy's default CubicSpline, built here by cyclic reduction.
 """
 
 from __future__ import annotations
@@ -149,22 +149,26 @@ def compose(phi, psi):
     return CircleDiffeo(PeriodicFunction(psi.grid, disp[None, :]))
 
 
-def _bisect(upper, lo, hi, tol, max_halvings, budget):
+def _bisect(upper, lo, hi, tol):
     """Halve all brackets [lo, hi] together, hi moving to the midpoint where upper(mid)
-    holds, until the widest is below tol; NonConvergence names the spent budget."""
-    for _ in range(max_halvings):
+    holds, until the widest is below tol.  NonConvergence when a halving narrows no
+    bracket: tol is below floating-point resolution there, or a bracket is not finite."""
+    width = hi - lo
+    while True:
         mid = 0.5 * (lo + hi)
         up = upper(mid)
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        if np.max(hi - lo) < tol:
+        narrowed = hi - lo
+        if np.max(narrowed) < tol:
             return lo, hi
-    raise NonConvergence(f"bracket width {float(np.max(hi - lo)):.3e} >= {tol:.1e} "
-                         f"after {budget} = {max_halvings} halvings")
+        if not np.any(narrowed < width):
+            raise NonConvergence(f"bracket width {float(np.max(narrowed)):.3e} >= {tol:.1e} "
+                                 "and a halving narrowed no bracket")
+        width = narrowed
 
 
-# bracket width invert bisects down to, and its budget of halvings
+# bracket width invert bisects down to
 INVERT_TOL = 1e-12
-INVERT_MAX_ITER = 80
 
 
 def invert(phi):
@@ -173,8 +177,8 @@ def invert(phi):
     Solves y + f(y) = theta_j on the lift.  The bracket comes from the
     sampled displacement range; the interpolant can overshoot its samples,
     so an end that misses the root moves by 2*pi, more than a lift's
-    displacement varies.  Raises NonConvergence if a bracket is still
-    INVERT_TOL wide or wider after INVERT_MAX_ITER halvings.
+    displacement varies.  Raises NonConvergence if the brackets stop
+    narrowing while one is still INVERT_TOL wide or wider.
     """
     nodes = phi.grid.nodes
     f = phi.disp.values[0]
@@ -185,7 +189,7 @@ def invert(phi):
     lo = np.where(g_lo > 0.0, lo - TWO_PI, lo)
     hi = np.where(g_hi > 0.0, hi, hi + TWO_PI)
     lo, hi = _bisect(lambda y: y + evaluate_spectral(coeffs, y)[0] - nodes > 0.0,
-                     lo, hi, INVERT_TOL, INVERT_MAX_ITER, "INVERT_MAX_ITER")
+                     lo, hi, INVERT_TOL)
     y = 0.5 * (lo + hi)
     return CircleDiffeo(PeriodicFunction(phi.grid, (y - nodes)[None, :]))
 
@@ -254,8 +258,8 @@ class TimeDependentField:
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
+        if not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0):
+            raise ValueError("knots must be finite and strictly increasing")
         if len(self.fields) != len(knots) - 1:
             raise ValueError("need one field per knot interval")
         object.__setattr__(self, "knots", knots)
@@ -363,15 +367,18 @@ def _field_evaluator(field, grid):
 
 @dataclass(eq=False)
 class FlowResult:
-    """Final map samples, or blow-up data when a trajectory escapes; accepted
-    steps, rejected steps and max_err (largest accepted embedded error estimate)."""
+    """Final map samples, or blow_up_time when a trajectory escapes (blow_up then
+    holds); accepted and rejected steps, max_err (largest accepted error estimate)."""
 
     final_map: Optional[np.ndarray]
-    blow_up: bool = False
     blow_up_time: Optional[float] = None
     steps: int = 0
     rejected: int = 0
     max_err: float = 0.0
+
+    @property
+    def blow_up(self):
+        return self.blow_up_time is not None
 
 
 MAX_SUBSTEPS = 2**20
@@ -381,9 +388,8 @@ MIN_STEP = 1e-12
 BASE_STEP = 1.0 / 256.0
 # each accepted step's embedded error estimate is at most TOL * (max|x| + 1)
 TOL = 1e-11
-# bracket width in time the event bisection stops at, and its budget of halvings
+# bracket width in time the event bisection stops at
 EXIT_TOL = 1e-9
-EXIT_MAX_HALVINGS = 60
 
 
 def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
@@ -400,9 +406,9 @@ def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
     first holds at the end of an accepted step, bisecting that step locates
     the time it starts to hold.  Returns (x, t, proposal) at t_end, or
     (None, event time, proposal).  A step failing at MIN_STEP, more than
-    MAX_SUBSTEPS steps in result, or an event time not located to EXIT_TOL
-    in EXIT_MAX_HALVINGS halvings raise NonConvergence: an exhausted budget
-    is not an event.
+    MAX_SUBSTEPS steps in result, or an event bisection that stops narrowing
+    above EXIT_TOL raise NonConvergence: a solver that cannot finish has not
+    found an event.
     """
     k1 = rate(x)
     while t < t_end - 1e-14:
@@ -424,7 +430,7 @@ def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
         result.max_err = max(result.max_err, err)
         if leaves is not None and leaves(y):
             lo, hi = _bisect(lambda s: leaves(_dp5_step(rate, x, s, k1)[0]),
-                             0.0, dt, EXIT_TOL, EXIT_MAX_HALVINGS, "EXIT_MAX_HALVINGS")
+                             0.0, dt, EXIT_TOL)
             return None, t - dt + 0.5 * (lo + hi), proposal
         x, k1 = y, k_last
         if result.steps > MAX_SUBSTEPS:
@@ -459,7 +465,7 @@ def flow_time_dependent(u, x0=None):
         x, t, proposal = _integrate(_field_evaluator(u_i, grid), x, t, t_next, proposal,
                                     result, leaves)
         if x is None:
-            result.blow_up, result.blow_up_time = True, t
+            result.blow_up_time = t
             break
     result.final_map = x
     _log.debug("flow: %d steps, %d rejected, max embedded error %.3e",
@@ -566,8 +572,6 @@ def nonsurjectivity_candidate(n, eps, n_samples=256):
 PERIODIC_SCAN_SAMPLES = 4096
 # bracket width where bisection stops, far below the 1e-6 the points are checked to
 PERIODIC_POINT_TOL = 1e-10
-# halvings allowed; the 2 pi / 4096 brackets need 24
-PERIODIC_MAX_HALVINGS = 100
 
 
 def isolated_periodic_points(phi, n):
@@ -575,8 +579,8 @@ def isolated_periodic_points(phi, n):
 
     The displacement of the composed map is wrapped to mean in [-pi, pi),
     which removes the full 2*pi winding of phi^n; its fixed points on the
-    circle are the zeros of that wrapped displacement.  Spending
-    PERIODIC_MAX_HALVINGS halvings raises NonConvergence.
+    circle are the zeros of that wrapped displacement.  Raises
+    NonConvergence if the brackets stop narrowing above PERIODIC_POINT_TOL.
     """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
@@ -594,8 +598,7 @@ def isolated_periodic_points(phi, n):
         # the root sits where the displacement leaves the sign it has at lo
         sign = np.sign(fa[bracket])
         lo, hi = _bisect(lambda mid: sign * evaluate_spectral(coeffs, mid)[0] <= 0.0,
-                         x[:-1][bracket], x[1:][bracket], PERIODIC_POINT_TOL,
-                         PERIODIC_MAX_HALVINGS, "PERIODIC_MAX_HALVINGS")
+                         x[:-1][bracket], x[1:][bracket], PERIODIC_POINT_TOL)
         roots[bracket] = 0.5 * (lo + hi)
     return roots[exact | bracket]
 

@@ -14,9 +14,9 @@ class SingularGram(ShapeGeoError):
 
 
 class NonConvergence(ShapeGeoError):
-    """A solver did not reach the requested tolerance within its budget.
+    """A solver stopped short of its tolerance: a budget ran out or a bisection stalled.
 
-    The circle flows and the bisections of ``diffeo_flows`` (``invert``,
+    The flows and the bisection of ``diffeo_flows`` (``invert``,
     ``isolated_periodic_points``, the blow-up exit time) raise it.  The BVP solver
     does not: its ``GeodesicReport`` says whether and why a solve stopped short.
     """

@@ -25,7 +25,7 @@ import numpy as np
 from .. import curves, diffeo_flows, hilbert_geometry, kernel_metrics
 from .. import path_geodesics as pg
 from .. import periodic_core as pc
-from ..errors import DegenerateConfig, ShapeGeoError
+from ..errors import DegenerateConfig, ShapeGeoError, StepCollapse
 from .io import ConfigError, atomic_write_text, load_config_file, parse_overrides
 from .io import svg_plot, write_csv, write_manifest
 
@@ -140,16 +140,16 @@ def _run_exp_circle(config):
     grid = pc.PeriodicGrid(n)
     order = config["rotation_order"]
 
-    def make_psi(amp):
-        disp = amp * np.sin(order * grid.nodes)
-        return diffeo_flows.CircleDiffeo(pc.PeriodicFunction(grid, disp[None, :]))
+    def make_psi(key):
+        disp = config[key] * np.sin(order * grid.nodes)
+        try:
+            return diffeo_flows.CircleDiffeo(pc.PeriodicFunction(grid, disp[None, :]))
+        except StepCollapse as exc:
+            raise ConfigError(f"{key} = {config[key]}, rotation_order = {order} for "
+                              f"exp-circle: psi is no circle diffeomorphism, {exc}") from None
 
-    u1, err1 = diffeo_flows.exp_noninjectivity_demo(
-        make_psi(config["amplitude_1"]), order
-    )
-    u2, err2 = diffeo_flows.exp_noninjectivity_demo(
-        make_psi(config["amplitude_2"]), order
-    )
+    u1, err1 = diffeo_flows.exp_noninjectivity_demo(make_psi("amplitude_1"), order)
+    u2, err2 = diffeo_flows.exp_noninjectivity_demo(make_psi("amplitude_2"), order)
     field_sep = float(np.max(np.abs(u1.u.values - u2.u.values)))
     columns = [
         "c",
@@ -271,10 +271,6 @@ def _run_lddmm_flow(config):
     back = diffeo_flows.flow_time_dependent(tf.reversed(), x0=fwd.final_map)
     if fwd.blow_up or back.blow_up:
         raise ShapeGeoError("decaying-field flow unexpectedly left the window")
-    disp = fwd.final_map - probe
-    membership = diffeo_flows.membership_check(
-        np.interp(x, probe, disp, left=0.0, right=0.0), grid
-    )
     columns = ["x0", "x_forward", "x_return", "return_err"]
     rows = [
         [probe[i], fwd.final_map[i], back.final_map[i], abs(back.final_map[i] - probe[i])]
@@ -290,8 +286,7 @@ def _run_lddmm_flow(config):
         xlabel="x0",
         ylabel="position",
     )
-    extras = {"membership_check": membership,
-              **_flow_stats(fwd, "forward_"), **_flow_stats(back, "return_")}
+    extras = {**_flow_stats(fwd, "forward_"), **_flow_stats(back, "return_")}
     return columns, rows, extras, plot
 
 

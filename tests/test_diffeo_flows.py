@@ -266,6 +266,10 @@ class TestTimeDependentFlow:
             df.TimeDependentField([0.0, 0.0, 1.0], [grid.nodes, grid.nodes], grid)
         with pytest.raises(ValueError):
             df.TimeDependentField([0.0, 1.0], [grid.nodes, grid.nodes], grid)
+        with pytest.raises(ValueError, match="finite"):
+            df.TimeDependentField([0.0, np.nan], [grid.nodes], grid)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            df.TimeDependentField.uniform([grid.nodes], grid, t_end=np.inf)
 
 
 @st.composite
@@ -506,7 +510,8 @@ class TestIntegrate:
 
 
 class TestIntegratorBudgets:
-    """An exhausted step or bisection budget raises NonConvergence instead of returning a result."""
+    """An exhausted step budget, or a bisection that cannot reach its tolerance, raises
+    NonConvergence instead of returning a result."""
 
     def test_autonomous_substep_budget(self, monkeypatch):
         monkeypatch.setattr(df, "MAX_SUBSTEPS", 3)
@@ -531,24 +536,78 @@ class TestIntegratorBudgets:
             df.flow_time_dependent(tf, x0=np.array([0.0, 1.0]))
 
     def test_invert_bisection_budget(self, monkeypatch):
-        monkeypatch.setattr(df, "INVERT_MAX_ITER", 1)
+        monkeypatch.setattr(df, "INVERT_TOL", 0.0)
         u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 64)
         phi = df.flow_autonomous(u, 0.5)
-        with pytest.raises(NonConvergence, match=r"bracket width .* INVERT_MAX_ITER = 1 "):
+        with pytest.raises(NonConvergence, match=STALLED):
             df.invert(phi)
 
     def test_exit_time_bisection_budget(self, monkeypatch):
-        monkeypatch.setattr(df, "EXIT_MAX_HALVINGS", 1)
+        monkeypatch.setattr(df, "EXIT_TOL", 0.0)
         grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
         tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
-        with pytest.raises(NonConvergence, match=r"bracket width .* EXIT_MAX_HALVINGS = 1 "):
+        with pytest.raises(NonConvergence, match=STALLED):
             df.flow_time_dependent(tf, x0=np.array([2.0]))
 
     def test_periodic_point_bisection_budget(self, monkeypatch):
-        monkeypatch.setattr(df, "PERIODIC_MAX_HALVINGS", 1)
+        monkeypatch.setattr(df, "PERIODIC_POINT_TOL", 0.0)
         phi = df.nonsurjectivity_candidate(3, 0.1)
-        with pytest.raises(NonConvergence, match=r"bracket width .* PERIODIC_MAX_HALVINGS = 1 "):
+        with pytest.raises(NonConvergence, match=STALLED):
             df.isolated_periodic_points(phi, 3)
+
+
+# a tol of 0 is below every bracket width that floating point can resolve
+STALLED = r"bracket width \S+ >= 0\.0e\+00 and a halving narrowed no bracket"
+
+
+@st.composite
+def brackets(draw):
+    """Finite brackets [c - a, c + b] around thresholds c, and a tol they can reach."""
+    triples = draw(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3),
+                                      st.floats(0.0, 1e3)), min_size=1, max_size=8))
+    c, a, b = (np.array(column) for column in zip(*triples))
+    return c, c - a, c + b, draw(st.floats(1e-9, 10.0))
+
+
+class TestBisect:
+    @settings(max_examples=200, deadline=None)
+    @given(brackets())
+    def test_brackets_hold_the_threshold_and_match_fixed_halvings(self, case):
+        c, lo, hi, tol = case
+        got_lo, got_hi = df._bisect(lambda m: m >= c, lo, hi, tol)
+        assert np.all((got_lo <= c) & (c <= got_hi)) and np.max(got_hi - got_lo) < tol
+        # the halvings of a fixed budget, which log2(2e3 / 1e-9) < 41 never exhausts
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.where(mid >= c, lo, mid), np.where(mid >= c, mid, hi)
+            if np.max(hi - lo) < tol:
+                break
+        else:
+            pytest.fail("100 halvings left a bracket tol wide or wider")
+        assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+
+    @settings(max_examples=50, deadline=None)
+    @given(brackets())
+    def test_unreachable_tol_raises(self, case):
+        c, lo, hi, _ = case
+        with pytest.raises(NonConvergence, match=STALLED):
+            df._bisect(lambda m: m >= c, lo, hi, 0.0)
+
+    # a bracket that is not finite raises on its first halving; beside a finite one,
+    # on the halving after [0, 1] has narrowed to two neighbouring floats at 0.5 (54)
+    @pytest.mark.parametrize("lo, hi, halvings", [
+        ([np.nan], [1.0], 1), ([0.0], [np.inf], 1), ([-np.inf], [np.inf], 1),
+        ([0.0, np.nan], [1.0, 1.0], 55)])
+    def test_bracket_that_is_not_finite_raises(self, lo, hi, halvings):
+        calls = []
+
+        def upper(m):
+            calls.append(m)
+            return m >= 0.5
+
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvergence, match="narrowed no"):
+            df._bisect(upper, np.array(lo), np.array(hi), 1e-3)
+        assert len(calls) == halvings
 
 
 class TestMembership:

@@ -257,6 +257,9 @@ class TestRunner:
         # two coincident landmarks are no point of landmark space
         ("landmark-geodesic", "q1_start=2.0", "q1_start = 2.0, q2_start = 2.0"),
         ("landmark-geodesic", "q2_end=-1.0", "q1_end = -1.0, q2_end = -1.0"),
+        # psi = x + a sin(n x) is no circle diffeomorphism once a * n >= 1
+        ("exp-circle", "amplitude_1=0.5", "amplitude_1 = 0.5, rotation_order = 3"),
+        ("exp-circle", "amplitude_2=0.34", "amplitude_2 = 0.34, rotation_order = 3"),
     ])
     def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
                                                            override, message):
