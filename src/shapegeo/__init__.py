@@ -1,5 +1,6 @@
 """shapegeo: a numerical laboratory for weak Riemannian geometry on
-curve spaces, landmark spaces and diffeomorphism groups.
+curve spaces, landmark spaces and diffeomorphism groups.  numpy is its
+only runtime dependency.
 
 Run statistics go to the "shapegeo" logger at DEBUG; it has a NullHandler,
 so nothing is printed unless the application configures logging."""

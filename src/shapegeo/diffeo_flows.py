@@ -12,9 +12,8 @@ on a finite window, and leaving it is the loop's event, reported as blow-up
 data at the time the first point leaves, not as an error.  The three root
 searches (inverse maps, periodic points, event times) share one bisection.
 An exhausted step budget, or a bisection whose brackets stop narrowing
-above its tolerance, raises NonConvergence.  The module needs numpy only:
-a field on a real-line grid is the not-a-knot cubic spline through its
-samples, scipy's default CubicSpline, built here by cyclic reduction.
+above its tolerance, raises NonConvergence.  A field on a real-line grid
+is the not-a-knot cubic spline through its samples.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ after a numerical failure).  The manifest is itself a valid config file, so
 exactly; ``sphere-bvp``, the one subcommand with random input, takes its
 seed from the config like any other key.  Each config value is read as
 its default's type.  Exit codes: 0 success, 2 config error (also a value
-that does not read as that type, a non-finite value, a table without rows or
-a value the experiment rejects), 3 numerical failure.
+that does not read as that type, a non-finite value, a table without rows, a
+value the experiment rejects, or a config whose phenomenon cannot occur: no
+window exit by t_end, a mode the grid cannot resolve), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -123,8 +124,16 @@ def _run_sphere_bvp(config):
     return columns, rows, extras, plot
 
 
+def _check_resolved(name, key, mode, n):
+    """A grid of n nodes resolves the modes |k| < n // 2; sin(n x / 2) vanishes on its nodes."""
+    if abs(mode) >= n // 2:
+        raise ConfigError(f"{key} = {mode}, n_samples = {n} for {name}: the grid resolves "
+                          f"modes |k| < n_samples // 2 = {n // 2} only")
+
+
 def _run_exp_circle(config):
     n = config["n_samples"]
+    _check_resolved("exp-circle", "rotation_order", config["rotation_order"], n)
     u = diffeo_flows.CircleField.from_callable(
         lambda th: 1.0 + 0.5 * np.sin(th), n
     )
@@ -188,18 +197,23 @@ def _run_blowup(config):
     if not np.isfinite(grid.half_width * grid.half_width):
         raise ConfigError(f"half_width = {grid.half_width} for blowup: the field x^2 "
                           "overflows at the window's ends")
+    x0, t_end = config["x0"], config["t_end"]
+    # exact time at which x0 / (1 - x0 t) leaves the window, so solver_err is the integrator's;
+    # for x0 <= 0 it never does
+    exact = 1.0 / x0 if x0 > 0.0 else np.inf
+    window_exit = exact - 1.0 / config["half_width"]
+    if not window_exit < t_end:
+        raise ConfigError(f"x0 = {x0}, t_end = {t_end}, half_width = {grid.half_width} for "
+                          "blowup: x0 / (1 - x0 t) does not leave the window by t_end")
     field = grid.nodes**2
-    tf = diffeo_flows.TimeDependentField.uniform([field], grid, config["t_end"])
-    result = diffeo_flows.flow_time_dependent(tf, x0=np.array([config["x0"]]))
+    tf = diffeo_flows.TimeDependentField.uniform([field], grid, t_end)
+    result = diffeo_flows.flow_time_dependent(tf, x0=np.array([x0]))
     if not result.blow_up:
         raise ShapeGeoError("expected blow-up was not observed")
-    exact = 1.0 / config["x0"]
-    # exact time at which x0 / (1 - x0 t) leaves the window, so solver_err is the integrator's
-    window_exit = exact - 1.0 / config["half_width"]
     columns = ["x0", "blow_up_time", "exact", "abs_err", "window_exit", "solver_err"]
     rows = [
         [
-            config["x0"],
+            x0,
             result.blow_up_time,
             exact,
             abs(result.blow_up_time - exact),
@@ -209,7 +223,7 @@ def _run_blowup(config):
     ]
     # trajectory of the analytic solution up to the window exit
     ts = np.linspace(0.0, result.blow_up_time, 200)
-    xs = config["x0"] / (1.0 - ts * config["x0"])
+    xs = x0 / (1.0 - ts * x0)
     plot = dict(
         series=[("x(t) = x0/(1 - t x0)", ts, xs)],
         title="Finite-time blow-up of dx/dt = x^2",
@@ -292,6 +306,7 @@ def _run_lddmm_flow(config):
 
 def _run_sobolev_props(config):
     n = config["n_samples"]
+    _check_resolved("sobolev-props", "k_max", config["k_max"], n)
     columns = ["k", "q", "mode_sum", "integer_form", "ratio", "weight"]
     rows = []
     for k in range(0, config["k_max"] + 1):

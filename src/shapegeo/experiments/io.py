@@ -135,14 +135,11 @@ def write_manifest(path, experiment, config, extras=None):
     versions, derived quantities) is recorded in comments and in the
     'experiment' key that the CLI accepts back.
     """
-    import scipy
-
     import shapegeo
 
     lines = [
         f"# shapegeo experiment manifest",
-        f"# versions: shapegeo={shapegeo.__version__} numpy={np.__version__} "
-        f"scipy={scipy.__version__}",
+        f"# versions: shapegeo={shapegeo.__version__} numpy={np.__version__}",
         f"experiment = {experiment}",
     ]
     for key in sorted(config):

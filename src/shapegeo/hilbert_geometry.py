@@ -9,8 +9,6 @@ The ellipsoid is the image of the sphere under the diagonal scaling with
 semi-axes a_0 = 1, a_n = 1 + 2^{-n}; half great circles through e_0 and
 -e_0 in the (e_0, e_n)-plane have lengths squeezed between pi and
 (1 + 2^{-n}) * pi with no path attaining pi.
-
-The module needs numpy only: ``grossman_experiment`` has a closed form.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ matrix K_q with blocks k(q_i, q_j) * I_d.  The induced metric is the
 cometric G(h, h') = h^T K_q^{-1} h'; the minimal-norm vector field
 inducing a tangent h is the kernel expansion with momenta p = K_q^{-1} h,
 and ``constrained_infimum`` realizes that infimum independently as a QP,
-solving its KKT system with ``np.linalg.solve``, so the module needs
-numpy only.
+solving its KKT system with ``np.linalg.solve``.
 
 Since K_q = K ⊗ I_d for the N x N scalar Gram K, every solve factors K
 alone (Cholesky, no regularization) and solves the momenta (N, d) with d

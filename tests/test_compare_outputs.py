@@ -113,3 +113,31 @@ def test_a_subcommand_the_parent_lacks_runs_on_the_change_side_only(
     assert not any(line.startswith("wall") and "new" in line for line in lines)
     assert "3/3 files identical to 000000000000" in lines
     assert "4/4 manifest rerun files identical to the first run" in lines
+
+
+def test_manifest_differences_are_the_lines_one_side_lacks(compare_outputs, tmp_path):
+    parent, change = tmp_path / "parent.txt", tmp_path / "change.txt"
+    parent.write_text("# versions: a=1 b=2\nexperiment = x\nn = 4\n# steps = 9\n")
+    change.write_text("# versions: a=1\nexperiment = x\nn = 4\n# steps = 9\n# extra = 1\n")
+    assert compare_outputs.manifest_differences(parent, change) == (
+        ["# versions: a=1 b=2"], ["# versions: a=1", "# extra = 1"])
+    assert compare_outputs.manifest_differences(parent, parent) == ([], [])
+
+
+def test_a_differing_manifest_prints_its_lines(compare_outputs, tmp_path, monkeypatch, capsys):
+    parent, change = _checkout(tmp_path / "parent", ["a"]), tmp_path / "change"
+    monkeypatch.setattr(compare_outputs, "EXPERIMENTS", dict.fromkeys(["a"]))
+    monkeypatch.setattr(compare_outputs, "export_revision", lambda rev, dest: ("0" * 40, parent))
+    monkeypatch.setattr(compare_outputs, "snapshot_worktree", lambda root, dest: ("1" * 40, change))
+
+    def run_subcommands(checkout, out_root, names, manifests=None):
+        _fill(out_root, "a", compare_outputs.FILES)
+        if checkout == change:
+            (out_root / "a" / "manifest.txt").write_bytes(b"changed\n")
+        return {"a": (0, 0.5)}
+
+    monkeypatch.setattr(compare_outputs, "run_subcommands", run_subcommands)
+    assert compare_outputs.main(["--parent", "REV"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("differs    a/manifest.txt")
+    assert [line.strip() for line in lines[at + 1:at + 3]] == ["- same", "+ changed"]

@@ -13,6 +13,7 @@ import pytest
 
 import shapegeo
 from shapegeo import diffeo_flows
+from shapegeo import periodic_core as pc
 from shapegeo.experiments import io
 from shapegeo.experiments.cli import EXPERIMENTS, _assemble_config, main, run_experiment
 
@@ -260,6 +261,13 @@ class TestRunner:
         # psi = x + a sin(n x) is no circle diffeomorphism once a * n >= 1
         ("exp-circle", "amplitude_1=0.5", "amplitude_1 = 0.5, rotation_order = 3"),
         ("exp-circle", "amplitude_2=0.34", "amplitude_2 = 0.34, rotation_order = 3"),
+        # a mode at n_samples / 2 aliases: its rows would be false
+        ("sobolev-props", "n_samples=8", "k_max = 8, n_samples = 8"),
+        ("exp-circle", "n_samples=16 rotation_order=8", "rotation_order = 8, n_samples = 16"),
+        # x0 / (1 - x0 t) leaves the window at 1/x0 - 1/half_width, never for x0 <= 0
+        ("blowup", "x0=0.1", "x0 = 0.1, t_end = 1.0, half_width = 10000.0"),
+        ("blowup", "x0=0", "x0 = 0.0, t_end = 1.0, half_width = 10000.0"),
+        ("blowup", "x0=-2", "x0 = -2.0, t_end = 1.0, half_width = 10000.0"),
     ])
     def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
                                                            override, message):
@@ -280,19 +288,22 @@ class TestRunner:
         assert isinstance(result, tuple) and len(result) == 4
         assert os.listdir(tmp_path) == []
 
-    def test_out_dir_holds_only_the_last_run(self, tmp_path):
+    def test_out_dir_holds_only_the_last_run(self, tmp_path, monkeypatch):
         out = tmp_path / "b"
         args = ["blowup", "--set", "half_width=100.0", "--set", "n_nodes=1024", "--out", str(out)]
         assert main(args) == 0
-        assert main(args + ["--set", "x0=0.1"]) == 3  # no blow-up: a numerical failure
+        with monkeypatch.context() as patch:
+            patch.setattr(diffeo_flows, "MAX_SUBSTEPS", 1)
+            assert main(args) == 3  # the step budget runs out: a numerical failure
         assert os.listdir(out) == ["error.txt"]
         assert main(args) == 0
         assert sorted(os.listdir(out)) == ["manifest.txt", "plot.svg", "table.csv"]
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # no blow-up happens for a small initial value within t_end = 1
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        # a one-step budget cannot reach the window exit
+        monkeypatch.setattr(diffeo_flows, "MAX_SUBSTEPS", 1)
         out = str(tmp_path / "x")
-        code = main(["blowup", "--set", "x0=0.1", "--out", out])
+        code = main(["blowup", "--out", out])
         assert code == 3
         assert os.path.exists(os.path.join(out, "error.txt"))
         with open(os.path.join(out, "error.txt")) as fh:
@@ -382,14 +393,27 @@ class TestRunner:
         errs = [r[columns.index("return_err")] for r in rows]
         assert max(errs) < 1e-6
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_sobolev_rows_hold_up_to_the_resolution_bound(self, n):
+        # the benchmark's rule: the q <= 1 forms agree, and the q = 2 ratio is its weight
+        runner = EXPERIMENTS["sobolev-props"][0]
+        _, rows, _, _ = runner({"n_samples": n, "k_max": n // 2 - 1})
+        assert len(rows) == 3 * (n // 2)
+        for k, q, a, b, ratio, weight in rows:
+            if q <= 1:
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (k, q)
+            else:
+                assert abs(ratio - weight) <= 1e-12 * max(1.0, weight), (k, q)
+        # one mode more and the q = 1 forms part, so the runner refuses it
+        f = pc.PeriodicFunction.from_callable(lambda th: np.cos(n // 2 * th), n)
+        a, b = pc.sobolev_inner_product(f, f, 1), pc.sobolev_inner_product_integer(f, f, 1)
+        assert abs(a - b) > 0.5 * abs(a)
+        with pytest.raises(io.ConfigError, match="k_max = %d, n_samples = %d" % (n // 2, n)):
+            runner({"n_samples": n, "k_max": n // 2})
+
     def test_run_experiment_unknown_name(self):
         with pytest.raises(KeyError):
             run_experiment("nope", {}, "/tmp/never")
-
-
-# the scipy subpackages whose import outweighs everything else a run loads
-HEAVY_SCIPY = ("scipy.linalg", "scipy.integrate", "scipy.interpolate", "scipy.optimize",
-               "scipy.special", "scipy.sparse", "scipy.fft")
 
 
 def _scipy_loaded_by(code):
@@ -399,10 +423,6 @@ def _scipy_loaded_by(code):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
-
-
-def _heavy(modules):
-    return {m for m in modules if any(m == p or m.startswith(p + ".") for p in HEAVY_SCIPY)}
 
 
 class TestImportCost:
@@ -417,6 +437,5 @@ class TestImportCost:
             f"from shapegeo.experiments.cli import main\nassert main({argv!r}) == 0")
 
     @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
-    def test_numpy_only_runs_load_no_scipy_subpackage(self, tmp_path, name):
-        # the manifest's version line imports the bare scipy package, and only that
-        assert _heavy(self._run(tmp_path, name)) == set()
+    def test_run_loads_no_scipy(self, tmp_path, name):
+        assert self._run(tmp_path, name) == set()

@@ -13,7 +13,9 @@ prints one ``only-change NAME`` line.  Then each shared subcommand's
 table.csv, plot.svg and manifest.txt are compared byte for byte, one
 printed line per file; under each table.csv that differs, one line per
 column both tables share gives the largest absolute and relative
-difference of its entries.  The change side also reruns
+difference of its entries, and under each manifest.txt that differs, the
+lines only the parent's has print as ``- LINE`` and the lines only the
+change's has as ``+ LINE``.  The change side also reruns
 each subcommand from its own manifest.txt (``--config``), and the rerun's
 table.csv and manifest.txt must equal the first run's byte for byte.  The
 exit status is 1 when a file differs or is missing, or when a run fails.
@@ -104,6 +106,13 @@ def column_differences(parent_table, change_table):
     return diffs
 
 
+def manifest_differences(parent_manifest, change_manifest):
+    """(lines only the parent's manifest has, lines only the change's has), in file order."""
+    a, b = (path.read_text(encoding="utf-8").splitlines()
+            for path in (parent_manifest, change_manifest))
+    return [line for line in a if line not in b], [line for line in b if line not in a]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -126,6 +135,9 @@ def main(argv=None):
         moved = {path: column_differences(tmp / "out-parent" / path, tmp / "out-change" / path)
                  for path, status in results
                  if status == "differs" and path.endswith("/table.csv")}
+        edits = {path: manifest_differences(tmp / "out-parent" / path, tmp / "out-change" / path)
+                 for path, status in results
+                 if status == "differs" and path.endswith("/manifest.txt")}
     failed = [(side, name, code) for side, side_runs in runs.items()
               for name, (code, _) in side_runs.items() if code]
     for side, name, code in failed:
@@ -136,6 +148,11 @@ def main(argv=None):
             print("             row counts differ")
         for column, (gap, rel) in (moved.get(path) or {}).items():
             print(f"             {column}: abs {gap:.3e}, rel {rel:.3e}")
+        removed, added = edits.get(path, ((), ()))
+        for line in removed:
+            print(f"             - {line}")
+        for line in added:
+            print(f"             + {line}")
     for path, status in reruns:
         print(f"{status:<10} rerun {path}")
     for name in names:
