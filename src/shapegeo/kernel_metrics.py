@@ -7,10 +7,10 @@ inducing a tangent h is the kernel expansion with momenta p = K_q^{-1} h,
 and ``constrained_infimum`` realizes that infimum independently as a QP,
 solving its KKT system with ``np.linalg.solve``.
 
-Since K_q = K ⊗ I_d for the N x N scalar Gram K, every solve factors K
-alone (Cholesky, no regularization) and solves the momenta (N, d) with d
-right-hand sides.  The landmark oracle does this for a whole stack of
-configurations (..., N*d) at once.  A degenerate configuration fails
+Since K_q = K ⊗ I_d for the N x N scalar Gram K, every solve reads K
+alone (one LU with pivoting, no regularization) and solves the momenta
+(N, d) with d right-hand sides.  The landmark oracle does this for a whole
+stack of configurations (..., N*d) at once.  A degenerate configuration fails
 loudly: non-finite positions raise ValueError, and two landmarks closer
 than MIN_SEPARATION or a Gram that is not positive definite raise
 DegenerateConfig.
@@ -131,7 +131,7 @@ def _pairwise(pts):
 
 @dataclass(frozen=True, eq=False)
 class _Factored:
-    """Checked geometry, scalar Gram K and its Cholesky factor of configurations (..., N, d).
+    """Checked geometry and positive definite scalar Gram K of configurations (..., N, d).
 
     The state keeps its kernel, so it builds ``kernel_gradient`` on first
     use and at most once: a trial energy never reads it.
@@ -141,7 +141,6 @@ class _Factored:
     diff: np.ndarray
     dist: np.ndarray
     gram: np.ndarray
-    chol: np.ndarray
 
     @cached_property
     def kernel_gradient(self):
@@ -149,26 +148,26 @@ class _Factored:
 
 
 def _factor(kernel, pts):
-    """Pairwise differences (..., N, N, d), distances, K and its lower Cholesky factor.
+    """Pairwise differences (..., N, N, d), distances and the scalar Gram K.
 
-    A Gram that is not positive definite in any configuration raises
-    DegenerateConfig.
+    The Cholesky factorization only tests definiteness: a Gram that is not
+    positive definite in any configuration raises DegenerateConfig.
     """
     diff, dist = _pairwise(pts)
     gram = kernel.profile(dist)
     try:
-        chol = np.linalg.cholesky(gram)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise DegenerateConfig(f"Gram matrix not positive definite: {exc}") from exc
-    return _Factored(kernel, diff, dist, gram, chol)
+    return _Factored(kernel, diff, dist, gram)
 
 
-def _cho_solve(chol, rhs):
-    """K^{-1} rhs from the factor chol of K, for chol (..., N, N) and rhs (..., N, c).
+def _solve(gram, rhs):
+    """K^{-1} rhs by one batched LU of K, for gram (..., N, N) and rhs (..., N, c).
 
-    Leading axes broadcast, so one factor serves every right-hand side stacked in front of it.
+    Leading axes broadcast against each other.
     """
-    return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs))
+    return np.linalg.solve(gram, rhs)
 
 
 def _kernel_gradient(state):
@@ -207,7 +206,7 @@ def gram_assemble(kernel, config):
 def induced_metric(kernel, config, h):
     """Cometric value h^T K_q^{-1} h, the squared norm of the tangent h."""
     h = np.asarray(h, dtype=float).reshape(config.n_points, config.dim)
-    return float(np.sum(h * _cho_solve(_factor(kernel, config.points).chol, h)))
+    return float(np.sum(h * _solve(_factor(kernel, config.points).gram, h)))
 
 
 def constrained_infimum(kernel, config, h, extra_points):
@@ -238,22 +237,23 @@ def constrained_infimum(kernel, config, h, extra_points):
 def landmark_metric_oracle(kernel, config_dim, n_points):
     """Metric oracle for flattened landmark configurations in R^(N*d).
 
-    The metric is the kernel cometric h^T K(x)^{-1} k.  ``at(x)`` factors
-    the N x N scalar Gram K of every configuration in x's leading axes with
-    one batched Cholesky (a ``_Factored`` state), and every other callable
-    reads that state: the flat map h -> K^{-1} h solves the momenta (N, d)
-    with d right-hand sides.  ``speed_gradient`` reads the momentum
-    xi = K^{-1} v that its caller passes: since d(K^{-1}) = -K^{-1} dK K^{-1},
-    the x-gradient of v^T K^{-1} v is minus the q-gradient of xi^T K(q) xi
+    The metric is the kernel cometric h^T K(x)^{-1} k.  ``at(x)`` builds
+    the N x N scalar Gram K of every configuration in x's leading axes and
+    tests it for definiteness (a ``_Factored`` state), and every other
+    callable reads that state: the flat map h -> K^{-1} h solves the
+    momenta (N, d) with d right-hand sides by one batched LU of K.
+    ``speed_gradient`` reads the momentum xi = K^{-1} v that its caller
+    passes: since d(K^{-1}) = -K^{-1} dK K^{-1}, the x-gradient of
+    v^T K^{-1} v is minus the q-gradient of xi^T K(q) xi
     (``_gram_derivative``).  ``sharp`` is K xi and its derivative
     ``sharp_derivative`` is dK[l] xi, so none of the three solves, and an
     energy gradient or a geodesic acceleration solves only for its momentum
     (Miller-Trouve-Younes, *Geodesic shooting for computational anatomy*,
     2006).  Both derivatives read the kernel gradient (..., N, N, d), which
     the state builds on demand, once: an acceleration builds it once for
-    both, and an energy, which reads neither, never.  ``sharp``'s condition
-    number is that of K from ``eigvalsh``, since cond(K^{-1} ⊗ I_d) =
-    cond(K).  h, k, l and xi broadcast against x without refactoring.
+    both, and an energy, which reads neither, never.  ``sharp`` reads
+    cond(K^{-1} ⊗ I_d) = cond(K) as the end ratio of ``eigvalsh``'s ascending
+    output, positive past the Cholesky test.  h, k, l and xi broadcast against x.
     Non-finite positions raise ValueError; landmarks closer than
     MIN_SEPARATION or a Gram that is not positive definite, in any row,
     raise DegenerateConfig.
@@ -273,12 +273,12 @@ def landmark_metric_oracle(kernel, config_dim, n_points):
         return x if isinstance(x, _Factored) else _factor(kernel, _split(x))
 
     def metric_rows(x, h):
-        return _flat(_cho_solve(at(x).chol, _split(h)))
+        return _flat(_solve(at(x).gram, _split(h)))
 
     def sharp(x, xi):
         s = at(x)
-        eig = np.abs(np.linalg.eigvalsh(s.gram))
-        _check_condition((eig.max(axis=-1) / eig.min(axis=-1)).max())
+        eig = np.linalg.eigvalsh(s.gram)
+        _check_condition(np.abs(eig[..., -1] / eig[..., 0]).max())
         return _flat(s.gram @ _split(xi))
 
     def sharp_derivative(x, l, xi):

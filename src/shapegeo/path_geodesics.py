@@ -32,6 +32,7 @@ v = sharp(x, xi), since the inverse Gram has derivative -G^{-1} dG G^{-1}.
 from __future__ import annotations
 
 import logging
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -75,10 +76,10 @@ class MetricOracle:
     axes of their (..., dim) arguments:
 
     - ``at(x)``, the per-point state that the other four read: c' and |c'|
-      on curves, the pairwise geometry, scalar Gram K and its Cholesky
-      factor on landmarks, x and |x|^2 on the sphere, and x itself on the
-      flat oracle.  ``at(at(x)) is at(x)``, so every callable, the derived
-      ones too, takes either the array x or its state;
+      on curves, the pairwise geometry and scalar Gram K on landmarks,
+      x and |x|^2 on the sphere, and x itself on the flat oracle.
+      ``at(at(x)) is at(x)``, so every callable, the derived ones too,
+      takes either the array x or its state;
     - ``metric_rows(x, h)``, the flat map h -> G_x(h, .), as the vector
       (G(x, h, e_j))_j;
     - ``sharp(x, xi)``, the inverse of the flat map, solving
@@ -149,6 +150,12 @@ def _check_condition(cond):
         raise SingularGram(f"metric Gram condition number {cond:.3e} > {COND_LIMIT:.0e}")
 
 
+def _check_n_steps(n_steps):
+    """Raise ValueError unless n_steps is a positive integer."""
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError(f"n_steps = {n_steps!r}: must be an integer >= 1")
+
+
 def euclidean_oracle(m, weight=1.0):
     """Flat oracle G(x, h, k) = sum_j weight_j h_j k_j on R^m.
 
@@ -210,6 +217,7 @@ class Path:
 
     @classmethod
     def linear(cls, x_start, x_end, n_steps):
+        _check_n_steps(n_steps)
         t = np.linspace(0.0, 1.0, n_steps + 1)[:, None]
         return cls((1 - t) * np.asarray(x_start) + t * np.asarray(x_end))
 
@@ -308,10 +316,23 @@ LBFGS_MEMORY = 8
 COND_LIMIT = 1e12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
+    """Gradient-norm tolerance and iteration budget of ``bvp_minimize``.
+
+    A negative or non-finite ``tol`` or a ``max_iter`` that is not a
+    non-negative integer raises ValueError that names the field.  The
+    options are frozen, so no assignment gets past that check.
+    """
+
     tol: float = 1e-8
     max_iter: int = 20000
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol = {self.tol}: must be finite and >= 0")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError(f"max_iter = {self.max_iter!r}: must be an integer >= 0")
 
 
 def _inverse_time_laplacian(n_steps):
@@ -502,8 +523,10 @@ def ivp_shoot(x0, v0, oracle, n_steps):
     32 Gaussian (sigma = 1) landmarks from a jittered unit grid, at
     velocities 0.3 * N(0, 1), can end with coordinates of order 1e16 (9.1e15
     in one such shot).  Compare a shot with one of more steps before reading
-    it as a geodesic.
+    it as a geodesic.  An ``n_steps`` that is not a positive integer raises
+    ValueError.
     """
+    _check_n_steps(n_steps)
     x = np.asarray(x0, dtype=float)
     dim = x.size
 

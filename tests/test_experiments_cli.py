@@ -247,6 +247,12 @@ class TestRunner:
         # a path with no interior point has nothing for the BVP to move
         ("sphere-bvp", "n_steps=1 n_pairs=2", "n_steps = 1"),
         ("landmark-geodesic", "n_steps=1", "n_steps = 1"),
+        ("landmark-geodesic", "n_steps=0", "n_steps = 0"),
+        # a negative tolerance or budget is a config mistake, not an unconverged solve
+        ("sphere-bvp", "tol=-1", "tol = -1.0"),
+        ("sphere-bvp", "max_iter=-5", "max_iter = -5"),
+        ("landmark-geodesic", "max_iter=-1", "max_iter = -1"),
+        ("vanishing-l2", "max_iter=-1", "max_iter = -1"),
         ("sphere-bvp", "m=0 n_pairs=2", "m >= 2, got m = 0"),
         ("lddmm-flow", "n_probe=0", "n_probe = 0 for lddmm-flow: must be >= 1"),
         # a not-a-knot cubic spline needs 4 nodes, and a window a positive width

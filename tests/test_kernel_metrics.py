@@ -231,6 +231,36 @@ class TestLandmarkOracle:
         dg = oracle.DG(x, l, h, k)
         assert abs(dg - l @ vrows) <= 1e-12 * max(1.0, np.abs(l) @ np.abs(vrows))
 
+    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 1), (5, 3)])
+    def test_metric_rows_match_dense_inverse(self, kernel, n, d):
+        """K^{-1} ⊗ I_d applied to h, from a dense inverse, for a stack of 3 configurations."""
+        rng = np.random.default_rng(11)
+        oracle = km.landmark_metric_oracle(kernel, d, n)
+        sites = [rng.permutation(5**d)[:n] for _ in range(3)]
+        grid = np.stack(np.meshgrid(*[np.arange(5.0)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        pts = np.stack([1.5 * grid[s] + rng.uniform(-0.3, 0.3, size=(n, d)) for s in sites])
+        x, h = pts.reshape(3, n * d), rng.normal(size=(3, n * d))
+        rows = oracle.metric_rows(x, h)
+        for row, p, hh in zip(rows, pts, h):
+            gram = kernel(p[:, None, :], p[None, :, :])
+            expect = np.kron(np.linalg.inv(gram), np.eye(d)) @ hh
+            assert np.linalg.norm(row - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spaced_oracle_inputs())
+    def test_condition_read_equals_abs_max_min(self, inputs):
+        """sharp's condition number is the abs / max / min eigenvalue ratio, bit for bit."""
+        oracle, x, _, h, _ = inputs
+        # a stack of two configurations, the second spread further apart
+        x = np.stack([x, 1.5 * x])
+        read = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(km, "_check_condition", read.append)
+            oracle.sharp(x, h)
+        eig = np.abs(np.linalg.eigvalsh(oracle.at(x).gram))
+        assert read == [(eig.max(axis=-1) / eig.min(axis=-1)).max()]
+
     def test_degenerate_row_in_batch_rejected(self):
         rng = np.random.default_rng(10)
         oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 2, 3)

@@ -698,6 +698,11 @@ class TestIVP:
         with pytest.raises(SingularGram):
             pg.ivp_shoot(np.zeros(2), np.ones(2), oracle, 4)
 
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5])
+    def test_n_steps_must_be_a_positive_integer(self, n_steps):
+        with pytest.raises(ValueError, match=f"n_steps = {n_steps}"):
+            pg.ivp_shoot(np.zeros(2), np.ones(2), pg.euclidean_oracle(2), n_steps)
+
 
 class TestSingularGram:
     """Where the metric is too ill-conditioned for a shot to be trusted, and just short of it."""
@@ -716,6 +721,21 @@ class TestSingularGram:
         t = path.times
         circle = r * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
         assert np.max(np.abs(path.points - circle)) < 1e-6 * r
+
+    @pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+    def test_landmark_gate_at_its_boundary(self, factor, raises):
+        # a Gaussian (sigma = 1) pair r apart on the line has K = [[1, k], [k, 1]],
+        # k = exp(-r^2 / 2), so cond K = (1 + k) / (1 - k)
+        cond = factor * pg.COND_LIMIT
+        r = np.sqrt(-2.0 * np.log1p(-2.0 / (cond + 1.0)))
+        oracle = km.landmark_metric_oracle(km.gaussian_kernel(1.0), 1, 2)
+        x, v = np.array([0.0, r]), np.array([1.0, -1.0])
+        if raises:
+            with pytest.raises(SingularGram,
+                               match=r"^metric Gram condition number 2\.\d{3}e\+12 > 1e\+12$"):
+                pg.geodesic_acceleration(x, v, oracle)
+        else:
+            assert np.isfinite(pg.geodesic_acceleration(x, v, oracle)).all()
 
     def test_nearly_coincident_landmarks(self):
         # two Gaussian landmarks 1e-6 apart: K has eigenvalues 2 and 5e-13, cond 4e12
@@ -776,12 +796,12 @@ class TestLandmarkShooting:
         """Each RK4 stage solves once, for its momentum xi = metric_rows(x, v)."""
         solves = []
 
-        def counted(chol, rhs):
+        def counted(gram, rhs):
             solves.append(rhs.shape)
-            return cho_solve(chol, rhs)
+            return solve(gram, rhs)
 
-        cho_solve = km._cho_solve
-        monkeypatch.setattr(km, "_cho_solve", counted)
+        solve = km._solve
+        monkeypatch.setattr(km, "_solve", counted)
         oracle, x0, v0 = self._eight_gaussian_landmarks()
         pg.ivp_shoot(x0, v0, oracle, 3)
         assert solves == [(8, 2)] * 4 * 3
@@ -790,12 +810,12 @@ class TestLandmarkShooting:
         """A landmark energy gradient solves once, for the momenta of all its midpoints."""
         solves = []
 
-        def counted(chol, rhs):
+        def counted(gram, rhs):
             solves.append(rhs.shape)
-            return cho_solve(chol, rhs)
+            return solve(gram, rhs)
 
-        cho_solve = km._cho_solve
-        monkeypatch.setattr(km, "_cho_solve", counted)
+        solve = km._solve
+        monkeypatch.setattr(km, "_solve", counted)
         oracle, x0, v0 = self._eight_gaussian_landmarks()
         pg.energy_gradient(pg.Path.linear(x0, x0 + 0.3 * v0, 5), oracle)
         assert solves == [(5, 8, 2)]
@@ -869,12 +889,35 @@ class TestPathContainer:
         with pytest.raises(ValueError):
             pg.Path(np.array([[0.0, np.inf], [1.0, 2.0]]))
 
+    @pytest.mark.parametrize("n_steps", [0, -3, 4.0])
+    def test_linear_needs_a_positive_integer_n_steps(self, n_steps):
+        with pytest.raises(ValueError, match=f"n_steps = {n_steps}"):
+            pg.Path.linear(np.zeros(2), np.ones(2), n_steps)
+
     def test_refine_keeps_endpoints(self):
         path = pg.Path.linear(np.zeros(2), np.ones(2), 4)
         fine = path.refine(16)
         assert fine.n_steps == 16
         assert np.allclose(fine.points[0], path.points[0])
         assert np.allclose(fine.points[-1], path.points[-1])
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", -1.0), ("tol", np.inf), ("tol", np.nan),
+        ("max_iter", -5), ("max_iter", 2.5),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} = "):
+            pg.SolverOptions(**{field: value})
+
+    def test_zero_budget_and_tolerance_accepted(self):
+        opts = pg.SolverOptions(tol=0.0, max_iter=0)
+        assert (opts.tol, opts.max_iter) == (0.0, 0)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pg.SolverOptions().max_iter = -1
 
 
 class TestRefineCurvePath:
