@@ -73,7 +73,7 @@ def _run_vanishing_l2(config):
         [teeth, length, flat]
         for (teeth, length, _), (_, flat, _) in zip(tables["l2"], tables["flat"])
     ]
-    # the kept solve of each level: did it converge, and if not, why it stopped
+    # each level's solve: did it converge, and if not, why it stopped
     extras = {}
     for label, table in tables.items():
         for teeth, _, report in table:

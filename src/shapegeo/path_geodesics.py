@@ -41,13 +41,7 @@ import numpy as np
 
 from .curves import l2_rows, l2_variation_rows, tangent
 from .errors import ShapeGeoError, SingularGram
-from .periodic_core import (
-    PeriodicFunction,
-    PeriodicGrid,
-    differentiate,
-    evaluate_spectral,
-    transform,
-)
+from .periodic_core import differentiate
 
 __all__ = [
     "MetricOracle",
@@ -221,15 +215,6 @@ class Path:
         t = np.linspace(0.0, 1.0, n_steps + 1)[:, None]
         return cls((1 - t) * np.asarray(x_start) + t * np.asarray(x_end))
 
-    def refine(self, n_steps):
-        """Resample onto a finer uniform time grid by linear interpolation."""
-        told = self.times
-        tnew = np.linspace(0.0, 1.0, n_steps + 1)
-        pts = np.empty((n_steps + 1, self.dim))
-        for j in range(self.dim):
-            pts[:, j] = np.interp(tnew, told, self.points[:, j])
-        return Path(pts)
-
 
 @dataclass
 class GeodesicReport:
@@ -307,9 +292,6 @@ def energy_gradient(path, oracle):
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 40
-# Largest trial step of the plain descent, which starts each iteration from
-# twice its last accepted step.
-PLAIN_MAX_STEP = 1e6
 # Step and gradient-change pairs (s, y) that the L-BFGS direction remembers.
 LBFGS_MEMORY = 8
 # Each oracle's sharp rejects a Gram whose condition number exceeds this.
@@ -367,29 +349,20 @@ def _lbfgs_direction(grad, pairs, inverse_laplacian):
     return direction
 
 
-def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
+def bvp_minimize(x_start, x_end, oracle, init, opts=None):
     """Minimize path energy with fixed endpoints by Armijo line searches.
 
     Each iteration takes the Euclidean energy gradient g over the interior
-    points, once, at the accepted path.  With ``sobolev`` (the default) it
-    steps along the L-BFGS direction p = H g of the last ``LBFGS_MEMORY``
-    pairs (s, y) of accepted steps and gradient changes, kept only where
-    s . y > 1e-12 |s| |y|, so H stays positive definite.  H starts from
-    gamma L^{-1}, the inverse H^1-in-time Gram (see
-    ``_inverse_time_laplacian``) scaled by gamma = s.y / y.L^{-1}y of the
-    newest pair, so the first iteration steps along the Sobolev gradient
-    L^{-1} g.  A direction whose slope g . p is not positive clears the
-    pairs and falls back to L^{-1} g.  Every iteration's first trial step is
-    1, a quasi-Newton step.  With ``sobolev=False`` the direction is g
-    itself, the slope |g|^2, and trial steps start from twice the last
-    accepted step, capped at ``PLAIN_MAX_STEP``.  Either way the solve
+    points, once, at the accepted path, and steps along the L-BFGS
+    direction p = H g of the last ``LBFGS_MEMORY`` pairs (s, y) of accepted
+    steps and gradient changes, kept only where s . y > 1e-12 |s| |y|, so H
+    stays positive definite.  H starts from gamma L^{-1}, the inverse
+    H^1-in-time Gram (see ``_inverse_time_laplacian``) scaled by
+    gamma = s.y / y.L^{-1}y of the newest pair, so the first iteration steps
+    along the Sobolev gradient L^{-1} g.  A direction whose slope g . p is
+    not positive clears the pairs and falls back to L^{-1} g.  Every
+    iteration's first trial step is 1, a quasi-Newton step.  The solve
     converges when |g| < ``opts.tol``.
-
-    Only ``vanishing_distance_experiment`` turns ``sobolev`` off.  The L^2
-    curve energy has no minimizer, so the solve stops at the iteration
-    budget on some non-minimizing path, and which path that is depends on
-    the descent metric; its published table is the one plain descent
-    reaches.
 
     Before the first iteration both endpoints pass through ``oracle.at``,
     so an endpoint outside the space raises the oracle's typed error, such
@@ -418,10 +391,9 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
     energy = path_energy(path, oracle)
     energy_evals = 1
     backtracks = 0
-    inverse_laplacian = _inverse_time_laplacian(path.n_steps) if sobolev else None
+    inverse_laplacian = _inverse_time_laplacian(path.n_steps)
     pairs = deque(maxlen=LBFGS_MEMORY)
     trace = _log.isEnabledFor(logging.DEBUG)
-    step = 1.0
     iterations = 0
     reason = "max_iter"
     grad = energy_gradient(path, oracle)
@@ -430,17 +402,13 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
         if grad_norm < opts.tol:
             reason = "tol"
             break
-        if sobolev:
-            direction = _lbfgs_direction(grad, pairs, inverse_laplacian)
+        direction = _lbfgs_direction(grad, pairs, inverse_laplacian)
+        slope = float(np.vdot(grad, direction))
+        if not slope > 0.0:
+            pairs.clear()
+            direction = inverse_laplacian @ grad
             slope = float(np.vdot(grad, direction))
-            if not slope > 0.0:
-                pairs.clear()
-                direction = inverse_laplacian @ grad
-                slope = float(np.vdot(grad, direction))
-            step = 1.0
-        else:
-            direction, slope = grad, grad_norm**2
-            step = min(step * 2.0, PLAIN_MAX_STEP)
+        step = 1.0
         for attempt in range(MAX_BACKTRACKS):
             trial = path.points.copy()
             trial[1:-1] -= step * direction
@@ -460,12 +428,11 @@ def bvp_minimize(x_start, x_end, oracle, init, opts=None, sobolev=True):
             reason = "line_search"
             break
         new_grad = energy_gradient(path, oracle)
-        if sobolev:
-            # s = x - x_new and y = g - g_new: the usual pair negated, which H g does not see
-            s, y = step * direction, grad - new_grad
-            sy = np.vdot(s, y)
-            if sy > 1e-12 * np.sqrt(np.vdot(s, s) * np.vdot(y, y)):
-                pairs.append((s, y, 1.0 / sy, sy / np.vdot(y, inverse_laplacian @ y)))
+        # s = x - x_new and y = g - g_new: the usual pair negated, which H g does not see
+        s, y = step * direction, grad - new_grad
+        sy = np.vdot(s, y)
+        if sy > 1e-12 * np.sqrt(np.vdot(s, s) * np.vdot(y, y)):
+            pairs.append((s, y, 1.0 / sy, sy / np.vdot(y, inverse_laplacian @ y)))
         if trace:
             _log.debug("bvp iteration %d: energy %.17g, |g| %.3e, step %.3e, %d backtracks, "
                        "%d pairs", iterations, energy, grad_norm, step, attempt, len(pairs))
@@ -644,62 +611,42 @@ def vanishing_distance_experiment(
     """Achieved path lengths between the unit circle and its translate.
 
     Level i uses teeth k = 4**i, grid n = base_samples * 2**min(i, 2) and
-    n_steps = base_steps * 2**min(i, 2).  Each level minimizes from the
-    sawtooth initialization and from the refined previous optimum and
-    keeps the shorter result, so the reported sequence is non-increasing
-    by construction; the phenomenon shows as a strict decrease.  Returns
-    one (teeth, length, report) row per level, where report is the
-    ``GeodesicReport`` of the solve that was kept.
+    n_steps = base_steps * 2**min(i, 2), and makes one ``bvp_minimize``
+    solve from the sawtooth homotopy.  The levels are independent solves,
+    so nothing builds a decrease into the sequence: the phenomenon shows as
+    an observed strict decrease of the lengths in k.  The L^2 energy has no
+    minimizer, and its solves stop at the iteration budget on paths that
+    are still getting shorter.  Returns one (teeth, length, report) row per
+    level, where report is the level's ``GeodesicReport``.
 
-    With ``control=True`` the flat metric (2 pi / n) <h, k> is used instead
-    and the length is pinned at the flat distance between the endpoint
-    curves.
+    With ``control=True`` the flat metric (2 pi / n) <h, k> is used
+    instead.  Its energy is a quadratic minimized by the straight
+    translation, so each solve stops on ``tol`` at the flat distance
+    0.5 sqrt(2 pi) between the endpoint curves.
 
-    Both metrics are minimized by plain gradient descent
-    (``bvp_minimize(..., sobolev=False)``): the L^2 energy has no
-    minimizer, so the budget-capped solve reports a path that depends on
-    the descent metric, and the flat control keeps the same method so that
-    the two columns differ only in the metric.
+    ValueError, naming the key, rejects ``levels`` below 3, a
+    ``base_steps`` below 2 (a path with no interior point) and a last
+    level whose sawtooth has no harmonic on its grid (k > n // 4).  Teeth
+    grow 4-fold per level and n at most 2-fold, so the last level is the
+    first to lose its harmonic.
     """
     if levels < 3:
         raise ValueError("levels must be >= 3")
+    if base_steps < 2:
+        raise ValueError(f"base_steps = {base_steps}: the BVP needs at least 2 steps per path")
+    last = levels - 1
+    n_last = base_samples * 2 ** min(last, 2)
+    if 4**last > n_last // 4:
+        raise ValueError(f"base_samples = {base_samples}, levels = {levels}: the last level's "
+                         f"sawtooth of {4**last} teeth needs teeth <= n // 4 = {n_last // 4}")
     opts = opts or SolverOptions(tol=1e-6, max_iter=4000)
     rows = []
-    prev_best = None
     for i in range(levels):
         teeth = 4**i
         scale = 2 ** min(i, 2)
         n = base_samples * scale
-        steps = base_steps * scale
         oracle = euclidean_oracle(2 * n, weight=2.0 * np.pi / n) if control else curve_space_oracle(n)
-        amplitude = 0.25 / teeth
-        init = _sawtooth_homotopy(n, steps, teeth, amplitude)
-        x_start = init.points[0]
-        x_end = init.points[-1]
-        best_path, best = bvp_minimize(
-            x_start, x_end, oracle, init=init, opts=opts, sobolev=False
-        )
-        if prev_best is not None:
-            # refine the previous optimum onto the current resolution
-            refined = _refine_curve_path(prev_best, n, steps)
-            path2, report2 = bvp_minimize(
-                refined.points[0], refined.points[-1], oracle, init=refined, opts=opts,
-                sobolev=False,
-            )
-            if report2.length < best.length:
-                best_path, best = path2, report2
-        rows.append((teeth, best.length, best))
-        prev_best = (best_path, n)
+        init = _sawtooth_homotopy(n, base_steps * scale, teeth, 0.25 / teeth)
+        _, report = bvp_minimize(init.points[0], init.points[-1], oracle, init=init, opts=opts)
+        rows.append((teeth, report.length, report))
     return rows
-
-
-def _refine_curve_path(prev, n_new, steps_new):
-    """Upsample a flattened-curve path in time and in the curve parameter."""
-    path, n_old = prev
-    time_refined = path.refine(steps_new)
-    if n_new == n_old:
-        return time_refined
-    rows = time_refined.points.reshape(2 * (steps_new + 1), n_old)
-    coeffs = transform(PeriodicFunction(PeriodicGrid(n_old), rows))
-    vals = evaluate_spectral(coeffs, PeriodicGrid(n_new).nodes)
-    return Path(vals.reshape(steps_new + 1, 2 * n_new))

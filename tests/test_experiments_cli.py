@@ -147,17 +147,18 @@ class TestRunner:
         assert int(iterations.split(" = ")[1]) <= 250
 
     def test_vanishing_l2_manifest_reports_levels(self, tmp_path):
-        # five iterations cannot converge, so every level stops at the budget
+        # five iterations leave every L^2 level at the budget; the flat
+        # control's quadratic energy converges within them
         out = str(tmp_path / "v")
         args = ["vanishing-l2", "--set", "base_samples=16", "--set", "base_steps=4",
                 "--set", "max_iter=5"]
         assert main(args + ["--out", out]) == 0
         with open(os.path.join(out, "manifest.txt")) as fh:
             lines = fh.read().splitlines()
-        for label in ("l2", "flat"):
+        for label, converged, reason in (("l2", 0, "max_iter"), ("flat", 1, "tol")):
             for teeth in (1, 4, 16):
-                assert f"# {label}_converged_teeth_{teeth} = 0" in lines
-                assert f"# {label}_reason_teeth_{teeth} = max_iter" in lines
+                assert f"# {label}_converged_teeth_{teeth} = {converged}" in lines
+                assert f"# {label}_reason_teeth_{teeth} = {reason}" in lines
 
     @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
     def test_manifest_roundtrip(self, tmp_path, name):
@@ -274,6 +275,12 @@ class TestRunner:
         ("blowup", "x0=0.1", "x0 = 0.1, t_end = 1.0, half_width = 10000.0"),
         ("blowup", "x0=0", "x0 = 0.0, t_end = 1.0, half_width = 10000.0"),
         ("blowup", "x0=-2", "x0 = -2.0, t_end = 1.0, half_width = 10000.0"),
+        # a sawtooth of more teeth than n // 4 has no harmonic on its grid,
+        # and a path of one step no interior point
+        ("vanishing-l2", "base_samples=8", "base_samples = 8, levels = 3"),
+        ("vanishing-l2", "levels=5", "base_samples = 64, levels = 5"),
+        ("vanishing-l2", "base_samples=2", "base_samples = 2, levels = 3"),
+        ("vanishing-l2", "base_steps=1", "base_steps = 1"),
     ])
     def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
                                                            override, message):
