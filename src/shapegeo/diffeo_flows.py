@@ -12,8 +12,8 @@ on a finite window, and leaving it is the loop's event, reported as blow-up
 data at the time the first point leaves, not as an error.  The three root
 searches (inverse maps, periodic points, event times) share one bisection.
 An exhausted step budget, or a bisection whose brackets stop narrowing
-above its tolerance, raises NonConvergence.  A field on a real-line grid
-is the not-a-knot cubic spline through its samples.
+above its tolerance, raises NonConvergence.  A flow's field is a callable
+x -> u(x): a CircleField on the circle, any numpy function on the line.
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ class RealGrid:
     n_nodes: int = 2048
 
     def __post_init__(self):
-        # fields on the grid are not-a-knot cubic splines, which need 4 nodes
+        # the nodes are flow start points and membership_check samples, which
+        # take a finite-difference derivative over them
         if self.n_nodes < 4:
             raise ValueError(f"n_nodes = {self.n_nodes}: a real-line grid needs >= 4 nodes")
         if not 0.0 < self.half_width < np.inf:
@@ -249,7 +250,9 @@ class RealGrid:
 @dataclass(frozen=True, eq=False)
 class TimeDependentField:
     """Piecewise-constant-in-time field: knots t_0 < ... < t_K and one
-    field per interval [t_i, t_{i+1})."""
+    field per interval [t_i, t_{i+1}), each a callable x -> u(x) on 1-D
+    arrays (a CircleField on a PeriodicGrid).  A field that is not callable,
+    or on a RealGrid is not finite at every node, raises ValueError."""
 
     knots: np.ndarray
     fields: Sequence
@@ -261,6 +264,11 @@ class TimeDependentField:
             raise ValueError("knots must be finite and strictly increasing")
         if len(self.fields) != len(knots) - 1:
             raise ValueError("need one field per knot interval")
+        for t0, t1, f in zip(knots, knots[1:], self.fields):
+            if not callable(f):
+                raise ValueError(f"the field on [{t0}, {t1}) is not callable: pass x -> u(x)")
+            if isinstance(self.grid, RealGrid) and not np.all(np.isfinite(f(self.grid.nodes))):
+                raise ValueError(f"the field on [{t0}, {t1}) is not finite at every grid node")
         object.__setattr__(self, "knots", knots)
 
     @classmethod
@@ -273,95 +281,8 @@ class TimeDependentField:
         """The time-reversed field t -> -u(t_end - t) on the same knots."""
         t0, t1 = self.knots[0], self.knots[-1]
         knots = t0 + t1 - self.knots[::-1]
-        fields = [_negate_field(f) for f in self.fields[::-1]]
+        fields = [lambda x, f=f: -f(x) for f in self.fields[::-1]]
         return TimeDependentField(knots, fields, self.grid)
-
-
-def _negate_field(f):
-    if isinstance(f, PeriodicFunction):
-        return PeriodicFunction(f.grid, -f.values)
-    return -np.asarray(f, dtype=float)
-
-
-def _solve_tridiagonal(diag, off, rhs):
-    """Solve the symmetric tridiagonal system of size 2^k - 1 whose off[i] couples
-    x_i and x_{i+1}, by cyclic reduction (Buzbee-Golub-Nielson, SIAM J. Numer.
-    Anal. 7, 1970).
-
-    Each odd row, less multiples of its two even neighbours, loses the even
-    unknowns; those rows form the symmetric system in the odd unknowns, of
-    size 2^(k-1) - 1, and the even unknowns then follow from their own rows.
-    Stable without pivoting when the matrix is diagonally dominant.
-    """
-    if diag.size == 1:
-        return rhs / diag
-    lower, upper = -off[0::2] / diag[:-1:2], -off[1::2] / diag[2::2]
-    x = np.empty_like(rhs)
-    x[1::2] = _solve_tridiagonal(diag[1::2] + lower * off[0::2] + upper * off[1::2],
-                                 upper[:-1] * off[2::2],
-                                 rhs[1::2] + lower * rhs[:-1:2] + upper * rhs[2::2])
-    even = rhs[::2].copy()
-    even[1:] -= off[1::2] * x[1::2]
-    even[:-1] -= off[0::2] * x[1::2]
-    x[::2] = even / diag[::2]
-    return x
-
-
-def _cubic_spline(grid, samples):
-    """The not-a-knot cubic spline through samples on the RealGrid, as a callable.
-
-    This is scipy's CubicSpline with its default end conditions (de Boor,
-    *A Practical Guide to Splines*, ch. IV).  On the uniform grid of step h,
-    with secant slopes m_i and node slopes s_i, the interior rows divided
-    by h are s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i) and the end rows
-    s_0 + 2 s_1 = (5 m_0 + m_1) / 2 and its mirror.  Substituting the end
-    rows into their neighbours leaves a diagonally dominant system in
-    s_1 .. s_{n-2}, padded with identity rows to size 2^k - 1 for
-    _solve_tridiagonal.  The secants and each cell's cubic use the cell's
-    stored width nodes[i+1] - nodes[i], within rounding of h, so every cubic
-    meets its two samples at the nodes as stored.  A call finds each
-    point's cell from (x - x_0) / h, clamped to the end cells so that points
-    outside the window evaluate the end cubics, and runs Horner on that
-    cell's coefficients.
-    """
-    y = np.asarray(samples, dtype=float)
-    n = grid.n_nodes
-    if y.shape != (n,) or not np.all(np.isfinite(y)):
-        raise ValueError(f"field samples must be {n} finite values, one per grid node")
-    nodes = grid.nodes
-    x0, h, width = nodes[0], 2.0 * grid.half_width / (n - 1), np.diff(nodes)
-    m = np.diff(y) / width
-    left, right = 0.5 * (5.0 * m[0] + m[1]), 0.5 * (m[-2] + 5.0 * m[-1])  # end rows
-    size = (1 << (n - 2).bit_length()) - 1
-    diag, off, rhs = np.ones(size), np.zeros(size - 1), np.zeros(size)
-    diag[:n - 2] = 4.0
-    diag[[0, n - 3]] = 2.0
-    off[:n - 3] = 1.0
-    rhs[:n - 2] = 3.0 * (m[:-1] + m[1:])
-    rhs[0] -= left
-    rhs[n - 3] -= right
-    inner = _solve_tridiagonal(diag, off, rhs)[:n - 2]
-    s = np.concatenate(([left - 2.0 * inner[0]], inner, [right - 2.0 * inner[-1]]))
-    t = (s[:-1] + s[1:] - 2.0 * m) / width
-    # per cell: its left node, then the coefficients of (x - node)^3, ^2, ^1, ^0
-    table = np.stack([nodes[:-1], t / width, (m - s[:-1]) / width - t, s[:-1], y[:-1]])
-    last_cell = float(n - 2)
-
-    def spline(x):
-        # take's clip mode puts the points left of the window in the first cell
-        cell = np.fmin((x - x0) / h, last_cell).astype(np.intp)
-        node, c3, c2, c1, c0 = table.take(cell, axis=1, mode="clip")
-        u = x - node
-        return c0 + u * (c1 + u * (c2 + u * c3))
-
-    return spline
-
-
-def _field_evaluator(field, grid):
-    if isinstance(grid, PeriodicGrid):
-        coeffs = compress(transform(field))
-        return lambda x: evaluate_spectral(coeffs, x)[0]
-    return _cubic_spline(grid, field)
 
 
 @dataclass(eq=False)
@@ -442,12 +363,12 @@ def flow_time_dependent(u, x0=None):
     """Integrate the non-autonomous flow d/dt phi = u(t) o phi.
 
     Starts at x0 or the nodes of u.grid with a first trial step of
-    BASE_STEP, and runs _integrate on each knot interval's field in turn;
-    the time and the step proposal carry across knots.  On real-line grids
-    the event is leaving the working window |x| <= half_width, which marks
-    the result as blown up, and a start point outside the window raises
-    ValueError.  Each flow that returns logs its steps, rejected and max_err
-    at DEBUG on the "shapegeo" logger.
+    BASE_STEP, and runs _integrate on each knot interval's field, called as
+    it is, in turn; the time and the step proposal carry across knots.  On
+    real-line grids the event is leaving the working window |x| <=
+    half_width, which marks the result as blown up, and a start point
+    outside the window raises ValueError.  Each flow that returns logs its
+    steps, rejected and max_err at DEBUG on the "shapegeo" logger.
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
@@ -461,8 +382,7 @@ def flow_time_dependent(u, x0=None):
     result = FlowResult(None)
     t, proposal = float(u.knots[0]), BASE_STEP
     for u_i, t_next in zip(u.fields, u.knots[1:]):
-        x, t, proposal = _integrate(_field_evaluator(u_i, grid), x, t, t_next, proposal,
-                                    result, leaves)
+        x, t, proposal = _integrate(u_i, x, t, t_next, proposal, result, leaves)
         if x is None:
             result.blow_up_time = t
             break
@@ -483,7 +403,7 @@ def flow_autonomous(u, t):
     t = float(t)
     if t == 0.0:
         return CircleDiffeo.identity(u.grid.n_samples)
-    tf = TimeDependentField.uniform([u.u], u.grid, abs(t))
+    tf = TimeDependentField.uniform([u], u.grid, abs(t))
     if t < 0.0:
         tf = tf.reversed()
     end = flow_time_dependent(tf).final_map

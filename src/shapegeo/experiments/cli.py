@@ -40,9 +40,15 @@ __all__ = ["main", "run_experiment", "EXPERIMENTS"]
 
 
 def _run_grossman(config):
-    spec = hilbert_geometry.EllipsoidSpec(m=config["m"])
-    n_list = range(config["n_min"], config["n_max"] + 1)
-    table = hilbert_geometry.grossman_experiment(spec, n_list)
+    m, n_min, n_max = config["m"], config["n_min"], config["n_max"]
+    keys = f"m = {m}, n_min = {n_min}, n_max = {n_max} for grossman"
+    if n_max < n_min:
+        raise ConfigError(f"{keys}: no plane index n_min <= n <= n_max")
+    try:  # both check their arguments before any arithmetic
+        spec = hilbert_geometry.EllipsoidSpec(m=m)
+        table = hilbert_geometry.grossman_experiment(spec, range(n_min, n_max + 1))
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
     columns = ["n", "length", "bound"]
     rows = [list(r) for r in table]
     ns = [r[0] for r in rows]
@@ -93,6 +99,9 @@ def _run_vanishing_l2(config):
 
 def _run_sphere_bvp(config):
     m = config["m"]
+    if config["n_pairs"] < 1 or config["seed"] < 0:
+        raise ConfigError(f"n_pairs = {config['n_pairs']}, seed = {config['seed']} for "
+                          "sphere-bvp: need n_pairs >= 1 and seed >= 0")
     rng = np.random.default_rng(config["seed"])
     oracle = hilbert_geometry.sphere_oracle(m)
     opts = pg.SolverOptions(tol=config["tol"], max_iter=config["max_iter"])
@@ -133,6 +142,8 @@ def _check_resolved(name, key, mode, n):
 
 def _run_exp_circle(config):
     n = config["n_samples"]
+    if config["rotation_order"] == 0:
+        raise ConfigError("rotation_order = 0 for exp-circle: must be nonzero")
     _check_resolved("exp-circle", "rotation_order", config["rotation_order"], n)
     u = diffeo_flows.CircleField.from_callable(
         lambda th: 1.0 + 0.5 * np.sin(th), n
@@ -190,9 +201,7 @@ def _flow_stats(result, prefix=""):
 
 
 def _run_blowup(config):
-    grid = diffeo_flows.RealGrid(
-        half_width=config["half_width"], n_nodes=config["n_nodes"]
-    )
+    grid = diffeo_flows.RealGrid(half_width=config["half_width"])
     # a product of Python floats overflows to inf without the warning that numpy gives
     if not np.isfinite(grid.half_width * grid.half_width):
         raise ConfigError(f"half_width = {grid.half_width} for blowup: the field x^2 "
@@ -205,8 +214,7 @@ def _run_blowup(config):
     if not window_exit < t_end:
         raise ConfigError(f"x0 = {x0}, t_end = {t_end}, half_width = {grid.half_width} for "
                           "blowup: x0 / (1 - x0 t) does not leave the window by t_end")
-    field = grid.nodes**2
-    tf = diffeo_flows.TimeDependentField.uniform([field], grid, t_end)
+    tf = diffeo_flows.TimeDependentField.uniform([np.square], grid, t_end)
     result = diffeo_flows.flow_time_dependent(tf, x0=np.array([x0]))
     if not result.blow_up:
         raise ShapeGeoError("expected blow-up was not observed")
@@ -235,7 +243,10 @@ def _run_blowup(config):
 
 
 def _run_landmark_geodesic(config):
-    kernel = kernel_metrics.gaussian_kernel(config["sigma"])
+    try:
+        kernel = kernel_metrics.gaussian_kernel(config["sigma"])
+    except ValueError as exc:
+        raise ConfigError(f"sigma = {config['sigma']} for landmark-geodesic: {exc}") from None
     start = np.array([config["q1_start"], config["q2_start"]])
     end = np.array([config["q1_end"], config["q2_end"]])
     oracle = kernel_metrics.landmark_metric_oracle(kernel, 1, 2)
@@ -271,13 +282,10 @@ def _run_landmark_geodesic(config):
 def _run_lddmm_flow(config):
     if config["n_probe"] < 1:
         raise ConfigError(f"n_probe = {config['n_probe']} for lddmm-flow: must be >= 1")
-    grid = diffeo_flows.RealGrid(
-        half_width=config["half_width"], n_nodes=config["n_nodes"]
-    )
-    x = grid.nodes
+    grid = diffeo_flows.RealGrid(half_width=config["half_width"])
     fields = [
-        np.sin(x) * np.exp(-0.1 * x**2),
-        np.cos(2.0 * x) * np.exp(-0.1 * x**2),
+        lambda x: np.sin(x) * np.exp(-0.1 * x**2),
+        lambda x: np.cos(2.0 * x) * np.exp(-0.1 * x**2),
     ]
     tf = diffeo_flows.TimeDependentField.uniform(fields, grid)
     probe = np.linspace(-3.0, 3.0, config["n_probe"])
@@ -306,6 +314,8 @@ def _run_lddmm_flow(config):
 
 def _run_sobolev_props(config):
     n = config["n_samples"]
+    if config["k_max"] < 0:
+        raise ConfigError(f"k_max = {config['k_max']} for sobolev-props: must be >= 0")
     _check_resolved("sobolev-props", "k_max", config["k_max"], n)
     columns = ["k", "q", "mode_sum", "integer_form", "ratio", "weight"]
     rows = []
@@ -371,7 +381,6 @@ EXPERIMENTS = {
         {
             "x0": 2.0,
             "half_width": 10000.0,
-            "n_nodes": 32768,
             "t_end": 1.0,
         },
     ),
@@ -390,7 +399,7 @@ EXPERIMENTS = {
     ),
     "lddmm-flow": (
         _run_lddmm_flow,
-        {"half_width": 10.0, "n_nodes": 2048, "n_probe": 61},
+        {"half_width": 10.0, "n_probe": 61},
     ),
     "sobolev-props": (
         _run_sobolev_props,

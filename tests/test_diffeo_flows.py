@@ -213,25 +213,23 @@ class TestNonSurjectivity:
 
 class TestTimeDependentFlow:
     def test_blow_up_time(self):
-        grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
+        grid = df.RealGrid(half_width=1e4)
+        tf = df.TimeDependentField.uniform([np.square], grid)
         result = df.flow_time_dependent(tf, x0=np.array([2.0]))
         assert result.blow_up
         assert abs(result.blow_up_time - 0.5) < 1e-3
 
     def test_no_blow_up_for_bounded_field(self):
         grid = df.RealGrid()
-        field = np.sin(grid.nodes) * np.exp(-0.5 * grid.nodes**2)
-        tf = df.TimeDependentField.uniform([field], grid)
+        tf = df.TimeDependentField.uniform([lambda x: np.sin(x) * np.exp(-0.5 * x**2)], grid)
         result = df.flow_time_dependent(tf, x0=np.array([0.0, 1.0, -1.5]))
         assert not result.blow_up
 
     def test_reversal_returns_to_identity(self):
         grid = df.RealGrid()
-        x = grid.nodes
         fields = [
-            np.sin(x) * np.exp(-0.5 * x**2),
-            np.cos(2 * x) * np.exp(-0.5 * x**2),
+            lambda x: np.sin(x) * np.exp(-0.5 * x**2),
+            lambda x: np.cos(2 * x) * np.exp(-0.5 * x**2),
         ]
         tf = df.TimeDependentField.uniform(fields, grid)
         probe = np.linspace(-3, 3, 41)
@@ -244,8 +242,8 @@ class TestTimeDependentFlow:
         """Near x = 10 the field is 0.1, near x = -10 it is -10: the point at 9.9975 leaves
         at 0.025, the one at -9.25 at 0.075, and both are outside at the end of one step."""
         grid = df.RealGrid(10, 2048)
-        field = 0.05 * (1 + np.tanh(grid.nodes)) - 5 * (1 - np.tanh(grid.nodes))
-        tf = df.TimeDependentField.uniform([field], grid)
+        tf = df.TimeDependentField.uniform(
+            [lambda x: 0.05 * (1 + np.tanh(x)) - 5 * (1 - np.tanh(x))], grid)
         alone = df.flow_time_dependent(tf, x0=np.array([9.9975]))
         both = df.flow_time_dependent(tf, x0=np.array(x0))
         assert alone.blow_up and both.blow_up
@@ -256,95 +254,35 @@ class TestTimeDependentFlow:
     def test_start_outside_window_rejected(self, start):
         """A start past half_width would be read as a window exit at its first step."""
         grid = df.RealGrid()
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
+        tf = df.TimeDependentField.uniform([np.square], grid)
         with pytest.raises(ValueError, match=rf"x0 = {start} .* half_width = 10\.0"):
             df.flow_time_dependent(tf, x0=np.array([0.5, start]))
 
     def test_knots_validated(self):
         grid = df.RealGrid()
         with pytest.raises(ValueError):
-            df.TimeDependentField([0.0, 0.0, 1.0], [grid.nodes, grid.nodes], grid)
+            df.TimeDependentField([0.0, 0.0, 1.0], [np.sin, np.sin], grid)
         with pytest.raises(ValueError):
-            df.TimeDependentField([0.0, 1.0], [grid.nodes, grid.nodes], grid)
+            df.TimeDependentField([0.0, 1.0], [np.sin, np.sin], grid)
         with pytest.raises(ValueError, match="finite"):
-            df.TimeDependentField([0.0, np.nan], [grid.nodes], grid)
+            df.TimeDependentField([0.0, np.nan], [np.sin], grid)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            df.TimeDependentField.uniform([grid.nodes], grid, t_end=np.inf)
+            df.TimeDependentField.uniform([np.sin], grid, t_end=np.inf)
 
+    @pytest.mark.parametrize("grid", [df.RealGrid(), pc.PeriodicGrid(64)], ids=["line", "circle"])
+    def test_sampled_field_rejected(self, grid):
+        """An array of node values is no field: a field is a callable x -> u(x)."""
+        with pytest.raises(ValueError, match=r"field on \[0\.5, 1\.0\) is not callable"):
+            df.TimeDependentField.uniform([np.sin, np.sin(grid.nodes)], grid)
 
-@st.composite
-def real_grids(draw):
-    return df.RealGrid(draw(st.floats(0.1, 100.0)), draw(st.integers(4, 300)))
+    def test_field_not_finite_at_a_node_rejected(self):
+        def field(x):
+            u = np.sin(x)
+            u[7] = np.nan
+            return u
 
-
-def probe_points(grid, seed):
-    """The nodes, 200 random points of the window widened by one cell on each
-    side, and the widened window's ends."""
-    nodes = grid.nodes
-    reach = grid.half_width + (nodes[1] - nodes[0])
-    inside = np.random.default_rng(seed).uniform(-reach, reach, 200)
-    return np.concatenate([nodes, inside, [-reach, reach]])
-
-
-# a polynomial coefficient: zero or of magnitude 1e-3 .. 1, either sign
-coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
-
-
-def smooth_field(grid, seed):
-    """A random sum of three Gaussian-windowed sines, smooth on the scale of the
-    window: in x / half_width, frequencies up to 3 and widths from 0.2 to 1."""
-    rng = np.random.default_rng(seed)
-    xi = grid.nodes / grid.half_width
-    amp, freq, phase, centre, spread = rng.uniform(
-        [-1.0, 0.0, 0.0, -1.0, 0.2], [1.0, 3.0, 2 * np.pi, 1.0, 1.0], (3, 5)).T
-    return sum(a * np.sin(f * xi + p) * np.exp(-(((xi - c) / s) ** 2))
-               for a, f, p, c, s in zip(amp, freq, phase, centre, spread))
-
-
-class TestCubicSpline:
-    @settings(max_examples=60, deadline=None)
-    @given(real_grids(), st.lists(coefficients, min_size=4, max_size=4), st.integers(0, 2**32 - 1))
-    def test_reproduces_cubics_inside_and_one_cell_outside(self, grid, coeffs, seed):
-        # not-a-knot conditions hold for every cubic, so the spline is the cubic itself
-        poly = np.polynomial.Polynomial(coeffs)
-        spline = df._cubic_spline(grid, poly(grid.nodes))
-        x = probe_points(grid, seed)
-        assert np.max(np.abs(spline(x) - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(real_grids(), st.integers(0, 2**32 - 1))
-    def test_passes_through_every_sample(self, grid, seed):
-        samples = np.random.default_rng(seed).normal(size=grid.n_nodes)
-        spline = df._cubic_spline(grid, samples)
-        assert np.max(np.abs(spline(grid.nodes) - samples)) <= 1e-14 * np.max(np.abs(samples))
-
-    @settings(max_examples=40, deadline=None)
-    @given(real_grids(), st.integers(0, 2**32 - 1))
-    def test_matches_scipy_on_smooth_fields(self, grid, seed):
-        from scipy.interpolate import CubicSpline
-
-        samples = smooth_field(grid, seed)
-        x = probe_points(grid, seed)
-        spline, reference = df._cubic_spline(grid, samples), CubicSpline(grid.nodes, samples)
-        assert np.max(np.abs(spline(x) - reference(x))) <= 1e-13 * np.max(np.abs(samples))
-
-    @pytest.mark.parametrize("name", ["blowup", "lddmm-flow"])
-    def test_matches_scipy_on_default_fields(self, name):
-        from scipy.interpolate import CubicSpline
-
-        from shapegeo.experiments.cli import EXPERIMENTS
-
-        config = EXPERIMENTS[name][1]
-        grid = df.RealGrid(config["half_width"], config["n_nodes"])
-        x = grid.nodes
-        # the fields _run_blowup and _run_lddmm_flow flow along
-        fields = ([x**2] if name == "blowup" else
-                  [np.sin(x) * np.exp(-0.1 * x**2), np.cos(2.0 * x) * np.exp(-0.1 * x**2)])
-        for samples in fields:
-            spline, reference = df._cubic_spline(grid, samples), CubicSpline(x, samples)
-            points = probe_points(grid, 0)
-            assert np.max(np.abs(spline(points) - reference(points))) <= (
-                1e-13 * np.max(np.abs(samples)))
+        with pytest.raises(ValueError, match=r"field on \[0\.0, 1\.0\) is not finite"):
+            df.TimeDependentField.uniform([field], df.RealGrid())
 
 
 def noninjectivity_field(amp):
@@ -378,14 +316,14 @@ class TestFlowTelemetry:
         """The exp-circle flows: steps sized from the error estimate keep its largest
         value within a factor 100 of the TOL bound, so the bound sets the cost."""
         u = make_field()
-        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u], u.grid))
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u], u.grid))
         assert result.steps == steps and result.rejected == 0
         bound = df.TOL * (np.max(np.abs(result.final_map)) + 1.0)
         assert bound / 100.0 <= result.max_err <= bound
 
     def test_blow_up_run_shrinks_its_steps(self):
-        grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
+        grid = df.RealGrid(half_width=1e4)
+        tf = df.TimeDependentField.uniform([np.square], grid)
         result = df.flow_time_dependent(tf, x0=np.array([2.0]))
         assert result.blow_up and result.steps > result.blow_up_time / df.BASE_STEP
 
@@ -396,23 +334,23 @@ class TestFlowTelemetry:
         evaluate = df.evaluate_spectral
         monkeypatch.setattr(df, "evaluate_spectral", lambda *a: calls.append(1) or evaluate(*a))
         u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256)
-        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u], u.grid))
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u], u.grid))
         assert len(calls) == 6 * (result.steps + result.rejected) + 1
         calls.clear()
-        back = pc.PeriodicFunction(u.grid, -0.5 * u.u.values)
-        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u, back], u.grid))
+        back = df.CircleField(pc.PeriodicFunction(u.grid, -0.5 * u.u.values))
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u, back], u.grid))
         assert len(calls) == 6 * (result.steps + result.rejected) + 2
 
 
 def circle_flow():
     u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 64)
-    back = pc.PeriodicFunction(u.grid, -0.5 * u.u.values)
-    return df.flow_time_dependent(df.TimeDependentField.uniform([u.u, back], u.grid))
+    back = df.CircleField(pc.PeriodicFunction(u.grid, -0.5 * u.u.values))
+    return df.flow_time_dependent(df.TimeDependentField.uniform([u, back], u.grid))
 
 
 def blow_up_flow():
-    grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-    return df.flow_time_dependent(df.TimeDependentField.uniform([grid.nodes**2], grid),
+    grid = df.RealGrid(half_width=1e4)
+    return df.flow_time_dependent(df.TimeDependentField.uniform([np.square], grid),
                                   x0=np.array([2.0]))
 
 
@@ -444,12 +382,12 @@ def plans(monkeypatch):
 class TestSpectralPlans:
     """Each coefficient object is folded once, however often it is evaluated."""
 
-    def test_one_plan_per_knot_interval(self, plans):
+    def test_one_plan_per_field(self, plans):
         u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 64)
-        back = pc.PeriodicFunction(u.grid, -0.5 * u.u.values)
-        result = df.flow_time_dependent(df.TimeDependentField.uniform([u.u, back, u.u], u.grid))
+        back = df.CircleField(pc.PeriodicFunction(u.grid, -0.5 * u.u.values))
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u, back, u], u.grid))
         assert result.steps > 3
-        assert len(plans) == 3 and len({id(c) for c in plans}) == 3
+        assert len(plans) == 2 and plans[0] is u._coeffs and plans[1] is back._coeffs
 
     def test_invert_plans_once(self, plans):
         phi = make_diffeo(64, lambda t: 0.2 * np.sin(t))
@@ -522,16 +460,15 @@ class TestIntegratorBudgets:
     def test_time_dependent_step_floor(self, monkeypatch):
         monkeypatch.setattr(df, "MIN_STEP", 1e-3)
         monkeypatch.setattr(df, "TOL", 0.0)
-        grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
+        grid = df.RealGrid(half_width=1e4)
+        tf = df.TimeDependentField.uniform([np.square], grid)
         with pytest.raises(NonConvergence, match="MIN_STEP"):
             df.flow_time_dependent(tf, x0=np.array([2.0]))
 
     def test_time_dependent_substep_budget(self, monkeypatch):
         monkeypatch.setattr(df, "MAX_SUBSTEPS", 3)
         grid = df.RealGrid()
-        field = np.sin(grid.nodes) * np.exp(-0.5 * grid.nodes**2)
-        tf = df.TimeDependentField.uniform([field], grid)
+        tf = df.TimeDependentField.uniform([lambda x: np.sin(x) * np.exp(-0.5 * x**2)], grid)
         with pytest.raises(NonConvergence, match="MAX_SUBSTEPS"):
             df.flow_time_dependent(tf, x0=np.array([0.0, 1.0]))
 
@@ -544,8 +481,8 @@ class TestIntegratorBudgets:
 
     def test_exit_time_bisection_budget(self, monkeypatch):
         monkeypatch.setattr(df, "EXIT_TOL", 0.0)
-        grid = df.RealGrid(half_width=1e4, n_nodes=1 << 15)
-        tf = df.TimeDependentField.uniform([grid.nodes**2], grid)
+        grid = df.RealGrid(half_width=1e4)
+        tf = df.TimeDependentField.uniform([np.square], grid)
         with pytest.raises(NonConvergence, match=STALLED):
             df.flow_time_dependent(tf, x0=np.array([2.0]))
 
@@ -627,8 +564,8 @@ class TestMembership:
 
     def test_flow_of_decaying_field_is_member(self):
         grid = df.RealGrid()
-        field = 0.5 * np.sin(grid.nodes) * np.exp(-0.5 * grid.nodes**2)
-        tf = df.TimeDependentField.uniform([field], grid)
+        tf = df.TimeDependentField.uniform([lambda x: 0.5 * np.sin(x) * np.exp(-0.5 * x**2)],
+                                           grid)
         result = df.flow_time_dependent(tf)
         disp = result.final_map - grid.nodes
         assert df.membership_check(disp, grid)

@@ -89,11 +89,23 @@ SMALL_CONFIGS = {
     "vanishing-l2": ["base_samples=16", "base_steps=4", "max_iter=5"],
     "sphere-bvp": ["n_pairs=2", "n_steps=16", "seed=7"],
     "exp-circle": ["n_samples=64"],
-    "blowup": ["half_width=100.0", "n_nodes=1024"],
+    "blowup": ["half_width=100.0"],
     "landmark-geodesic": ["n_steps=8"],
-    "lddmm-flow": ["n_nodes=256", "n_probe=5"],
+    "lddmm-flow": ["n_probe=5"],
     "sobolev-props": ["k_max=3"],
 }
+
+
+class _ReadRecorder(dict):
+    """A config that records which keys are read from it."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 def _src_env():
@@ -256,11 +268,11 @@ class TestRunner:
         ("vanishing-l2", "max_iter=-1", "max_iter = -1"),
         ("sphere-bvp", "m=0 n_pairs=2", "m >= 2, got m = 0"),
         ("lddmm-flow", "n_probe=0", "n_probe = 0 for lddmm-flow: must be >= 1"),
-        # a not-a-knot cubic spline needs 4 nodes, and a window a positive width
-        ("lddmm-flow", "n_nodes=3", "n_nodes = 3"),
+        # a window needs a positive width
         ("lddmm-flow", "half_width=-5", "half_width = -5.0"),
-        # a start outside the window, and a window whose field x^2 overflows
-        ("blowup", "x0=20000 n_nodes=1024", "x0 = 20000.0"),
+        # a start outside the window, and a window whose field x^2 overflows: the runner
+        # says so before TimeDependentField finds x^2 infinite at the window's ends
+        ("blowup", "x0=20000", "x0 = 20000.0"),
         ("blowup", "half_width=1e200", "half_width = 1e+200"),
         # two coincident landmarks are no point of landmark space
         ("landmark-geodesic", "q1_start=2.0", "q1_start = 2.0, q2_start = 2.0"),
@@ -281,6 +293,15 @@ class TestRunner:
         ("vanishing-l2", "levels=5", "base_samples = 64, levels = 5"),
         ("vanishing-l2", "base_samples=2", "base_samples = 2, levels = 3"),
         ("vanishing-l2", "base_steps=1", "base_steps = 1"),
+        # sizes and parameters the library rejects in its own words
+        ("grossman", "m=0", "m = 0"),
+        ("grossman", "n_min=0", "n_min = 0"),
+        ("grossman", "n_max=0", "n_max = 0"),
+        ("sphere-bvp", "n_pairs=0", "n_pairs = 0"),
+        ("sphere-bvp", "seed=-1", "seed = -1"),
+        ("exp-circle", "rotation_order=0", "rotation_order = 0"),
+        ("landmark-geodesic", "sigma=0", "sigma = 0.0"),
+        ("sobolev-props", "k_max=-1", "k_max = -1"),
     ])
     def test_degenerate_size_is_config_error_that_names_it(self, tmp_path, capsys, name,
                                                            override, message):
@@ -301,9 +322,17 @@ class TestRunner:
         assert isinstance(result, tuple) and len(result) == 4
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("name", list(SMALL_CONFIGS))
+    def test_runner_reads_every_config_key(self, name):
+        """A default that the runner never reads would be a key whose setting changes nothing."""
+        config = _ReadRecorder(
+            _assemble_config(name, argparse.Namespace(config=None, set=SMALL_CONFIGS[name])))
+        EXPERIMENTS[name][0](config)
+        assert config.read == set(EXPERIMENTS[name][1])
+
     def test_out_dir_holds_only_the_last_run(self, tmp_path, monkeypatch):
         out = tmp_path / "b"
-        args = ["blowup", "--set", "half_width=100.0", "--set", "n_nodes=1024", "--out", str(out)]
+        args = ["blowup", "--set", "half_width=100.0", "--out", str(out)]
         assert main(args) == 0
         with monkeypatch.context() as patch:
             patch.setattr(diffeo_flows, "MAX_SUBSTEPS", 1)
@@ -398,6 +427,20 @@ class TestRunner:
         assert abs(row["c"] - np.sqrt(0.75)) < 1e-9
         assert row["conjugation_sup_err"] < 1e-6
         assert row["field_separation"] > 0.01
+
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    def test_lddmm_flow_forward_map_against_dop853(self):
+        """x_forward at the default config against scipy's DOP853 on the same closed-form
+        fields, one solve per knot interval; scipy raises rtol 1e-14 to 2.2e-14."""
+        from scipy.integrate import solve_ivp
+
+        _, rows, _, _ = EXPERIMENTS["lddmm-flow"][0](dict(EXPERIMENTS["lddmm-flow"][1]))
+        x = np.array([r[0] for r in rows])
+        fields = [lambda t, y: np.sin(y) * np.exp(-0.1 * y**2),
+                  lambda t, y: np.cos(2.0 * y) * np.exp(-0.1 * y**2)]
+        for field, span in zip(fields, [(0.0, 0.5), (0.5, 1.0)]):
+            x = solve_ivp(field, span, x, method="DOP853", rtol=1e-14, atol=1e-15).y[:, -1]
+        assert np.max(np.abs(np.array([r[1] for r in rows]) - x)) <= 5e-11
 
     def test_lddmm_flow_default(self, tmp_path):
         out = str(tmp_path / "l")
