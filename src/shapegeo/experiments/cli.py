@@ -180,6 +180,10 @@ def _run_exp_circle(config):
         "field_separation",
     ]
     rows = [[c, float(np.sqrt(0.75)), conj_err, err1, err2, field_sep]]
+    # the row's gate: on a grid too coarse for u or psi the flows miss the maps they stand for
+    if not (abs(c - rows[0][1]) < 1e-9 and max(conj_err, err1, err2) < 1e-6):
+        raise ShapeGeoError(f"exp-circle row fails its gate (c within 1e-9 of sqrt(0.75), "
+                            f"errors < 1e-6): {dict(zip(columns[:5], rows[0]))}")
     nodes = grid.nodes
     plot = dict(
         series=[

@@ -96,9 +96,10 @@ class PeriodicFunction:
 class SpectralCoeffs:
     """Complex Fourier coefficients per component in fft storage order.
 
-    The first ``evaluate_spectral`` call keeps its coefficient-only work on
-    the object (see ``_spectral_plan``), so ``coeffs`` must not be written
-    in place after that; every function here makes new coefficients.
+    The first ``evaluate_spectral`` call keeps its coefficient-only work, a
+    (rows, B, M) table of the folded coefficients (see ``_spectral_plan``),
+    on the object, so ``coeffs`` must not be written in place after that;
+    every function here makes new coefficients.
     """
 
     grid: PeriodicGrid
@@ -126,11 +127,11 @@ def compress(c):
     coefficient, so every coefficient no larger than n * eps * max|c_k| is
     taken as rounding noise and zeroed, with n = c.grid.n_samples.
     Band-limited data gains nothing, but off-grid evaluation of smooth
-    functions becomes much cheaper: evaluate_spectral skips the zeroed
-    modes, and its phase table ends at the highest nonzero mode.  The
-    result is a new object with its own evaluate_spectral plan, so a caller
-    that evaluates one function many times keeps the result rather than
-    compressing again (CircleDiffeo and CircleField keep theirs).
+    functions becomes much cheaper: evaluate_spectral's sum and its power
+    tables end at the highest nonzero mode.  The result is a new object
+    with its own evaluate_spectral plan, so a caller that evaluates one
+    function many times keeps the result rather than compressing again
+    (CircleDiffeo and CircleField keep theirs).
     """
     mag = np.abs(c.coeffs)
     threshold = c.grid.n_samples * np.finfo(float).eps * np.max(mag)
@@ -156,23 +157,20 @@ def _powers(w, count):
 def _spectral_plan(c):
     """The part of ``evaluate_spectral`` that depends on the coefficients alone.
 
-    Returns (rows, lead, m, giants, baby_index, giant_index): the folded
-    coefficients d_k of the selected modes as a (rows, K) array, the leading
-    shape coeffs.shape[:-1], the baby table size M, the giant count B and
-    each mode's k mod M and k div M.
+    Returns (table, lead): the folded coefficients as a zero-padded
+    (rows, B, M) array with table[r, b, a] = d_{bM+a} for bM + a <= k_max,
+    and the leading shape coeffs.shape[:-1].
     """
     n = c.grid.n_samples
-    coeffs = c.coeffs
-    folded = coeffs[..., : n // 2 + 1].astype(complex)
-    folded[..., 1 : n // 2] += np.conj(coeffs[..., : n // 2 : -1])
-    folded[..., n // 2] = coeffs[..., n // 2].real
-    modes = np.flatnonzero(np.any(folded != 0.0, axis=tuple(range(folded.ndim - 1))))
-    if modes.size == 0:
-        modes = np.zeros(1, dtype=int)  # keep one column so the shape is right
-    k_max = int(modes[-1])
+    coeffs = c.coeffs.reshape(-1, n)
+    folded = coeffs[:, : n // 2 + 1].astype(complex)
+    folded[:, 1 : n // 2] += np.conj(coeffs[:, : n // 2 : -1])
+    folded[:, n // 2] = coeffs[:, n // 2].real
+    k_max = int(max(np.flatnonzero(np.any(folded != 0.0, axis=0)), default=0))
     m = math.isqrt(k_max) + 1  # ceil(sqrt(k_max + 1))
-    rows = folded[..., modes].reshape(-1, modes.size)
-    return rows, coeffs.shape[:-1], m, k_max // m + 1, modes % m, modes // m
+    table = np.zeros((folded.shape[0], (k_max // m + 1) * m), dtype=complex)
+    table[:, : k_max + 1] = folded[:, : k_max + 1]
+    return table.reshape(folded.shape[0], -1, m), c.coeffs.shape[:-1]
 
 
 def evaluate_spectral(c, theta):
@@ -185,34 +183,34 @@ def evaluate_spectral(c, theta):
     Each -k is folded onto +k: d_0 = c_0, d_k = c_k + conj(c_{-k}) for
     0 < k < n/2 and d_{n/2} = Re c_{n/2}, so the result is
     Re sum_{k >= 0} d_k z^k with z = exp(i theta).  This identity holds for
-    the real part of any coefficients, Hermitian or not.  Only modes with a
-    nonzero d_k in some row are synthesized.  With k_max the highest of
-    them, M = ceil(sqrt(k_max + 1)) and B = k_max div M + 1, the phase
-    z^k = z^(k mod M) * (z^M)^(k div M) is read from a baby table z^a
-    (a < M) and a giant table (z^M)^b (b < B), both built by cumulative
-    products from one complex exponential per point: the baby-step/
-    giant-step split of Paterson and Stockmeyer (1973).  A phase thus
-    carries the rounding of up to M + B multiplications rather than that
-    of one exp(ik theta); at k_max = 128, M + B = 23.
+    the real part of any coefficients, Hermitian or not.  With k_max the
+    highest mode with a nonzero d_k in some row, M = ceil(sqrt(k_max + 1))
+    and B = k_max div M + 1, the sum is sum_{b < B} (z^M)^b p_b(z) with
+    p_b(z) = sum_{a < M} d_{bM+a} z^a, the baby-step/giant-step scheme of
+    Paterson and Stockmeyer (1973): the baby powers z^a (a < M) and the
+    giant powers (z^M)^b (b < B) are cumulative products from one complex
+    exponential per point, and one matrix product with the baby table gives
+    every p_b of every row.  No phase z^k is formed, so time and memory per
+    point grow as M + B, not as k_max.  A term d_k z^k takes at most M + B
+    multiplications, plus a length-M sum and then a length-B sum, rather
+    than one exp(ik theta) (M + B = 23 at k_max = 128); its rounding still
+    grows about as k eps, as (z^M)^b raises that of z^M to the b-th power.
 
-    The fold, the mode selection and the index split depend on c alone.
-    The first call on c keeps them on it, so repeated calls on one c, such
-    as the stages of a flow, only build the phases and take one product.
+    The fold and the table depend on c alone.  The first call on c keeps
+    them on it, so repeated calls on one c, such as the stages of a flow,
+    only build the two power tables and take one product.
     """
     theta = np.asarray(theta, dtype=float)
-    plan = c._plan
-    if plan is None:
-        plan = _spectral_plan(c)
-        object.__setattr__(c, "_plan", plan)
-    rows, lead, m, giants, baby_index, giant_index = plan
-    z = np.exp(1j * theta)
-    baby = _powers(z, m)
-    giant = _powers(baby[-1] * z, giants)
-    phases = baby[baby_index] * giant[giant_index]
-    # the product tensordot(axes=1) takes on the flattened operands; copy the real
-    # part out, so the result is contiguous and the complex product is freed
-    out = np.dot(rows, phases.reshape(rows.shape[1], -1))
-    return out.reshape(lead + theta.shape).real.copy()
+    if c._plan is None:
+        object.__setattr__(c, "_plan", _spectral_plan(c))
+    table, lead = c._plan
+    z = np.exp(1j * theta).reshape(-1)
+    baby = _powers(z, table.shape[2])
+    giant = _powers(baby[-1] * z, table.shape[1])
+    inner = table @ baby
+    inner *= giant
+    # copy the real part out, so the result is contiguous and the complex sum is freed
+    return inner.sum(axis=-2).reshape(lead + theta.shape).real.copy()
 
 
 def differentiate(values, order=1):

@@ -2,14 +2,19 @@
 
 import argparse
 import ast
+import contextlib
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapegeo
 from shapegeo import diffeo_flows
@@ -470,6 +475,37 @@ class TestRunner:
     def test_run_experiment_unknown_name(self):
         with pytest.raises(KeyError):
             run_experiment("nope", {}, "/tmp/never")
+
+
+@st.composite
+def exp_circle_configs(draw):
+    """exp-circle keys from bounded ranges: n_samples 16 to 256, a nonzero
+    rotation_order with |rotation_order| < n_samples / 2, amplitudes in [-0.3, 0.3]."""
+    n = 2 ** draw(st.integers(4, 8))
+    order = draw(st.integers(1, n // 2 - 1)) * draw(st.sampled_from([1, -1]))
+    return {"n_samples": n, "rotation_order": order,
+            "amplitude_1": draw(st.floats(-0.3, 0.3)), "amplitude_2": draw(st.floats(-0.3, 0.3))}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(exp_circle_configs())
+    def test_exp_circle_exit_code_says_what_the_row_is(self, config):
+        """Exit 0 means the row passes its gate, exit 2 names a config key and exit 3
+        leaves error.txt."""
+        sets = [arg for key, value in config.items() for arg in ("--set", f"{key}={value!r}")]
+        stderr = StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr):
+            code = main(["exp-circle", *sets, "--out", out])
+            if code == 0:
+                columns, rows = io.read_csv(os.path.join(out, "table.csv"))
+                row = dict(zip(columns, rows[0]))
+                assert abs(row["c"] - np.sqrt(0.75)) < 1e-9
+                assert max(row["conjugation_sup_err"], row["flow_err_1"], row["flow_err_2"]) < 1e-6
+            elif code == 2:
+                assert any(f"{key} = " in stderr.getvalue() for key in config), stderr.getvalue()
+            else:
+                assert code == 3 and os.path.exists(os.path.join(out, "error.txt"))
 
 
 def _scipy_loaded_by(code):

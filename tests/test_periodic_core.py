@@ -1,12 +1,14 @@
 """Spectral core: transforms, derivatives, Sobolev pairings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapegeo import diffeo_flows
 from shapegeo import periodic_core as pc
 
 
@@ -80,15 +82,15 @@ class TestGridAndTransform:
 
 
 def direct_spectral_sum(coeffs, theta):
-    """Re sum_k c_k exp(ik theta) over the fft wavenumbers, the Nyquist
-    coefficient split evenly between +n/2 and -n/2: one exp per point and mode."""
+    """Re sum_k c_k exp(ik theta) over the fft wavenumbers, one mode at a time, the
+    Nyquist coefficient split evenly between +n/2 and -n/2."""
     n = coeffs.shape[-1]
     split = coeffs.copy()
     split[..., n // 2] *= 0.5
-    phases = np.exp(1j * np.multiply.outer(theta, pc.PeriodicGrid(n).wavenumbers))
-    out = np.tensordot(split, phases, axes=([-1], [-1]))
-    out = out + np.multiply.outer(split[..., n // 2], np.exp(-0.5j * n * theta))
-    return out.real
+    out = np.zeros(coeffs.shape[:-1] + theta.shape)
+    for j, k in zip([*range(n), n // 2], [*pc.PeriodicGrid(n).wavenumbers, -(n // 2)]):
+        out += np.multiply.outer(split[..., j], np.exp(1j * k * theta)).real
+    return out
 
 
 @st.composite
@@ -146,20 +148,22 @@ class TestEvaluateSpectral:
         assert np.max(np.abs(full - trimmed)) < 1e-12
 
 
-def folded_tensordot(c, theta):
-    """evaluate_spectral with no kept plan: fold, mode selection, index split and
-    one tensordot, all redone on every call."""
+def paterson_stockmeyer_sum(c, theta):
+    """evaluate_spectral with no kept plan: the fold, the zero-padded (rows, B, M)
+    table of d_{bM+a} and the sum over b of (z^M)^b p_b(z), all redone from the
+    coefficients on every call."""
     theta = np.asarray(theta, dtype=float)
     n = c.grid.n_samples
-    coeffs = c.coeffs
-    folded = coeffs[..., : n // 2 + 1].astype(complex)
-    folded[..., 1 : n // 2] += np.conj(coeffs[..., : n // 2 : -1])
-    folded[..., n // 2] = coeffs[..., n // 2].real
-    modes = np.flatnonzero(np.any(folded != 0.0, axis=tuple(range(folded.ndim - 1))))
-    if modes.size == 0:
-        modes = np.zeros(1, dtype=int)
-    k_max = int(modes[-1])
+    coeffs = c.coeffs.reshape(-1, n)
+    folded = coeffs[:, : n // 2 + 1].astype(complex)
+    folded[:, 1 : n // 2] += np.conj(coeffs[:, : n // 2 : -1])
+    folded[:, n // 2] = coeffs[:, n // 2].real
+    modes = np.flatnonzero(np.any(folded != 0.0, axis=0))
+    k_max = int(modes[-1]) if modes.size else 0
     m = math.isqrt(k_max) + 1
+    table = np.zeros((folded.shape[0], k_max // m + 1, m), dtype=complex)
+    for k in range(k_max + 1):
+        table[:, k // m, k % m] = folded[:, k]
 
     def powers(w, count):
         table = np.empty((count,) + w.shape, dtype=complex)
@@ -168,11 +172,12 @@ def folded_tensordot(c, theta):
             table[a] = table[a - 1] * w
         return table
 
-    z = np.exp(1j * theta)
+    z = np.exp(1j * theta).reshape(-1)
     baby = powers(z, m)
     giant = powers(baby[-1] * z, k_max // m + 1)
-    phases = baby[modes % m] * giant[modes // m]
-    return np.tensordot(folded[..., modes], phases, axes=1).real.copy()
+    inner = table @ baby
+    inner *= giant
+    return inner.sum(axis=-2).reshape(c.coeffs.shape[:-1] + theta.shape).real.copy()
 
 
 @st.composite
@@ -199,11 +204,11 @@ def plan_cases(draw):
 class TestSpectralPlan:
     @settings(max_examples=200, deadline=None)
     @given(plan_cases())
-    def test_kept_plan_is_bitwise_the_folded_tensordot(self, case):
+    def test_kept_plan_is_bitwise_the_paterson_stockmeyer_sum(self, case):
         """The first call, a second call at the same angles and a third at angles of
         another shape all equal the formula that folds on every call, bit for bit."""
         c, (theta, other) = case
-        expect = folded_tensordot(c, theta)
+        expect = paterson_stockmeyer_sum(c, theta)
         first = pc.evaluate_spectral(c, theta)
         plan = c._plan
         assert plan is not None
@@ -211,8 +216,59 @@ class TestSpectralPlan:
         assert np.array_equal(pc.evaluate_spectral(c, theta), expect)
         got = pc.evaluate_spectral(c, other)
         assert c._plan is plan
-        assert np.array_equal(got, folded_tensordot(c, other))
+        assert np.array_equal(got, paterson_stockmeyer_sum(c, other))
         assert got.shape == c.coeffs.shape[:-1] + other.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(plan_cases())
+    def test_matches_the_mode_by_mode_sum(self, case):
+        """Within 2 (M + B)^2 eps (sum_k |d_k| + sum_k |c_k|) per row of the sum taken
+        mode by mode: a first-order rounding bound, with u = eps / 2 and each complex
+        product off by at most sqrt(5) u < 1.2 eps.  evaluate_spectral forms the term
+        d_k z^k, k = bM + a, by a chain of about k + b + 1 < MB + B products and adds it
+        in a length-M and a length-B sum: off by at most 1.2 (MB + 2B + M + 4) eps |d_k|.
+        The reference rounds k theta, off by |k theta| u <= 2 pi MB eps for
+        |theta| <= 4 pi and |k| <= k_max < MB, and adds at most 2 MB terms: off by at
+        most 7.3 MB eps |c_k|.  Both fit, as 4 MB <= (M + B)^2 and M + B >= 3 once
+        k_max >= 1; at k_max = 0 both sides are exact."""
+        c, (theta, _) = case
+        eps = np.finfo(float).eps
+        n = c.grid.n_samples
+        active = np.any(c.coeffs.reshape(-1, n) != 0.0, axis=0)
+        k_max = int(np.max(np.abs(c.grid.wavenumbers)[active], initial=0))
+        m = math.isqrt(k_max) + 1
+        size = m + k_max // m + 1
+        folded = np.abs(c.coeffs[..., : n // 2 + 1].astype(complex))
+        folded[..., 1 : n // 2] = np.abs(c.coeffs[..., 1 : n // 2]
+                                         + np.conj(c.coeffs[..., : n // 2 : -1]))
+        folded[..., n // 2] = np.abs(c.coeffs[..., n // 2].real)
+        bound = 2 * size**2 * eps * (folded.sum(axis=-1) + np.abs(c.coeffs).sum(axis=-1))
+        err = np.abs(pc.evaluate_spectral(c, theta) - direct_spectral_sum(c.coeffs, theta))
+        assert np.all(err <= bound.reshape(bound.shape + (1,) * theta.ndim))
+
+    def test_scan_call_holds_no_phase_table(self):
+        """One call at the PERIODIC_SCAN_SAMPLES + 1 points of isolated_periodic_points,
+        on the fifth power of nonsurjectivity_candidate(5, 0.05) that it scans, peaks
+        below (M + 3B) P complex entries: the baby table, the giant table and the B
+        partial sums per point, with B P to spare, 2.95 MB at M = 12, B = 11.  A table
+        of every active mode's phase at every point on top of them does not fit."""
+        phi = diffeo_flows.nonsurjectivity_candidate(5, 0.05)
+        power = phi
+        for _ in range(4):
+            power = diffeo_flows.compose(phi, power)
+        c = power._coeffs
+        k_max = int(np.max(np.abs(c.grid.wavenumbers)[np.any(c.coeffs != 0.0, axis=0)]))
+        m = math.isqrt(k_max) + 1
+        giants = k_max // m + 1
+        assert (m, giants) == (12, 11)
+        x = np.linspace(0.0, 2.0 * np.pi, diffeo_flows.PERIODIC_SCAN_SAMPLES + 1)
+        tracemalloc.start()
+        try:
+            pc.evaluate_spectral(c, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (m + 3 * giants) * x.size * np.dtype(complex).itemsize
 
 
 class TestDerivative:
