@@ -100,15 +100,15 @@ class CircleDiffeo:
         return cls(PeriodicFunction(grid, np.full((1, n_samples), float(alpha))))
 
     @cached_property
-    def _coeffs(self):
-        """Compressed coefficients of the displacement, one set (and one
-        evaluate_spectral plan) for every evaluation of this map."""
-        return compress(transform(self.disp))
+    def _disp_field(self):
+        """The displacement as a CircleField, evaluated off the grid with one
+        set of compressed coefficients for every evaluation of this map."""
+        return CircleField(self.disp)
 
     def __call__(self, x):
         """Evaluate the lift at arbitrary points."""
         x = np.asarray(x, dtype=float)
-        return x + evaluate_spectral(self._coeffs, x)[0]
+        return x + self._disp_field(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +143,7 @@ def compose(phi, psi):
     """Composition phi o psi of circle diffeomorphisms."""
     if phi.grid.n_samples != psi.grid.n_samples:
         raise ValueError("grids do not match")
-    f_at_psi = evaluate_spectral(phi._coeffs, psi.values)[0]
+    f_at_psi = phi._disp_field(psi.values)
     disp = psi.disp.values[0] + f_at_psi
     return CircleDiffeo(PeriodicFunction(psi.grid, disp[None, :]))
 
@@ -181,14 +181,13 @@ def invert(phi):
     """
     nodes = phi.grid.nodes
     f = phi.disp.values[0]
-    coeffs = phi._coeffs
+    disp = phi._disp_field
     lo = nodes - np.max(f) - 1e-9
     hi = nodes - np.min(f) + 1e-9
-    g_lo, g_hi = np.stack([lo, hi]) + evaluate_spectral(coeffs, np.stack([lo, hi]))[0] - nodes
+    g_lo, g_hi = np.stack([lo, hi]) + disp(np.stack([lo, hi])) - nodes
     lo = np.where(g_lo > 0.0, lo - TWO_PI, lo)
     hi = np.where(g_hi > 0.0, hi, hi + TWO_PI)
-    lo, hi = _bisect(lambda y: y + evaluate_spectral(coeffs, y)[0] - nodes > 0.0,
-                     lo, hi, INVERT_TOL)
+    lo, hi = _bisect(lambda y: y + disp(y) - nodes > 0.0, lo, hi, INVERT_TOL)
     y = 0.5 * (lo + hi)
     return CircleDiffeo(PeriodicFunction(phi.grid, (y - nodes)[None, :]))
 
@@ -227,24 +226,25 @@ def _dp5_step(f, x, dt, k1):
     return y, k[6], dt * float(np.max(np.abs(_DP_E @ k)))
 
 
+# nodes of every RealGrid: the flow start points and the membership_check
+# samples, which take a finite-difference derivative over them
+REAL_GRID_NODES = 2048
+
+
 @dataclass(frozen=True)
 class RealGrid:
-    """Uniform working window [-half_width, half_width] on the line."""
+    """Uniform working window [-half_width, half_width] on the line, sampled
+    at REAL_GRID_NODES nodes."""
 
     half_width: float = 10.0
-    n_nodes: int = 2048
 
     def __post_init__(self):
-        # the nodes are flow start points and membership_check samples, which
-        # take a finite-difference derivative over them
-        if self.n_nodes < 4:
-            raise ValueError(f"n_nodes = {self.n_nodes}: a real-line grid needs >= 4 nodes")
         if not 0.0 < self.half_width < np.inf:
             raise ValueError(f"half_width = {self.half_width}: must be positive and finite")
 
     @property
     def nodes(self):
-        return np.linspace(-self.half_width, self.half_width, self.n_nodes)
+        return np.linspace(-self.half_width, self.half_width, REAL_GRID_NODES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,14 +450,12 @@ def exp_noninjectivity_demo(psi, n):
     nodes = grid.nodes
     shift = TWO_PI / n
     # periodicity defect of psi: psi(x + 2*pi/n) - psi(x) - 2*pi/n
-    defect = np.max(np.abs(evaluate_spectral(psi._coeffs, nodes + shift)[0] - psi.disp.values[0]))
+    defect = np.max(np.abs(psi._disp_field(nodes + shift) - psi.disp.values[0]))
     if defect > 1e-8:
         raise ValueError(f"psi is not 2*pi/{n}-periodic (defect {defect:.3e})")
     psi_inv = invert(psi)
-    dpsi = derivative(psi.disp, 1)
-    dpsi_coeffs = compress(transform(dpsi))
-    inv_nodes = psi_inv.values
-    u_vals = shift * (1.0 + evaluate_spectral(dpsi_coeffs, inv_nodes)[0])
+    dpsi = CircleField(derivative(psi.disp, 1))
+    u_vals = shift * (1.0 + dpsi(psi_inv.values))
     u = CircleField(PeriodicFunction(grid, u_vals[None, :]))
     phi = flow_autonomous(u, 1.0)
     err = float(np.max(np.abs(_wrap_angle(phi.values - nodes - shift))))
@@ -506,9 +504,9 @@ def isolated_periodic_points(phi, n):
     power = phi
     for _ in range(n - 1):
         power = compose(phi, power)
-    coeffs = power._coeffs
+    disp = power._disp_field
     x = np.linspace(0.0, TWO_PI, PERIODIC_SCAN_SAMPLES + 1)
-    vals = evaluate_spectral(coeffs, x)[0]
+    vals = disp(x)
     fa, fb = vals[:-1], vals[1:]
     exact = fa == 0.0
     bracket = ~exact & (fa * fb < 0.0)
@@ -516,7 +514,7 @@ def isolated_periodic_points(phi, n):
     if np.any(bracket):
         # the root sits where the displacement leaves the sign it has at lo
         sign = np.sign(fa[bracket])
-        lo, hi = _bisect(lambda mid: sign * evaluate_spectral(coeffs, mid)[0] <= 0.0,
+        lo, hi = _bisect(lambda mid: sign * disp(mid) <= 0.0,
                          x[:-1][bracket], x[1:][bracket], PERIODIC_POINT_TOL)
         roots[bracket] = 0.5 * (lo + hi)
     return roots[exact | bracket]

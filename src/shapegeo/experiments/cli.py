@@ -44,9 +44,8 @@ def _run_grossman(config):
     keys = f"m = {m}, n_min = {n_min}, n_max = {n_max} for grossman"
     if n_max < n_min:
         raise ConfigError(f"{keys}: no plane index n_min <= n <= n_max")
-    try:  # both check their arguments before any arithmetic
-        spec = hilbert_geometry.EllipsoidSpec(m=m)
-        table = hilbert_geometry.grossman_experiment(spec, range(n_min, n_max + 1))
+    try:  # it checks its arguments before any arithmetic
+        table = hilbert_geometry.grossman_experiment(m, range(n_min, n_max + 1))
     except ValueError as exc:
         raise ConfigError(f"{keys}: {exc}") from None
     columns = ["n", "length", "bound"]
@@ -134,7 +133,12 @@ def _run_sphere_bvp(config):
 
 
 def _check_resolved(name, key, mode, n):
-    """A grid of n nodes resolves the modes |k| < n // 2; sin(n x / 2) vanishes on its nodes."""
+    """n_samples is a grid size, and a grid of n nodes resolves the modes |k| < n // 2;
+    sin(n x / 2) vanishes on its nodes."""
+    try:
+        pc.PeriodicGrid(n)
+    except ValueError as exc:
+        raise ConfigError(f"n_samples = {n} for {name}: {exc}") from None
     if abs(mode) >= n // 2:
         raise ConfigError(f"{key} = {mode}, n_samples = {n} for {name}: the grid resolves "
                           f"modes |k| < n_samples // 2 = {n // 2} only")
@@ -144,6 +148,9 @@ def _run_exp_circle(config):
     n = config["n_samples"]
     if config["rotation_order"] == 0:
         raise ConfigError("rotation_order = 0 for exp-circle: must be nonzero")
+    if config["amplitude_1"] == config["amplitude_2"]:
+        raise ConfigError(f"amplitude_1 = amplitude_2 = {config['amplitude_1']} for exp-circle: "
+                          "equal amplitudes give one psi twice, so no two fields to separate")
     _check_resolved("exp-circle", "rotation_order", config["rotation_order"], n)
     u = diffeo_flows.CircleField.from_callable(
         lambda th: 1.0 + 0.5 * np.sin(th), n
@@ -180,10 +187,13 @@ def _run_exp_circle(config):
         "field_separation",
     ]
     rows = [[c, float(np.sqrt(0.75)), conj_err, err1, err2, field_sep]]
-    # the row's gate: on a grid too coarse for u or psi the flows miss the maps they stand for
-    if not (abs(c - rows[0][1]) < 1e-9 and max(conj_err, err1, err2) < 1e-6):
+    # the row's gate: on a grid too coarse for u or psi the flows miss the maps they stand
+    # for, and two fields closer than the flows' errors do not show two fields of one flow
+    if not (abs(c - rows[0][1]) < 1e-9 and max(conj_err, err1, err2) < 1e-6
+            and field_sep > max(err1, err2)):
         raise ShapeGeoError(f"exp-circle row fails its gate (c within 1e-9 of sqrt(0.75), "
-                            f"errors < 1e-6): {dict(zip(columns[:5], rows[0]))}")
+                            f"errors < 1e-6, field_separation > flow errors): "
+                            f"{dict(zip(columns, rows[0]))}")
     nodes = grid.nodes
     plot = dict(
         series=[
@@ -291,10 +301,17 @@ def _run_lddmm_flow(config):
         lambda x: np.sin(x) * np.exp(-0.1 * x**2),
         lambda x: np.cos(2.0 * x) * np.exp(-0.1 * x**2),
     ]
-    tf = diffeo_flows.TimeDependentField.uniform(fields, grid)
+    # TimeDependentField checks the fields at the window's ends, where x^2 may overflow to
+    # inf harmlessly (exp(-inf) = 0) and cos(2x) is nan once 2x does
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            tf = diffeo_flows.TimeDependentField.uniform(fields, grid)
+        except ValueError as exc:
+            raise ConfigError(f"half_width = {grid.half_width} for lddmm-flow: {exc}") from None
+        reverse = tf.reversed()
     probe = np.linspace(-3.0, 3.0, config["n_probe"])
     fwd = diffeo_flows.flow_time_dependent(tf, x0=probe)
-    back = diffeo_flows.flow_time_dependent(tf.reversed(), x0=fwd.final_map)
+    back = diffeo_flows.flow_time_dependent(reverse, x0=fwd.final_map)
     if fwd.blow_up or back.blow_up:
         raise ShapeGeoError("decaying-field flow unexpectedly left the window")
     columns = ["x0", "x_forward", "x_return", "return_err"]

@@ -13,7 +13,6 @@ semi-axes a_0 = 1, a_n = 1 + 2^{-n}; half great circles through e_0 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,29 +21,10 @@ from .errors import SingularGram
 from .path_geodesics import MetricOracle, _check_condition
 
 __all__ = [
-    "EllipsoidSpec",
     "sphere_distance_analytic",
     "sphere_oracle",
     "grossman_experiment",
 ]
-
-
-@dataclass(frozen=True)
-class EllipsoidSpec:
-    """Semi-axes a_0 = 1, a_n = 1 + 2^{-n} for 1 <= n < m."""
-
-    m: int = 24
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("ambient dimension must be >= 2")
-
-    @property
-    def semi_axes(self):
-        n = np.arange(self.m)
-        a = 1.0 + 2.0 ** (-n.astype(float))
-        a[0] = 1.0
-        return a
 
 
 def _check_unit(x, tol=1e-10):
@@ -129,32 +109,34 @@ def sphere_oracle(m):
     )
 
 
-def grossman_experiment(spec, n_list):
-    """Lengths of the half-great-circle family F(c_n), in closed form.
+def grossman_experiment(m, n_list):
+    """Lengths of the half-great-circle family F(c_n) of the ellipsoid in R^m, in closed form.
 
     F(c_n) is s -> (cos s, a sin s), 0 <= s <= pi, a = 1 + 2^{-n}, of length
-    int_0^pi sqrt(sin^2 s + a^2 cos^2 s) ds = 2a int_0^{pi/2} sqrt(1 - m sin^2 s) ds
-    = 2a E(m), m = 1 - a^{-2}.  E comes from the arithmetic-geometric mean
-    (Abramowitz-Stegun 17.6): a_0 = 1, b_0 = sqrt(1 - m), c_0^2 = m, then
+    int_0^pi sqrt(sin^2 s + a^2 cos^2 s) ds = 2a int_0^{pi/2} sqrt(1 - k2 sin^2 s) ds
+    = 2a E(k2), k2 = 1 - a^{-2}.  E comes from the arithmetic-geometric mean
+    (Abramowitz-Stegun 17.6): a_0 = 1, b_0 = sqrt(1 - k2), c_0^2 = k2, then
     (a, b, c) <- ((a + b)/2, sqrt(ab), (a - b)/2), E = pi/(2 a_inf) (1 - sum_j
     2^{j-1} c_j^2).  As c_{j+1} = c_j^2/(4 a_{j+1}), a - b squares each pass until
     rounding leaves a and b, both in [2/3, 1], an ulp apart; so the loop ends at
     max(a - b) <= 2 eps (4 passes at n = 1), and the terms it omits are < 2^j eps^2.
 
     Rows are (n, length, (1 + 2^{-n}) pi), strictly decreasing in n, above pi and
-    within the bound.  n outside 1 <= n < spec.m or above 48 raises ValueError.
+    within the bound.  m < 2, or n outside 1 <= n < m or above 48, raises ValueError.
     """
+    if m < 2:
+        raise ValueError(f"ambient dimension m = {m} must be >= 2")
     n = np.asarray(n_list, dtype=int)
     for k in n:
-        if not 1 <= k < spec.m:
-            raise ValueError(f"plane index {k} outside ambient dimension {spec.m}")
+        if not 1 <= k < m:
+            raise ValueError(f"plane index {k} outside ambient dimension {m}")
         # consecutive lengths differ by about pi 2^(-n-2): 6.3 ulp(pi) at n = 48 and 3.1 at
         # n = 49, while each length is off by up to 1.9 ulp, so past 48 they need not decrease
         if k > 48:
             raise ValueError(f"plane index {k} > 48: rows past 48 are not resolved in doubles")
-    axis = spec.semi_axes[n]
-    m = 1.0 - axis**-2.0
-    a, b, total, weight = np.ones_like(m), np.sqrt(1.0 - m), m / 2, 0.5
+    axis = 1.0 + 2.0 ** (-n.astype(float))
+    k2 = 1.0 - axis**-2.0
+    a, b, total, weight = np.ones_like(k2), np.sqrt(1.0 - k2), k2 / 2, 0.5
     while np.any(a - b > 2 * np.finfo(float).eps):
         a, b, c = (a + b) / 2, np.sqrt(a * b), (a - b) / 2
         weight *= 2

@@ -7,8 +7,8 @@ inducing a tangent h is the kernel expansion with momenta p = K_q^{-1} h,
 and ``constrained_infimum`` realizes that infimum independently as a QP,
 solving its KKT system with ``np.linalg.solve``.
 
-Since K_q = K ⊗ I_d for the N x N scalar Gram K, every solve reads K
-alone (one LU with pivoting, no regularization) and solves the momenta
+Since K_q = K ⊗ I_d for the N x N scalar Gram K, K_q is never formed: every
+solve reads K alone (one LU with pivoting, no regularization) and solves the momenta
 (N, d) with d right-hand sides.  The landmark oracle does this for a whole
 stack of configurations (..., N*d) at once.  A degenerate configuration fails
 loudly: non-finite positions raise ValueError, and two landmarks closer
@@ -31,7 +31,6 @@ __all__ = [
     "gaussian_kernel",
     "sobolev_kernel",
     "LandmarkConfig",
-    "gram_assemble",
     "induced_metric",
     "landmark_metric_oracle",
     "admissibility_bound_check",
@@ -195,12 +194,6 @@ def _gram_derivative(state, p):
 def _scalar_gram(kernel, points_a, points_b=None):
     b = points_a if points_b is None else points_b
     return kernel(points_a[:, None, :], b[None, :, :])
-
-
-def gram_assemble(kernel, config):
-    """Block Gram matrix (N*d x N*d) with blocks k(q_i, q_j) * I_d."""
-    scal = _scalar_gram(kernel, config.points)
-    return np.kron(scal, np.eye(config.dim))
 
 
 def induced_metric(kernel, config, h):

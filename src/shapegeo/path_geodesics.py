@@ -134,9 +134,6 @@ class MetricOracle:
     def G(self, x, h, k):
         return self.metric(x, h, k)
 
-    def DG(self, x, l, h, k):
-        return self.variation(x, l, h, k)
-
 
 def _check_condition(cond):
     """Raise ``SingularGram`` unless the Gram condition number cond is finite and <= COND_LIMIT."""

@@ -217,7 +217,7 @@ class TestSharedL2Kernel:
                 v.reshape(-1) for v in (c.pos.values, l.h.values, h.h.values, k.h.values)
             )
             g, ref_g = curves.l2_metric(c, h, k), oracle.G(x, hx, kx)
-            dg, ref_dg = curves.l2_metric_variation(c, l, h, k), oracle.DG(x, lx, hx, kx)
+            dg, ref_dg = curves.l2_metric_variation(c, l, h, k), oracle.variation(x, lx, hx, kx)
             assert abs(g - ref_g) <= 1e-13 * abs(ref_g)
             assert abs(dg - ref_dg) <= 1e-13 * abs(ref_dg)
 

@@ -285,6 +285,14 @@ class TestRunner:
         # psi = x + a sin(n x) is no circle diffeomorphism once a * n >= 1
         ("exp-circle", "amplitude_1=0.5", "amplitude_1 = 0.5, rotation_order = 3"),
         ("exp-circle", "amplitude_2=0.34", "amplitude_2 = 0.34, rotation_order = 3"),
+        # equal amplitudes give one psi twice: two equal fields show no non-injectivity
+        ("exp-circle", "n_samples=64 amplitude_1=0.05 amplitude_2=0.05",
+         "amplitude_1 = amplitude_2 = 0.05"),
+        # a grid size that is no power of two
+        ("sobolev-props", "n_samples=100", "n_samples = 100 for sobolev-props"),
+        ("exp-circle", "n_samples=100", "n_samples = 100 for exp-circle"),
+        # cos(2x) is nan at the ends of a window where 2x overflows
+        ("lddmm-flow", "half_width=1e308", "half_width = 1e+308 for lddmm-flow"),
         # a mode at n_samples / 2 aliases: its rows would be false
         ("sobolev-props", "n_samples=8", "k_max = 8, n_samples = 8"),
         ("exp-circle", "n_samples=16 rotation_order=8", "rotation_order = 8, n_samples = 16"),
@@ -433,6 +441,15 @@ class TestRunner:
         assert row["conjugation_sup_err"] < 1e-6
         assert row["field_separation"] > 0.01
 
+    def test_exp_circle_nearly_equal_amplitudes_pass_the_separation_gate(self, tmp_path):
+        """Fields 6.3e-10 apart are still two fields: the flow errors are about 4e-12."""
+        out = str(tmp_path / "e")
+        assert main(["exp-circle", "--set", "amplitude_2=0.0500000001", "--out", out]) == 0
+        columns, rows = io.read_csv(os.path.join(out, "table.csv"))
+        row = dict(zip(columns, rows[0]))
+        assert 1e-10 < row["field_separation"] < 1e-9
+        assert row["field_separation"] > max(row["flow_err_1"], row["flow_err_2"])
+
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
     def test_lddmm_flow_forward_map_against_dop853(self):
         """x_forward at the default config against scipy's DOP853 on the same closed-form
@@ -453,6 +470,13 @@ class TestRunner:
         columns, rows = io.read_csv(os.path.join(out, "table.csv"))
         errs = [r[columns.index("return_err")] for r in rows]
         assert max(errs) < 1e-6
+
+    def test_lddmm_flow_wide_window_warns_nothing(self, tmp_path):
+        """x^2 overflows at the ends of this window, where the fields are checked."""
+        args = ["lddmm-flow", "--set", "half_width=1e200", "--set", "n_probe=3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--out", str(tmp_path / "l")]) == 0
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_sobolev_rows_hold_up_to_the_resolution_bound(self, n):
@@ -487,25 +511,60 @@ def exp_circle_configs(draw):
             "amplitude_1": draw(st.floats(-0.3, 0.3)), "amplitude_2": draw(st.floats(-0.3, 0.3))}
 
 
+def _fuzz_run(name, config, check_rows):
+    """Run name at config: exit 0 means check_rows holds on the table, exit 2 names a
+    config key and exit 3 leaves error.txt."""
+    sets = [arg for key, value in config.items() for arg in ("--set", f"{key}={value!r}")]
+    stderr = StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr):
+        code = main([name, *sets, "--out", out])
+        if code == 0:
+            columns, rows = io.read_csv(os.path.join(out, "table.csv"))
+            check_rows([dict(zip(columns, row)) for row in rows])
+        elif code == 2:
+            assert any(f"{key} = " in stderr.getvalue() for key in config), stderr.getvalue()
+        else:
+            assert code == 3 and os.path.exists(os.path.join(out, "error.txt"))
+
+
+def _check_exp_circle_row(rows):
+    (row,) = rows
+    assert abs(row["c"] - np.sqrt(0.75)) < 1e-9
+    assert max(row["conjugation_sup_err"], row["flow_err_1"], row["flow_err_2"]) < 1e-6
+    assert row["field_separation"] > max(row["flow_err_1"], row["flow_err_2"])
+
+
+def _check_grossman_rows(rows):
+    lengths = [row["length"] for row in rows]
+    assert all(np.pi < row["length"] <= row["bound"] for row in rows)
+    assert all(a > b for a, b in zip(lengths, lengths[1:]))
+
+
+def _check_sobolev_rows(rows):
+    for row in rows:
+        a, b, ratio, weight = row["mode_sum"], row["integer_form"], row["ratio"], row["weight"]
+        if row["q"] <= 1:
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), row
+        else:
+            assert abs(ratio - weight) <= 1e-12 * max(1.0, weight), row
+
+
 class TestConfigFuzz:
     @settings(max_examples=50, deadline=None)
     @given(exp_circle_configs())
     def test_exp_circle_exit_code_says_what_the_row_is(self, config):
-        """Exit 0 means the row passes its gate, exit 2 names a config key and exit 3
-        leaves error.txt."""
-        sets = [arg for key, value in config.items() for arg in ("--set", f"{key}={value!r}")]
-        stderr = StringIO()
-        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr):
-            code = main(["exp-circle", *sets, "--out", out])
-            if code == 0:
-                columns, rows = io.read_csv(os.path.join(out, "table.csv"))
-                row = dict(zip(columns, rows[0]))
-                assert abs(row["c"] - np.sqrt(0.75)) < 1e-9
-                assert max(row["conjugation_sup_err"], row["flow_err_1"], row["flow_err_2"]) < 1e-6
-            elif code == 2:
-                assert any(f"{key} = " in stderr.getvalue() for key in config), stderr.getvalue()
-            else:
-                assert code == 3 and os.path.exists(os.path.join(out, "error.txt"))
+        _fuzz_run("exp-circle", config, _check_exp_circle_row)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.fixed_dictionaries({key: st.integers(0, 60) for key in ("m", "n_min", "n_max")}))
+    def test_grossman_exit_code_says_what_the_rows_are(self, config):
+        _fuzz_run("grossman", config, _check_grossman_rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.fixed_dictionaries({"n_samples": st.integers(2, 300),
+                                  "k_max": st.integers(-2, 150)}))
+    def test_sobolev_props_exit_code_says_what_the_rows_are(self, config):
+        _fuzz_run("sobolev-props", config, _check_sobolev_rows)
 
 
 def _scipy_loaded_by(code):

@@ -43,7 +43,7 @@ class TestSphereOracle:
         l, h, k = (rng.normal(size=5) for _ in range(3))
         eps = 1e-6
         fd = (oracle.G(x + eps * l, h, k) - oracle.G(x - eps * l, h, k)) / (2 * eps)
-        assert abs(oracle.DG(x, l, h, k) - fd) < 1e-7
+        assert abs(oracle.variation(x, l, h, k) - fd) < 1e-7
 
     def test_rows_consistent(self):
         rng = np.random.default_rng(3)
@@ -54,7 +54,7 @@ class TestSphereOracle:
         rows = oracle.metric_rows(x, h)
         assert np.max(np.abs(rows - [oracle.G(x, h, e) for e in eye])) < 1e-12
         vrows = oracle.variation_rows(x, h, k)
-        assert np.max(np.abs(vrows - [oracle.DG(x, e, h, k) for e in eye])) < 1e-12
+        assert np.max(np.abs(vrows - [oracle.variation(x, e, h, k) for e in eye])) < 1e-12
 
     def test_gram_matches_metric(self):
         rng = np.random.default_rng(4)
@@ -68,29 +68,31 @@ class TestSphereOracle:
 
 class TestEllipsoid:
     def test_semi_axes(self):
-        spec = hg.EllipsoidSpec(m=6)
-        assert np.allclose(spec.semi_axes, [1, 1.5, 1.25, 1.125, 1.0625, 1.03125])
+        """Row n is the plane of the semi-axis a = 1 + 2^-n: its bound is a pi."""
+        table = hg.grossman_experiment(6, range(1, 6))
+        assert [row[0] for row in table] == [1, 2, 3, 4, 5]
+        assert np.allclose([row[2] / np.pi for row in table], [1.5, 1.25, 1.125, 1.0625, 1.03125])
 
     def test_grossman_lengths_against_independent_oracle(self):
-        spec = hg.EllipsoidSpec(m=24)
-        table = hg.grossman_experiment(spec, range(1, 21))
+        table = hg.grossman_experiment(24, range(1, 21))
         for n, length, bound in table:
-            oracle = gauss_legendre_length_oracle(spec.semi_axes[n])
+            oracle = gauss_legendre_length_oracle(1.0 + 2.0**-n)
             assert abs(length - oracle) < 1e-12
             assert np.pi < length <= bound
         lengths = [row[1] for row in table]
         assert all(a > b for a, b in zip(lengths, lengths[1:]))
 
     def test_grossman_rejects_bad_index(self):
-        spec = hg.EllipsoidSpec(m=4)
         with pytest.raises(ValueError):
-            hg.grossman_experiment(spec, [4])
+            hg.grossman_experiment(4, [4])
+        with pytest.raises(ValueError, match="m = 1 must be >= 2"):
+            hg.grossman_experiment(1, [])
 
     def test_grossman_lengths_against_exact_elliptic_integral(self):
         """Every allowed row against 2a E(1 - a^-2) evaluated at 40 digits."""
         import mpmath
 
-        table = hg.grossman_experiment(hg.EllipsoidSpec(m=49), range(1, 49))
+        table = hg.grossman_experiment(49, range(1, 49))
         for n, length, _ in table:
             with mpmath.workdps(40):
                 a = 1 + mpmath.mpf(2) ** -n

@@ -68,7 +68,7 @@ class TestOracleContract:
             x = point(rng)
             l, h, k = (rng.normal(size=x.shape) for _ in range(3))
             fd = (oracle.G(x + eps * l, h, k) - oracle.G(x - eps * l, h, k)) / (2 * eps)
-            assert abs(oracle.DG(x, l, h, k) - fd) < 1e-6 * max(1.0, abs(fd))
+            assert abs(oracle.variation(x, l, h, k) - fd) < 1e-6 * max(1.0, abs(fd))
 
     def test_gram(self, case):
         oracle, point = case
@@ -125,7 +125,7 @@ class TestOracleContract:
                 ("metric_rows", (h,)),
                 ("variation_rows", (h, k)),
                 ("G", (h, k)),
-                ("DG", (l, h, k)),
+                ("variation", (l, h, k)),
                 ("speed_gradient", (h, oracle.metric_rows(x, h))),
             ]:
                 call = getattr(oracle, name)
@@ -152,7 +152,7 @@ class TestOracleContract:
             l, h = (rng.normal(size=x.shape) for _ in range(2))
             plus, minus = oracle.metric_rows(x + eps * l, h), oracle.metric_rows(x - eps * l, h)
             fd = (plus - minus) / (2 * eps)
-            exact = oracle.DG(oracle.at(x), l, h, np.eye(oracle.dim))
+            exact = oracle.variation(oracle.at(x), l, h, np.eye(oracle.dim))
             assert np.max(np.abs(exact - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     def test_sharp_derivative_matches_fd(self, case):
@@ -215,7 +215,7 @@ class TestOracleContract:
         v = speed * rng.normal(size=x.shape)
         gram = oracle.gram(x)
         assert np.linalg.cond(gram) < pg.COND_LIMIT
-        rhs = 0.5 * (2.0 * oracle.DG(x, v, v, np.eye(oracle.dim)) - oracle.variation_rows(x, v, v))
+        rhs = 0.5 * (2.0 * oracle.variation(x, v, v, np.eye(oracle.dim)) - oracle.variation_rows(x, v, v))
         reference = -np.linalg.solve(gram, rhs)
         accel = pg.geodesic_acceleration(x, v, oracle)
         scale = max(np.max(np.abs(reference)), 1e-300)

@@ -256,7 +256,7 @@ class TestSpectralPlan:
         power = phi
         for _ in range(4):
             power = diffeo_flows.compose(phi, power)
-        c = power._coeffs
+        c = power._disp_field._coeffs
         k_max = int(np.max(np.abs(c.grid.wavenumbers)[np.any(c.coeffs != 0.0, axis=0)]))
         m = math.isqrt(k_max) + 1
         giants = k_max // m + 1
