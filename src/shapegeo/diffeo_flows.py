@@ -2,12 +2,13 @@
 
 Circle maps are stored as lifts phi(x) = x + f(x) with periodic
 displacement f and 1 + f' > 0; the displacement is wrapped by a multiple
-of 2*pi so its mean lies in [-pi, pi).  One embedded Dormand-Prince 5(4)
-loop integrates any 1-D state, the node positions of a flow: a step is
-accepted when its error estimate is at most 1e-11 * (max|x| + 1), every
-trial step sizes the next from that estimate, and the last stage of a step
-is the first of the next (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
-Hairer-Norsett-Wanner, *Solving ODEs I*, II.4-II.5).  Real-line flows run
+of 2*pi so its mean lies in [-pi, pi).  One loop of embedded 8th-order
+Dormand-Prince steps (DOP853) integrates any 1-D state, the node positions
+of a flow: a step is accepted when its error estimate is at most 1e-11 *
+(max|x| + 1), every trial step sizes the next from that estimate, and the
+rate at a step's new point is the next step's first stage (Prince &
+Dormand, J. Comput. Appl. Math. 7, 1981; Hairer-Norsett-Wanner, *Solving
+ODEs I*, II.4-II.5 and II.10).  Real-line flows run
 on a finite window, and leaving it is the loop's event, reported as blow-up
 data at the time the first point leaves, not as an error.  The three root
 searches (inverse maps, periodic points, event times) share one bisection.
@@ -197,33 +198,73 @@ def invert(phi):
 # ---------------------------------------------------------------------------
 
 
-# Dormand-Prince 5(4): row i gives stage i + 2 from stages 1 .. i + 1; the last
-# row is the 5th-order weights, so the 7th stage is f at the new point.
-_DP_A = [np.array(row) for row in (
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+# DOP853, the Dormand-Prince 8(5,3) pair (Prince & Dormand, J. Comput. Appl. Math. 7,
+# 1981), with the digits of Hairer's dop853.f (scipy/integrate/_ivp/dop853_coefficients.py,
+# BSD, has the same): row i gives stage i + 2 from stages 1 .. i + 1.
+_DOP_A = [np.array(row) for row in (
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1],
 )]
-# 5th-order minus 4th-order weights, over all 7 stages
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# 8th-order weights of the 12 stages
+_DOP_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2])
+# 8th-order minus 5th-order weights, and 8th-order minus 3rd-order weights (b - bhh,
+# bhh the 3rd-order weights); the stage f(y) at the new point has weight 0 in both
+_DOP_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1])
+_DOP_E3 = _DOP_B - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1])
 
 
-def _dp5_step(f, x, dt, k1):
-    """One Dormand-Prince 5(4) step of size dt from the 1-D state x, given
-    its first stage k1 = f(x).
+def _dop853_step(f, x, dt, k1):
+    """One DOP853 step of size dt from the 1-D state x, given its first stage k1 = f(x).
 
-    Returns the 5th-order solution y, its stage f(y) (the next step's first
-    stage) and the sup-norm of the embedded error estimate.
+    Returns the 8th-order solution y, its stage f(y) (the next step's first stage)
+    and Hairer's combined error estimate dt * e5^2 / sqrt(e5^2 + 0.01 * e3^2), with e5
+    and e3 the sup-norms of the 5th- and 3rd-order embedded differences.
     """
-    k = np.empty((7, x.size))
+    k = np.empty((12, x.size))
     k[0] = k1
-    for i, row in enumerate(_DP_A):
-        y = x + dt * (row @ k[:i + 1])
-        k[i + 1] = f(y)
-    return y, k[6], dt * float(np.max(np.abs(_DP_E @ k)))
+    for i, row in enumerate(_DOP_A):
+        k[i + 1] = f(x + dt * (row @ k[:i + 1]))
+    y = x + dt * (_DOP_B @ k)
+    e5 = float(np.max(np.abs(_DOP_E5 @ k)))
+    e3 = float(np.max(np.abs(_DOP_E3 @ k)))
+    denom = np.hypot(e5, 0.1 * e3)
+    return y, f(y), 0.0 if denom == 0.0 else dt * e5 * (e5 / denom)
 
 
 # nodes of every RealGrid: the flow start points and the membership_check
@@ -316,27 +357,29 @@ def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
     """Integrate d/dt x = rate(x) on the 1-D state x from t towards t_end, adding
     its steps, rejected steps and largest accepted error estimate to result.
 
-    A Dormand-Prince 5(4) step is accepted when its embedded error estimate
-    err = |y5 - y4| is at most TOL * scale, scale = max|x| + 1; the 5th-order
-    solution is kept, and its last stage is the next step's first.  Every
-    trial step of size dt proposes dt * min(5, max(0.2, 0.9 * (TOL * scale /
-    err)^(1/5))) (5 * dt when err = 0) for the next; a rejected step retries
-    at the smaller of that and dt / 2, and no step passes t_end or moves a
-    component more than 0.05 * scale.  Where the event predicate leaves
-    first holds at the end of an accepted step, bisecting that step locates
-    the time it starts to hold.  Returns (x, t, proposal) at t_end, or
-    (None, event time, proposal).  A step failing at MIN_STEP, more than
-    MAX_SUBSTEPS steps in result, or an event bisection that stops narrowing
-    above EXIT_TOL raise NonConvergence: a solver that cannot finish has not
-    found an event.
+    A DOP853 step is accepted when its error estimate err is at most TOL *
+    scale, scale = max|x| + 1: Hairer's combined estimate dt * e5^2 /
+    sqrt(e5^2 + 0.01 * e3^2) from the sup-norms e5 and e3 of the 5th- and
+    3rd-order embedded differences.  The 8th-order solution y is kept, and
+    f(y) is the next step's first stage, so a trial step costs 12 rate
+    evaluations.  Every trial step of size dt proposes dt * min(5, max(0.2,
+    0.9 * (TOL * scale / err)^(1/8))) (5 * dt when err = 0) for the next; a
+    rejected step retries at the smaller of that and dt / 2, and no step
+    passes t_end or moves a component more than 0.05 * scale.  Where the
+    event predicate leaves first holds at the end of an accepted step,
+    bisecting that step locates the time it starts to hold.  Returns (x, t,
+    proposal) at t_end, or (None, event time, proposal).  A step failing at
+    MIN_STEP, more than MAX_SUBSTEPS steps in result, or an event bisection
+    that stops narrowing above EXIT_TOL raise NonConvergence: a solver that
+    cannot finish has not found an event.
     """
     k1 = rate(x)
     while t < t_end - 1e-14:
         scale = np.max(np.abs(x)) + 1.0
         dt = min(t_end - t, proposal, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
         while True:
-            y, k_last, err = _dp5_step(rate, x, dt, k1)
-            growth = 0.9 * (TOL * scale / err) ** 0.2 if err > 0.0 else 5.0
+            y, k_last, err = _dop853_step(rate, x, dt, k1)
+            growth = 0.9 * (TOL * scale / err) ** 0.125 if err > 0.0 else 5.0
             proposal = dt * min(5.0, max(0.2, growth))
             if err <= TOL * scale:
                 break
@@ -349,7 +392,7 @@ def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
         result.steps += 1
         result.max_err = max(result.max_err, err)
         if leaves is not None and leaves(y):
-            lo, hi = _bisect(lambda s: leaves(_dp5_step(rate, x, s, k1)[0]),
+            lo, hi = _bisect(lambda s: leaves(_dop853_step(rate, x, s, k1)[0]),
                              0.0, dt, EXIT_TOL)
             return None, t - dt + 0.5 * (lo + hi), proposal
         x, k1 = y, k_last
@@ -396,9 +439,9 @@ def flow_autonomous(u, t):
     """Time-t flow of an autonomous circle field (the exponential map at t).
 
     This is flow_time_dependent on the one-interval field u over [0, |t|],
-    time-reversed when t < 0, so every accepted step's embedded
-    Dormand-Prince error estimate is at most TOL * (max|x| + 1) on the
-    lifted node positions x, and each step is sized from the last estimate.
+    time-reversed when t < 0, so every accepted step's DOP853 error
+    estimate is at most TOL * (max|x| + 1) on the lifted node positions x,
+    and each step is sized from the last estimate.
     """
     t = float(t)
     if t == 0.0:

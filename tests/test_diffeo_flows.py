@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from shapegeo import diffeo_flows as df
 from shapegeo import periodic_core as pc
@@ -306,9 +307,9 @@ class TestFlowTelemetry:
     @pytest.mark.parametrize(
         "make_field, steps",
         [
-            (lambda: df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256), 19),
-            (lambda: noninjectivity_field(0.05), 44),
-            (lambda: noninjectivity_field(0.08), 54),
+            (lambda: df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256), 7),
+            (lambda: noninjectivity_field(0.05), 12),
+            (lambda: noninjectivity_field(0.08), 13),
         ],
         ids=["sine", "noninjectivity-0.05", "noninjectivity-0.08"],
     )
@@ -328,18 +329,18 @@ class TestFlowTelemetry:
         assert result.blow_up and result.steps > result.blow_up_time / df.BASE_STEP
 
     def test_steps_reuse_their_last_stage(self, monkeypatch):
-        """Six field evaluations per trial step, accepted or rejected, plus the first
+        """Twelve field evaluations per trial step, accepted or rejected, plus the first
         stage of each knot interval."""
         calls = []
         evaluate = df.evaluate_spectral
         monkeypatch.setattr(df, "evaluate_spectral", lambda *a: calls.append(1) or evaluate(*a))
         u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256)
         result = df.flow_time_dependent(df.TimeDependentField.uniform([u], u.grid))
-        assert len(calls) == 6 * (result.steps + result.rejected) + 1
+        assert len(calls) == 12 * (result.steps + result.rejected) + 1
         calls.clear()
         back = df.CircleField(pc.PeriodicFunction(u.grid, -0.5 * u.u.values))
         result = df.flow_time_dependent(df.TimeDependentField.uniform([u, back], u.grid))
-        assert len(calls) == 6 * (result.steps + result.rejected) + 2
+        assert len(calls) == 12 * (result.steps + result.rejected) + 2
 
 
 def circle_flow():
@@ -436,15 +437,49 @@ class TestIntegrate:
         assert result.steps > 0 and 0.0 < result.max_err <= 2.0 * df.TOL
 
     def test_tallies_land_in_the_result_passed_in(self):
-        """A first trial step of 1 is rejected once; the call adds its steps and rejected
-        steps to those the result already holds, and raises max_err to its own."""
+        """A first trial step of 1, which the movement cap 0.05 * 1.01 / 0.01 leaves
+        whole, is rejected once; the call adds its steps and rejected steps to those the
+        result already holds, and raises max_err to its own."""
         fresh = df.FlowResult(None)
-        df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, 1.0, fresh)
+        df._integrate(oscillator, np.array([0.01, 0.0]), 0.0, 3.0, 1.0, fresh)
         held = df.FlowResult(None, steps=7, rejected=2, max_err=1e-20)
-        df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, 1.0, held)
+        df._integrate(oscillator, np.array([0.01, 0.0]), 0.0, 3.0, 1.0, held)
         assert fresh.steps > 0 and fresh.rejected == 1 and fresh.max_err > 1e-20
         assert (held.steps, held.rejected, held.max_err) == (
             fresh.steps + 7, fresh.rejected + 2, fresh.max_err)
+
+
+class TestDop853Tableau:
+    """The step's literals are the DOP853 tableau, and the step has order 8."""
+
+    def test_literals_equal_scipys_bit_for_bit(self):
+        a = np.zeros((12, 12))
+        for i, row in enumerate(df._DOP_A):
+            a[i + 1, :i + 1] = row
+        assert np.array_equal(a, dop853.A[:12, :12])
+        assert np.array_equal(df._DOP_B, dop853.B)
+        # scipy's 13th weight is that of f(y) at the new point, 0 in both estimators
+        assert np.array_equal(df._DOP_E3, dop853.E3[:12]) and dop853.E3[12] == 0.0
+        assert np.array_equal(df._DOP_E5, dop853.E5[:12]) and dop853.E5[12] == 0.0
+
+    def test_rows_sum_to_nodes_and_weights_integrate_degree_seven(self):
+        c = dop853.C[:12]
+        sums = [0.0] + [row.sum() for row in df._DOP_A]
+        assert np.allclose(sums, c, rtol=0.0, atol=1e-14)
+        for q in range(8):
+            assert abs(df._DOP_B @ c**q - 1.0 / (q + 1)) <= 1e-14
+
+    def test_fixed_steps_converge_at_order_eight(self):
+        def error(n):
+            x, dt = np.array([1.0, 0.0]), 3.0 / n
+            k1 = oscillator(x)
+            for _ in range(n):
+                x, k1, _ = df._dop853_step(oscillator, x, dt, k1)
+            return np.max(np.abs(x - [np.cos(3.0), -np.sin(3.0)]))
+
+        errors = [error(n) for n in (4, 8, 16)]
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(np.abs(orders - 8.0) < 0.1), orders
 
 
 class TestIntegratorBudgets:
