@@ -5,16 +5,16 @@ displacement f and 1 + f' > 0; the displacement is wrapped by a multiple
 of 2*pi so its mean lies in [-pi, pi).  One loop of embedded 8th-order
 Dormand-Prince steps (DOP853) integrates any 1-D state, the node positions
 of a flow: a step is accepted when its error estimate is at most 1e-11 *
-(max|x| + 1), every trial step sizes the next from that estimate, and the
-rate at a step's new point is the next step's first stage (Prince &
-Dormand, J. Comput. Appl. Math. 7, 1981; Hairer-Norsett-Wanner, *Solving
-ODEs I*, II.4-II.5 and II.10).  Real-line flows run
-on a finite window, and leaving it is the loop's event, reported as blow-up
-data at the time the first point leaves, not as an error.  The three root
-searches (inverse maps, periodic points, event times) share one bisection.
-An exhausted step budget, or a bisection whose brackets stop narrowing
-above its tolerance, raises NonConvergence.  A flow's field is a callable
-x -> u(x): a CircleField on the circle, any numpy function on the line.
+(max|x| + 1), moves no component more than 0.05 * (max|x| + 1), a cap
+that alone sizes the first, and sizes the next from its estimate (Prince
+& Dormand, J. Comput. Appl. Math. 7, 1981; Hairer-Norsett-Wanner, *Solving
+ODEs I*, II.4-II.5 and II.10).  Real-line flows run on a finite window,
+and leaving it is the loop's event, reported as blow-up data at the time
+the first point leaves, not as an error.  The three root searches (inverse
+maps, periodic points, event times) share one bisection.  An exhausted step
+budget, or a bisection whose brackets stop narrowing above its tolerance,
+raises NonConvergence.  A flow's field is a callable x -> u(x): a
+CircleField on the circle, any numpy function on the line.
 """
 
 from __future__ import annotations
@@ -252,9 +252,9 @@ _DOP_E3 = _DOP_B - np.array([
 def _dop853_step(f, x, dt, k1):
     """One DOP853 step of size dt from the 1-D state x, given its first stage k1 = f(x).
 
-    Returns the 8th-order solution y, its stage f(y) (the next step's first stage)
-    and Hairer's combined error estimate dt * e5^2 / sqrt(e5^2 + 0.01 * e3^2), with e5
-    and e3 the sup-norms of the 5th- and 3rd-order embedded differences.
+    Returns the 8th-order solution y, from 11 evaluations of f, and Hairer's combined
+    error estimate dt * e5^2 / sqrt(e5^2 + 0.01 * e3^2), with e5 and e3 the sup-norms
+    of the 5th- and 3rd-order embedded differences.
     """
     k = np.empty((12, x.size))
     k[0] = k1
@@ -264,7 +264,7 @@ def _dop853_step(f, x, dt, k1):
     e5 = float(np.max(np.abs(_DOP_E5 @ k)))
     e3 = float(np.max(np.abs(_DOP_E3 @ k)))
     denom = np.hypot(e5, 0.1 * e3)
-    return y, f(y), 0.0 if denom == 0.0 else dt * e5 * (e5 / denom)
+    return y, 0.0 if denom == 0.0 else dt * e5 * (e5 / denom)
 
 
 # nodes of every RealGrid: the flow start points and the membership_check
@@ -345,40 +345,40 @@ class FlowResult:
 MAX_SUBSTEPS = 2**20
 # smallest substep tried before the embedded error check gives up
 MIN_STEP = 1e-12
-# first trial step of a flow; later steps are sized from the embedded error estimate
-BASE_STEP = 1.0 / 256.0
 # each accepted step's embedded error estimate is at most TOL * (max|x| + 1)
 TOL = 1e-11
 # bracket width in time the event bisection stops at
 EXIT_TOL = 1e-9
 
 
-def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
+def _integrate(rate, x, t, t_end, result, leaves=None):
     """Integrate d/dt x = rate(x) on the 1-D state x from t towards t_end, adding
     its steps, rejected steps and largest accepted error estimate to result.
 
     A DOP853 step is accepted when its error estimate err is at most TOL *
     scale, scale = max|x| + 1: Hairer's combined estimate dt * e5^2 /
     sqrt(e5^2 + 0.01 * e3^2) from the sup-norms e5 and e3 of the 5th- and
-    3rd-order embedded differences.  The 8th-order solution y is kept, and
-    f(y) is the next step's first stage, so a trial step costs 12 rate
-    evaluations.  Every trial step of size dt proposes dt * min(5, max(0.2,
-    0.9 * (TOL * scale / err)^(1/8))) (5 * dt when err = 0) for the next; a
-    rejected step retries at the smaller of that and dt / 2, and no step
-    passes t_end or moves a component more than 0.05 * scale.  Where the
-    event predicate leaves first holds at the end of an accepted step,
-    bisecting that step locates the time it starts to hold.  Returns (x, t,
-    proposal) at t_end, or (None, event time, proposal).  A step failing at
-    MIN_STEP, more than MAX_SUBSTEPS steps in result, or an event bisection
-    that stops narrowing above EXIT_TOL raise NonConvergence: a solver that
-    cannot finish has not found an event.
+    3rd-order embedded differences.  The 8th-order solution y is kept.  The
+    rate at a step's start is the first stage of every trial from there, so
+    a trial step costs 11 rate evaluations and an accepted step 1 more.  No
+    step passes t_end or moves a component more than 0.05 * scale, a cap
+    that alone sizes the first trial step.  Every trial step of size dt
+    proposes dt * min(5, max(0.2, 0.9 * (TOL * scale / err)^(1/8))) (5 * dt
+    when err = 0) for the next; a rejected step retries at the smaller of
+    that and dt / 2.  Where the event predicate leaves first holds at the
+    end of an accepted step, bisecting that step locates the time it starts
+    to hold.  Returns (x, t) at t_end, or (None, event time).  A step
+    failing at MIN_STEP, more than MAX_SUBSTEPS steps in result, or an event
+    bisection that stops narrowing above EXIT_TOL raise NonConvergence: a
+    solver that cannot finish has not found an event.
     """
-    k1 = rate(x)
+    proposal = np.inf
     while t < t_end - 1e-14:
+        k1 = rate(x)
         scale = np.max(np.abs(x)) + 1.0
         dt = min(t_end - t, proposal, 0.05 * scale / (np.max(np.abs(k1)) + 1e-30))
         while True:
-            y, k_last, err = _dop853_step(rate, x, dt, k1)
+            y, err = _dop853_step(rate, x, dt, k1)
             growth = 0.9 * (TOL * scale / err) ** 0.125 if err > 0.0 else 5.0
             proposal = dt * min(5.0, max(0.2, growth))
             if err <= TOL * scale:
@@ -394,24 +394,23 @@ def _integrate(rate, x, t, t_end, proposal, result, leaves=None):
         if leaves is not None and leaves(y):
             lo, hi = _bisect(lambda s: leaves(_dop853_step(rate, x, s, k1)[0]),
                              0.0, dt, EXIT_TOL)
-            return None, t - dt + 0.5 * (lo + hi), proposal
-        x, k1 = y, k_last
+            return None, t - dt + 0.5 * (lo + hi)
+        x = y
         if result.steps > MAX_SUBSTEPS:
             raise NonConvergence(f"{result.steps} substeps exceed MAX_SUBSTEPS at t = {t:.6f} "
                                  f"of {t_end:.6f}; last embedded error estimate {err:.3e}")
-    return x, t, proposal
+    return x, t
 
 
 def flow_time_dependent(u, x0=None):
     """Integrate the non-autonomous flow d/dt phi = u(t) o phi.
 
-    Starts at x0 or the nodes of u.grid with a first trial step of
-    BASE_STEP, and runs _integrate on each knot interval's field, called as
-    it is, in turn; the time and the step proposal carry across knots.  On
-    real-line grids the event is leaving the working window |x| <=
-    half_width, which marks the result as blown up, and a start point
-    outside the window raises ValueError.  Each flow that returns logs its
-    steps, rejected and max_err at DEBUG on the "shapegeo" logger.
+    Starts at x0 or the nodes of u.grid and runs _integrate on each knot
+    interval's field, called as it is, in turn; its movement cap sizes each
+    interval's first trial step.  On real-line grids the event is leaving
+    the working window |x| <= half_width, which marks the result as blown
+    up, and a start point outside the window raises ValueError.  Each flow
+    that returns logs steps, rejected and max_err at DEBUG on "shapegeo".
     """
     grid = u.grid
     x = np.array(grid.nodes if x0 is None else np.atleast_1d(x0), dtype=float)
@@ -423,9 +422,9 @@ def flow_time_dependent(u, x0=None):
             raise ValueError(f"start point x0 = {float(start)} lies outside the window "
                              f"|x| <= half_width = {float(grid.half_width)}")
     result = FlowResult(None)
-    t, proposal = float(u.knots[0]), BASE_STEP
+    t = float(u.knots[0])
     for u_i, t_next in zip(u.fields, u.knots[1:]):
-        x, t, proposal = _integrate(u_i, x, t, t_next, proposal, result, leaves)
+        x, t = _integrate(u_i, x, t, t_next, result, leaves)
         if x is None:
             result.blow_up_time = t
             break

@@ -53,8 +53,8 @@ class Kernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "sobolev" and self.order not in (1, 2):
             raise ValueError("sobolev kernel supports orders 1 and 2 only")
-        if self.scale <= 0:
-            raise ValueError("kernel scale must be positive")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"kernel scale = {self.scale}: must be positive and finite")
 
     def __call__(self, x, y):
         """Evaluate k on points of shape (..., d); broadcasts."""
@@ -81,7 +81,7 @@ def gaussian_kernel(sigma):
 
 
 def sobolev_kernel(order):
-    return Kernel(kind="sobolev", order=int(order))
+    return Kernel(kind="sobolev", order=order)
 
 
 @dataclass(frozen=True, eq=False)

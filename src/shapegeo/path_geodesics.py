@@ -150,8 +150,11 @@ def _check_n_steps(n_steps):
 def euclidean_oracle(m, weight=1.0):
     """Flat oracle G(x, h, k) = sum_j weight_j h_j k_j on R^m.
 
-    ``weight`` is a scalar or an (m,) array of positive weights.
+    ``weight`` is a scalar or an (m,) array of positive weights; a weight
+    that is not positive and finite raises ValueError.
     """
+    if not np.all(np.isfinite(weight)) or np.min(weight) <= 0.0:
+        raise ValueError(f"weight = {weight!r}: every weight must be positive and finite")
     cond = float(np.max(weight) / np.min(weight))
 
     def at(x):

@@ -258,8 +258,8 @@ def sobolev_inner_product(f, g, q):
 
     q = 0 recovers the (1/2pi)-normalized L^2 pairing.
     """
-    if q < 0:
-        raise ValueError("negative Sobolev order not supported")
+    if not 0 <= q < np.inf:
+        raise ValueError(f"Sobolev order q = {q}: must be nonnegative and finite")
     _check_compat(f, g)
     fc = transform(f).coeffs
     gc = transform(g).coeffs

@@ -305,20 +305,20 @@ class TestCompressThreshold:
 
 class TestFlowTelemetry:
     @pytest.mark.parametrize(
-        "make_field, steps",
+        "make_field, steps, rejected",
         [
-            (lambda: df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256), 7),
-            (lambda: noninjectivity_field(0.05), 12),
-            (lambda: noninjectivity_field(0.08), 13),
+            (lambda: df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256), 5, 0),
+            (lambda: noninjectivity_field(0.05), 11, 1),
+            (lambda: noninjectivity_field(0.08), 11, 1),
         ],
         ids=["sine", "noninjectivity-0.05", "noninjectivity-0.08"],
     )
-    def test_smooth_flow_takes_base_steps(self, make_field, steps):
+    def test_smooth_flow_takes_base_steps(self, make_field, steps, rejected):
         """The exp-circle flows: steps sized from the error estimate keep its largest
         value within a factor 100 of the TOL bound, so the bound sets the cost."""
         u = make_field()
         result = df.flow_time_dependent(df.TimeDependentField.uniform([u], u.grid))
-        assert result.steps == steps and result.rejected == 0
+        assert result.steps == steps and result.rejected == rejected
         bound = df.TOL * (np.max(np.abs(result.final_map)) + 1.0)
         assert bound / 100.0 <= result.max_err <= bound
 
@@ -326,21 +326,45 @@ class TestFlowTelemetry:
         grid = df.RealGrid(half_width=1e4)
         tf = df.TimeDependentField.uniform([np.square], grid)
         result = df.flow_time_dependent(tf, x0=np.array([2.0]))
-        assert result.blow_up and result.steps > result.blow_up_time / df.BASE_STEP
+        assert result.blow_up and result.steps > 256 * result.blow_up_time
 
     def test_steps_reuse_their_last_stage(self, monkeypatch):
-        """Twelve field evaluations per trial step, accepted or rejected, plus the first
-        stage of each knot interval."""
+        """Eleven field evaluations per trial step, accepted or rejected, plus the first
+        stage of each accepted step, which every trial from its start shares."""
         calls = []
         evaluate = df.evaluate_spectral
         monkeypatch.setattr(df, "evaluate_spectral", lambda *a: calls.append(1) or evaluate(*a))
         u = df.CircleField.from_callable(lambda t: 1.0 + 0.5 * np.sin(t), 256)
         result = df.flow_time_dependent(df.TimeDependentField.uniform([u], u.grid))
-        assert len(calls) == 12 * (result.steps + result.rejected) + 1
+        assert len(calls) == 11 * (result.steps + result.rejected) + result.steps
         calls.clear()
         back = df.CircleField(pc.PeriodicFunction(u.grid, -0.5 * u.u.values))
         result = df.flow_time_dependent(df.TimeDependentField.uniform([u, back], u.grid))
-        assert len(calls) == 12 * (result.steps + result.rejected) + 2
+        assert len(calls) == 11 * (result.steps + result.rejected) + result.steps
+
+
+class TestFirstStep:
+    """Each knot interval's first trial step is the whole interval, cut by the movement
+    cap 0.05 * (max|x| + 1) / max|u(x)|."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4))
+    def test_zero_field_takes_one_step_per_interval(self, widths):
+        grid = pc.PeriodicGrid(16)
+        zero = df.CircleField.from_callable(np.zeros_like, 16)
+        knots = np.concatenate([[0.0], np.cumsum(widths)])
+        result = df.flow_time_dependent(df.TimeDependentField(knots, [zero] * len(widths), grid))
+        assert (result.steps, result.rejected) == (len(widths), 0)
+        assert np.array_equal(result.final_map, grid.nodes)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(1e-3, 2.0))
+    def test_constant_field_rotates_without_rejection(self, c, t_end):
+        """Every DOP853 stage of a constant rate is that rate, so the step is exact."""
+        u = df.CircleField.from_callable(lambda x: np.full_like(x, c), 64)
+        result = df.flow_time_dependent(df.TimeDependentField.uniform([u], u.grid, t_end))
+        assert result.rejected == 0
+        assert np.max(np.abs(result.final_map - u.grid.nodes - c * t_end)) <= 1e-12
 
 
 def circle_flow():
@@ -422,28 +446,27 @@ class TestIntegrate:
 
     def test_oscillator_end_state(self):
         result = df.FlowResult(None)
-        y, t, _ = df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, df.BASE_STEP,
-                                result)
+        y, t = df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, result)
         assert t == pytest.approx(3.0, abs=1e-13)
         assert np.max(np.abs(y - [np.cos(3.0), -np.sin(3.0)])) < 1e-9
         assert result.steps > 0 and 0.0 < result.max_err <= 2.0 * df.TOL
 
     def test_oscillator_event_time(self):
         result = df.FlowResult(None)
-        y, t, _ = df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, df.BASE_STEP,
-                                result, leaves=lambda y: y[0] < 0.0)
+        y, t = df._integrate(oscillator, np.array([1.0, 0.0]), 0.0, 3.0, result,
+                             leaves=lambda y: y[0] < 0.0)
         assert y is None
         assert abs(t - 0.5 * np.pi) < 1e-8
         assert result.steps > 0 and 0.0 < result.max_err <= 2.0 * df.TOL
 
     def test_tallies_land_in_the_result_passed_in(self):
-        """A first trial step of 1, which the movement cap 0.05 * 1.01 / 0.01 leaves
-        whole, is rejected once; the call adds its steps and rejected steps to those the
-        result already holds, and raises max_err to its own."""
+        """The first trial step, the movement cap 0.05 * 1.05 / 0.05, is rejected once;
+        the call adds its steps and rejected steps to those the result already holds, and
+        raises max_err to its own."""
         fresh = df.FlowResult(None)
-        df._integrate(oscillator, np.array([0.01, 0.0]), 0.0, 3.0, 1.0, fresh)
+        df._integrate(oscillator, np.array([0.05, 0.0]), 0.0, 3.0, fresh)
         held = df.FlowResult(None, steps=7, rejected=2, max_err=1e-20)
-        df._integrate(oscillator, np.array([0.01, 0.0]), 0.0, 3.0, 1.0, held)
+        df._integrate(oscillator, np.array([0.05, 0.0]), 0.0, 3.0, held)
         assert fresh.steps > 0 and fresh.rejected == 1 and fresh.max_err > 1e-20
         assert (held.steps, held.rejected, held.max_err) == (
             fresh.steps + 7, fresh.rejected + 2, fresh.max_err)
@@ -472,9 +495,8 @@ class TestDop853Tableau:
     def test_fixed_steps_converge_at_order_eight(self):
         def error(n):
             x, dt = np.array([1.0, 0.0]), 3.0 / n
-            k1 = oscillator(x)
             for _ in range(n):
-                x, k1, _ = df._dop853_step(oscillator, x, dt, k1)
+                x, _ = df._dop853_step(oscillator, x, dt, oscillator(x))
             return np.max(np.abs(x - [np.cos(3.0), -np.sin(3.0)]))
 
         errors = [error(n) for n in (4, 8, 16)]

@@ -59,6 +59,17 @@ class TestKernels:
         with pytest.raises(ValueError):
             km.gaussian_kernel(-1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, sigma):
+        """Else the oracle's metric rows are NaN, and nothing raises."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            km.gaussian_kernel(sigma)
+
+    def test_fractional_sobolev_order_rejected(self):
+        """The order is not truncated to 1."""
+        with pytest.raises(ValueError, match="orders 1 and 2"):
+            km.sobolev_kernel(1.7)
+
 
 class TestGram:
     def test_spd_over_many_random_configs(self):

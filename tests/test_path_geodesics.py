@@ -236,6 +236,13 @@ class TestOracleContract:
             pg.ivp_shoot(x, v, oracle, 2)
 
 
+class TestEuclideanOracle:
+    @pytest.mark.parametrize("weight", [-1.0, 0.0, np.nan, np.inf, np.array([1.0, -2.0])])
+    def test_euclidean_weights_must_be_positive_and_finite(self, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            pg.euclidean_oracle(2, weight=weight)
+
+
 class TestEnergyAndLength:
     def test_constant_path(self):
         oracle = pg.euclidean_oracle(3)

@@ -364,10 +364,20 @@ class TestSobolevPairings:
         cos = pc.PeriodicFunction.from_callable(np.cos, 64)
         assert abs(pc.sobolev_inner_product(sin, cos, 1)) < 1e-13
 
+    def test_fractional_orders_closed_form(self):
+        """||cos k theta||^2 = (1 + k^2)^q / 2 under the 1/2pi normalization, k < n/2."""
+        for q in (0.25, 0.5, 0.75):
+            for k in range(1, 16):
+                f = pc.PeriodicFunction.from_callable(lambda t, k=k: np.cos(k * t), 32)
+                exact = (1.0 + k**2) ** q / 2.0
+                assert abs(pc.sobolev_inner_product(f, f, q) - exact) <= 1e-14 * exact
+
     def test_negative_order_rejected(self):
         f = pc.PeriodicFunction.from_callable(np.sin, 16)
         with pytest.raises(ValueError):
             pc.sobolev_inner_product(f, f, -1)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            pc.sobolev_inner_product(f, f, np.nan)
         with pytest.raises(ValueError):
             pc.sobolev_inner_product_integer(f, f, -1)
 
